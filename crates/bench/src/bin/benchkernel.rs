@@ -55,13 +55,14 @@ use usfq_bench::experiments::{fig18, fig19};
 use usfq_bench::kernels::{
     burst_stream, catalogue_trial, counting_feedback, delay_chain, drive_burst_stream,
     drive_burst_stream_jittered, drive_counting_feedback, drive_delay_chain, fabric,
-    fabric_stimulus, BURST_STREAM_JITTER_SIGMA_PS, JITTER_SEED,
+    fabric_stimulus, StimulusKind, BURST_STREAM_JITTER_SIGMA_PS, JITTER_SEED,
 };
 use usfq_core::netlists::shipped_netlists;
 use usfq_lint::{fix_to_fixpoint, slack_report, FixOptions, LintConfig};
 use usfq_sim::rng::xorshift64;
 use usfq_sim::{
-    CalendarWheel, CoalesceStats, Runner, Sched, ShardedSimulator, Simulator, Time, SHARDS_ENV,
+    CalendarWheel, CoalesceStats, Runner, SanitizerConfig, Sched, ShardedSimulator, SimConfig,
+    Simulator, Time,
 };
 
 /// One sample policy for every kernel: the gate compares `min_ns`
@@ -160,12 +161,13 @@ fn main() {
         .unwrap_or_else(|| "BENCH_kernel.json".to_string());
     let commit = std::env::var("USFQ_COMMIT").unwrap_or_else(|_| "unknown".to_string());
     let threads = Runner::from_env().threads();
-    let default_sched = Sched::from_env();
-    let default_shards = std::env::var(SHARDS_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1);
+    let env = SimConfig::from_env();
+    // The environment's configuration with burst delivery forced on or
+    // off, for the coalesced kernels and their pulse-level twins.
+    let burst = |on| SimConfig {
+        burst: on,
+        ..env.clone()
+    };
 
     let mut results: Vec<Measurement> = Vec::new();
 
@@ -210,8 +212,12 @@ fn main() {
         ("sched/engine_delay_chain_1024/wheel", Sched::Wheel),
     ] {
         let proto = proto.clone();
+        let cfg = SimConfig {
+            sched,
+            ..env.clone()
+        };
         results.push(Measurement::run(name, SAMPLES, move || {
-            let mut sim = Simulator::with_sched(proto.clone(), sched);
+            let mut sim = Simulator::with_config(proto.clone(), &cfg);
             drive_delay_chain(&mut sim, input, probe, 32);
         }));
     }
@@ -238,7 +244,7 @@ fn main() {
     ] {
         let (proto, input, div, tap) = burst_stream();
         results.push(Measurement::run_batched(name, SAMPLES, iters, move || {
-            let mut sim = Simulator::with_burst(proto.clone(), true);
+            let mut sim = Simulator::with_config(proto.clone(), &burst(true));
             drive_burst_stream(&mut sim, input, div, tap, bits);
         }));
     }
@@ -249,7 +255,7 @@ fn main() {
             SAMPLES,
             1,
             move || {
-                let mut sim = Simulator::with_burst(proto.clone(), false);
+                let mut sim = Simulator::with_config(proto.clone(), &burst(false));
                 drive_burst_stream(&mut sim, input, div, tap, 12);
             },
         ));
@@ -267,7 +273,7 @@ fn main() {
             SAMPLES,
             16,
             move || {
-                let mut sim = Simulator::with_burst(proto.clone(), true);
+                let mut sim = Simulator::with_config(proto.clone(), &burst(true));
                 sim.enable_wire_jitter(jitter_sigma, JITTER_SEED);
                 drive_burst_stream_jittered(&mut sim, input, div, tap, 12);
             },
@@ -278,7 +284,7 @@ fn main() {
             SAMPLES,
             1,
             move || {
-                let mut sim = Simulator::with_burst(proto.clone(), false);
+                let mut sim = Simulator::with_config(proto.clone(), &burst(false));
                 sim.enable_wire_jitter(jitter_sigma, JITTER_SEED);
                 drive_burst_stream_jittered(&mut sim, input, div, tap, 12);
             },
@@ -295,7 +301,7 @@ fn main() {
             SAMPLES,
             16,
             move || {
-                let mut sim = Simulator::with_burst(proto.clone(), true);
+                let mut sim = Simulator::with_config(proto.clone(), &burst(true));
                 drive_counting_feedback(&mut sim, input, probe, 12);
             },
         ));
@@ -305,7 +311,7 @@ fn main() {
             SAMPLES,
             1,
             move || {
-                let mut sim = Simulator::with_burst(proto.clone(), false);
+                let mut sim = Simulator::with_config(proto.clone(), &burst(false));
                 drive_counting_feedback(&mut sim, input, probe, 12);
             },
         ));
@@ -315,18 +321,18 @@ fn main() {
     let mut coalesce: Vec<(&'static str, CoalesceStats)> = Vec::new();
     {
         let (proto, input, div, tap) = burst_stream();
-        let mut sim = Simulator::with_burst(proto, true);
+        let mut sim = Simulator::with_config(proto, &burst(true));
         drive_burst_stream(&mut sim, input, div, tap, 12);
         coalesce.push(("kernel/burst_stream/12bits", sim.activity().coalesce));
 
         let (proto, input, div, tap) = burst_stream();
-        let mut sim = Simulator::with_burst(proto, true);
+        let mut sim = Simulator::with_config(proto, &burst(true));
         sim.enable_wire_jitter(jitter_sigma, JITTER_SEED);
         drive_burst_stream_jittered(&mut sim, input, div, tap, 12);
         coalesce.push(("kernel/burst_stream/12bits_jitter", sim.activity().coalesce));
 
         let (proto, input, probe) = counting_feedback();
-        let mut sim = Simulator::with_burst(proto, true);
+        let mut sim = Simulator::with_config(proto, &burst(true));
         drive_counting_feedback(&mut sim, input, probe, 12);
         coalesce.push((
             "kernel/burst_stream/counting_feedback",
@@ -350,10 +356,14 @@ fn main() {
 
     // The shard scaling group: one ~10⁵-cell fabric, sequential and at
     // 2/4/8 shards. Keys pin the shard count, so these stay comparable
-    // under any ambient USFQ_SHARDS. `/seq` goes through
-    // `ShardedSimulator::new(_, 1)` deliberately — it measures exactly
-    // the `USFQ_SHARDS=1` default path the no-regression criterion
-    // gates on.
+    // under any ambient USFQ_SHARDS. `/seq` goes through the sharded
+    // front end at one shard deliberately — it measures exactly the
+    // `USFQ_SHARDS=1` default path the no-regression criterion gates
+    // on.
+    let sharded = |shards| SimConfig {
+        shards,
+        ..env.clone()
+    };
     {
         let fab = fabric(64, 1_563, 0xFAB);
         let stimulus = fabric_stimulus(&fab, 12, 1);
@@ -366,8 +376,9 @@ fn main() {
         ] {
             let proto = fab.circuit.clone();
             let stimulus = stimulus.clone();
+            let cfg = sharded(shards);
             results.push(Measurement::run(name, SAMPLES, move || {
-                let mut sim = ShardedSimulator::new(proto.clone(), shards);
+                let mut sim = ShardedSimulator::with_config(proto.clone(), &cfg);
                 for &(input, train) in &stimulus {
                     sim.schedule_burst(input, train).unwrap();
                 }
@@ -379,7 +390,7 @@ fn main() {
         // EXPERIMENTS.md (sum/max bounds the achievable speedup on a
         // machine with enough cores).
         for shards in [2usize, 4, 8] {
-            let mut sim = ShardedSimulator::new(fab.circuit.clone(), shards);
+            let mut sim = ShardedSimulator::with_config(fab.circuit.clone(), &sharded(shards));
             for &(input, train) in &stimulus {
                 sim.schedule_burst(input, train).unwrap();
             }
@@ -466,13 +477,8 @@ fn main() {
         ),
     ] {
         results.push(Measurement::run(name, SAMPLES, move || {
-            let result = usfq_noc::run_scenario(
-                topology,
-                pattern,
-                2,
-                2022,
-                usfq_noc::SimConfig::reference(),
-            );
+            let result =
+                usfq_noc::run_scenario(topology, pattern, 2, 2022, &SimConfig::reference());
             assert_eq!(result.lost_pulses, 0, "{name}: routed traffic lost pulses");
             assert_eq!(result.delivered_flows, result.flows);
         }));
@@ -499,14 +505,23 @@ fn main() {
         ));
     }
     let catalogue = shipped_netlists();
+    // The environment's configuration with an explicit scheduler, one
+    // shard, and the sanitizer on or off.
+    let trial_cfg = |sched, sanitize: bool| SimConfig {
+        sched,
+        shards: 1,
+        sanitizer: sanitize.then(SanitizerConfig::default),
+        ..env.clone()
+    };
     for (name, sched) in [
         ("sweeps/differential_trial/heap", Sched::Heap),
         ("sweeps/differential_trial/wheel", Sched::Wheel),
     ] {
         let catalogue = &catalogue;
+        let cfg = trial_cfg(sched, true);
         results.push(Measurement::run_batched(name, SAMPLES, 8, move || {
             for netlist in catalogue {
-                catalogue_trial(netlist, sched, 1, true);
+                catalogue_trial(netlist, StimulusKind::Pulses, &cfg, 1);
             }
         }));
     }
@@ -518,8 +533,9 @@ fn main() {
         ("sweeps/structural_epoch/heap", Sched::Heap),
         ("sweeps/structural_epoch/wheel", Sched::Wheel),
     ] {
+        let cfg = trial_cfg(sched, false);
         results.push(Measurement::run_batched(name, SAMPLES, 16, || {
-            catalogue_trial(biggest, sched, 7, false);
+            catalogue_trial(biggest, StimulusKind::Pulses, &cfg, 7);
         }));
     }
 
@@ -529,8 +545,8 @@ fn main() {
     let _ = writeln!(json, "  \"schema_version\": 4,");
     let _ = writeln!(json, "  \"commit\": \"{commit}\",");
     let _ = writeln!(json, "  \"threads\": {threads},");
-    let _ = writeln!(json, "  \"sched\": \"{default_sched}\",");
-    let _ = writeln!(json, "  \"shards\": {default_shards},");
+    let _ = writeln!(json, "  \"sched\": \"{}\",", env.sched);
+    let _ = writeln!(json, "  \"shards\": {},", env.shards);
     let _ = writeln!(json, "  \"unit\": \"nanoseconds\",");
     let _ = writeln!(json, "  \"coalesce\": {{");
     coalesce.sort_by(|a, b| a.0.cmp(b.0));

@@ -12,7 +12,7 @@
 //! `coalesce` provenance block) so a CI timing shift can be
 //! attributed to a coalescing-behavior change without a bisect.
 
-use usfq_sim::{CoalesceStats, Simulator, Time};
+use usfq_sim::{CoalesceStats, SimConfig, Simulator, Time};
 
 use crate::kernels::{
     burst_stream, counting_feedback, drive_burst_stream, drive_burst_stream_jittered,
@@ -65,23 +65,32 @@ fn point(kernel: &str, c: CoalesceStats) -> CoalescePoint {
 /// Runs each pulse-stream kernel once, coalesced, and collects its
 /// telemetry.
 pub fn series() -> Vec<CoalescePoint> {
+    let coalesced = |c| {
+        Simulator::with_config(
+            c,
+            &SimConfig {
+                burst: true,
+                ..SimConfig::from_env().clone()
+            },
+        )
+    };
     let mut out = Vec::new();
     {
         let (c, input, div, tap) = burst_stream();
-        let mut sim = Simulator::with_burst(c, true);
+        let mut sim = coalesced(c);
         drive_burst_stream(&mut sim, input, div, tap, 12);
         out.push(point("burst_stream/12bits", sim.activity().coalesce));
     }
     {
         let (c, input, div, tap) = burst_stream();
-        let mut sim = Simulator::with_burst(c, true);
+        let mut sim = coalesced(c);
         sim.enable_wire_jitter(Time::from_ps(BURST_STREAM_JITTER_SIGMA_PS), JITTER_SEED);
         drive_burst_stream_jittered(&mut sim, input, div, tap, 12);
         out.push(point("burst_stream/12bits_jitter", sim.activity().coalesce));
     }
     {
         let (c, input, probe) = counting_feedback();
-        let mut sim = Simulator::with_burst(c, true);
+        let mut sim = coalesced(c);
         drive_counting_feedback(&mut sim, input, probe, 12);
         out.push(point(
             "burst_stream/counting_feedback",

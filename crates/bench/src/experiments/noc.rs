@@ -5,7 +5,8 @@
 //! that composes them, routed by TDM schedules instead of headers
 //! (the authors' PaST-NoC direction).
 
-use usfq_noc::{lint_fabric, plan, FlitGeometry, Pattern, ScenarioResult, SimConfig, Topology};
+use usfq_noc::{lint_fabric, plan, FlitGeometry, Pattern, ScenarioResult, Topology};
+use usfq_sim::SimConfig;
 
 /// Scenario scale: flits per endpoint for uniform/hotspot patterns.
 pub const FLOWS_PER_NODE: usize = 2;
@@ -77,18 +78,18 @@ impl Point {
     }
 }
 
-/// Runs the full sweep under the reference engine configuration.
+/// Runs the full sweep under the reference engine configuration, with
+/// the environment's wire jitter (`USFQ_WIRE_JITTER`) like every other
+/// figure.
 pub fn series() -> Vec<Point> {
+    let cfg = SimConfig {
+        jitter: SimConfig::from_env().jitter,
+        ..SimConfig::reference()
+    };
     let mut points = Vec::new();
     for topology in topologies() {
         for pattern in Pattern::all() {
-            let r = usfq_noc::run_scenario(
-                topology,
-                pattern,
-                FLOWS_PER_NODE,
-                SEED,
-                SimConfig::reference(),
-            );
+            let r = usfq_noc::run_scenario(topology, pattern, FLOWS_PER_NODE, SEED, &cfg);
             points.push(Point::from_result(&r));
         }
     }

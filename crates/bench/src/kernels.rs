@@ -5,43 +5,31 @@
 //!
 //! * the self-timed [`benchkernel`](../bin/benchkernel.rs) binary that
 //!   writes `BENCH_kernel.json` for the CI perf-regression gate, and
-//! * the `wheel == heap` scheduler differential tests
-//!   (`tests/sched_differential.rs`).
+//! * the engine configuration cube ([`usfq_sim::check::check_cube`]),
+//!   whose suites (`tests/{sched,burst,shard}_differential.rs`,
+//!   `tests/parallel_determinism.rs`) run every workload under every
+//!   engine configuration.
 //!
 //! Every stimulus here is derived from an explicit seed via the
-//! [`xorshift64`] step the differential harness uses, so a workload is
-//! a pure function of `(kernel, seed)` — never of wall clock or thread
-//! count.
+//! [`xorshift64`] step, so a workload is a pure function of
+//! `(kernel, seed)` — never of wall clock or thread count.
 
 use usfq_cells::interconnect::{Jtl, Merger, Splitter};
 use usfq_cells::storage::Ndro;
 use usfq_cells::toggle::Tff;
-use usfq_core::netlists::BuiltNetlist;
+use usfq_core::netlists::{shipped_netlists, BuiltNetlist};
+use usfq_sim::check::{assert_agree, Workload};
 use usfq_sim::component::Buffer;
-use usfq_sim::rng::xorshift64;
+use usfq_sim::rng::{xorshift64, SplitMix64};
 use usfq_sim::{
-    Burst, Circuit, InputId, ProbeId, SanitizerConfig, Sched, ShardedSimulator, Simulator, Time,
+    Burst, Circuit, Fingerprint, InputId, Jitter, ProbeId, RunSummary, Runner, ShardedSimulator,
+    SimConfig, Simulator, Time,
 };
-
-/// Environment variable the differential suites and the CI engine
-/// matrix read to switch on deterministic wire-delay jitter: an
-/// integer jitter std-dev in **femtoseconds**. Unset, empty, `0`, or
-/// unparsable all mean "off".
-pub const JITTER_ENV: &str = "USFQ_JITTER";
 
 /// Fixed base seed for jittered kernels and differential trials, so a
 /// jittered workload stays a pure function of `(kernel, seed, sigma)`
 /// — never of wall clock or ambient RNG state.
 pub const JITTER_SEED: u64 = 0x0005_EED5_EED5_EED5;
-
-/// Parses [`JITTER_ENV`] into a jitter std-dev, if one is in force.
-pub fn jitter_sigma_from_env() -> Option<Time> {
-    std::env::var(JITTER_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&fs| fs > 0)
-        .map(Time::from_fs)
-}
 
 /// A chain of `stages` buffers fed from one input — the simplest
 /// event-per-hop workload, N events per injected pulse.
@@ -330,6 +318,23 @@ pub fn fabric_stimulus(fabric: &Fabric, count: u64, seed: u64) -> Vec<(InputId, 
         .collect()
 }
 
+/// A `width × depth` [`fabric`] of seed `seed` driven by `count`-pulse
+/// [`fabric_stimulus`] trains of seed `stimulus_seed`, as a
+/// configuration-cube workload.
+pub fn fabric_workload(
+    width: usize,
+    depth: usize,
+    seed: u64,
+    count: u64,
+    stimulus_seed: u64,
+) -> Workload<'static> {
+    let fab = fabric(width, depth, seed);
+    let stimulus = fabric_stimulus(&fab, count, stimulus_seed);
+    Workload::new(format!("fabric {width}x{depth} seed {seed}"), move |cfg| {
+        run_trains(fab.circuit.clone(), &stimulus, &fab.probes, cfg).0
+    })
+}
+
 /// The randomized catalogue stimulus of the differential sweep: for
 /// each external input, a seed-derived pulse count (up to the epoch's
 /// `n_max`, capped at 8) at seed-derived offsets inside the netlist's
@@ -350,43 +355,6 @@ pub fn catalogue_stimulus(netlist: &BuiltNetlist, seed: u64) -> Vec<(InputId, Ti
         }
     }
     stimulus
-}
-
-/// Everything observable about one simulated trial — the complete
-/// determinism fingerprint the `wheel == heap` differential compares.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrialFingerprint {
-    /// Emission times per probe, in probe order.
-    pub probe_times: Vec<Vec<Time>>,
-    /// Pulses handled per component.
-    pub handled: Vec<u64>,
-    /// Pulses emitted per component.
-    pub emitted: Vec<u64>,
-    /// Event-queue high-water mark.
-    pub peak_pending: u64,
-    /// Anomaly tallies (`StatKind` debug name → count), sorted by name.
-    pub anomalies: Vec<(String, u64)>,
-    /// Rendered sanitizer violations (empty when the sanitizer is off).
-    pub violations: Vec<String>,
-}
-
-/// Runs one seeded trial of a catalogue netlist under an explicit
-/// scheduler and returns its full fingerprint.
-pub fn catalogue_trial(
-    netlist: &BuiltNetlist,
-    sched: Sched,
-    seed: u64,
-    sanitize: bool,
-) -> TrialFingerprint {
-    let mut sim = Simulator::with_sched(netlist.circuit.clone(), sched);
-    if sanitize {
-        sim.enable_sanitizer(SanitizerConfig::default());
-    }
-    for (input, at) in catalogue_stimulus(netlist, seed) {
-        sim.schedule_input(input, at).expect("catalogue input");
-    }
-    sim.run().expect("catalogue netlist simulates");
-    fingerprint_of(&sim, netlist)
 }
 
 /// The coalesced-train counterpart of [`catalogue_stimulus`]: one
@@ -414,122 +382,176 @@ pub fn catalogue_burst_stimulus(netlist: &BuiltNetlist, seed: u64) -> Vec<(Input
     stimulus
 }
 
-/// Runs one seeded *uniform-train* trial of a catalogue netlist with
-/// burst coalescing either on (`coalesce = true`, the closed-form
-/// engine) or off (the exact pulse-level reference) and returns its
-/// fingerprint. The burst differential suite asserts the two match on
-/// everything except `peak_pending` (coalescing legitimately changes
-/// the queue high-water mark) and violation *order*.
-pub fn catalogue_burst_trial(
-    netlist: &BuiltNetlist,
-    sched: Sched,
-    seed: u64,
-    sanitize: bool,
-    coalesce: bool,
-) -> TrialFingerprint {
-    let mut sim = Simulator::with_sched(netlist.circuit.clone(), sched);
-    sim.set_burst(coalesce);
-    if sanitize {
-        sim.enable_sanitizer(SanitizerConfig::default());
-    }
-    for (input, burst) in catalogue_burst_stimulus(netlist, seed) {
-        sim.schedule_burst(input, burst).expect("catalogue input");
-    }
-    sim.run().expect("catalogue netlist simulates");
-    fingerprint_of(&sim, netlist)
+/// Which seeded catalogue stimulus a trial drives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StimulusKind {
+    /// Loose pulses ([`catalogue_stimulus`]).
+    Pulses,
+    /// One uniform train per input ([`catalogue_burst_stimulus`]).
+    Trains,
 }
 
-/// The jittered counterpart of [`catalogue_burst_trial`]: the same
-/// seed-derived uniform-train stimulus with deterministic bounded
-/// wire-delay jitter of std-dev `sigma` enabled, optionally sharded.
-///
-/// Jitter draws are keyed `(seed, wire, emission time)`, so the
-/// burst/pulse differential holds at any **fixed** shard count; shard
-/// partitioning renumbers wires, so different shard counts are
-/// different — each internally consistent — jittered universes and
-/// their fingerprints are *not* comparable to each other.
-pub fn catalogue_burst_trial_jittered(
+/// Schedules the seeded stimulus of `kind` on a simulator of `netlist`
+/// and runs it.
+pub fn drive_catalogue(
+    sim: &mut ShardedSimulator,
     netlist: &BuiltNetlist,
-    sched: Sched,
+    kind: StimulusKind,
     seed: u64,
-    sanitize: bool,
-    coalesce: bool,
-    sigma: Time,
-    shards: usize,
-) -> TrialFingerprint {
-    let mut sim = ShardedSimulator::with_sched(netlist.circuit.clone(), shards, sched);
-    sim.set_burst(coalesce);
-    sim.enable_wire_jitter(sigma, JITTER_SEED ^ seed);
-    if sanitize {
-        sim.enable_sanitizer(SanitizerConfig::default());
+) -> RunSummary {
+    match kind {
+        StimulusKind::Pulses => {
+            for (input, at) in catalogue_stimulus(netlist, seed) {
+                sim.schedule_input(input, at).expect("catalogue input");
+            }
+        }
+        StimulusKind::Trains => {
+            for (input, burst) in catalogue_burst_stimulus(netlist, seed) {
+                sim.schedule_burst(input, burst).expect("catalogue input");
+            }
+        }
     }
-    for (input, burst) in catalogue_burst_stimulus(netlist, seed) {
-        sim.schedule_burst(input, burst).expect("catalogue input");
-    }
-    sim.run().expect("catalogue netlist simulates");
-    let probe_times = (0..netlist.circuit.num_probes())
-        .map(|p| {
-            let (id, _) = netlist
-                .circuit
-                .probe_taps()
-                .find(|(id, _)| id.index() == p)
-                .expect("probe exists");
-            sim.probe_times(id).to_vec()
-        })
-        .collect();
-    let activity = sim.activity();
-    TrialFingerprint {
-        probe_times,
-        handled: activity.handled.clone(),
-        emitted: activity.emitted.clone(),
-        peak_pending: activity.peak_pending,
-        anomalies: activity
-            .anomalies
-            .iter()
-            .map(|(kind, &count)| (format!("{kind:?}"), count))
-            .collect(),
-        violations: sim.sanitizer_violations(),
+    sim.run().expect("catalogue netlist simulates")
+}
+
+/// Every probe of `netlist`, in index order.
+pub fn catalogue_probes(netlist: &BuiltNetlist) -> Vec<ProbeId> {
+    let mut probes: Vec<ProbeId> = netlist.circuit.probe_taps().map(|(id, _)| id).collect();
+    probes.sort_by_key(|p| p.index());
+    probes
+}
+
+/// The configuration a catalogue trial of stimulus `seed` runs under:
+/// `cfg` with its jitter seed mixed with the stimulus seed, so every
+/// stimulus seed draws its own jitter stream.
+pub fn catalogue_config(cfg: &SimConfig, seed: u64) -> SimConfig {
+    SimConfig {
+        jitter: cfg.jitter.map(|j| Jitter {
+            seed: j.seed ^ seed,
+            ..j
+        }),
+        ..cfg.clone()
     }
 }
 
-fn fingerprint_of(sim: &Simulator, netlist: &BuiltNetlist) -> TrialFingerprint {
-    let probe_times = (0..netlist.circuit.num_probes())
-        .map(|p| {
-            let (id, _) = netlist
-                .circuit
-                .probe_taps()
-                .find(|(id, _)| id.index() == p)
-                .expect("probe exists");
-            sim.probe_times(id).to_vec()
-        })
+/// Runs one seeded trial of a catalogue netlist under
+/// [`catalogue_config`]`(cfg, seed)` and returns its fingerprint,
+/// probes in index order.
+pub fn catalogue_trial(
+    netlist: &BuiltNetlist,
+    kind: StimulusKind,
+    cfg: &SimConfig,
+    seed: u64,
+) -> Fingerprint {
+    let cfg = catalogue_config(cfg, seed);
+    let mut sim = ShardedSimulator::with_config(netlist.circuit.clone(), &cfg);
+    let summary = drive_catalogue(&mut sim, netlist, kind, seed);
+    Fingerprint::capture(&sim, summary, &catalogue_probes(netlist))
+}
+
+/// Seeded trials of every netlist of `catalogue` as configuration-cube
+/// workloads, one per `(netlist, stimulus kind, seed)`.
+pub fn catalogue_workloads<'a>(
+    catalogue: &'a [BuiltNetlist],
+    kinds: &[StimulusKind],
+    seeds: std::ops::Range<u64>,
+) -> Vec<Workload<'a>> {
+    let mut workloads = Vec::new();
+    for netlist in catalogue {
+        for &kind in kinds {
+            for seed in seeds.clone() {
+                workloads.push(Workload::new(
+                    format!("`{}` {kind:?} seed {seed}", netlist.name),
+                    move |cfg| catalogue_trial(netlist, kind, cfg, seed),
+                ));
+            }
+        }
+    }
+    workloads
+}
+
+/// A seeded trial of a random netlist of `catalogue`, with a random
+/// stimulus kind and seed, as a configuration-cube workload.
+pub fn random_catalogue_workload<'a>(
+    rng: &mut SplitMix64,
+    catalogue: &'a [BuiltNetlist],
+) -> Workload<'a> {
+    let netlist = &catalogue[rng.gen_range(0..catalogue.len())];
+    let kind = if rng.gen_bool(0.5) {
+        StimulusKind::Trains
+    } else {
+        StimulusKind::Pulses
+    };
+    let seed = rng.gen_range(0u64..1_000_000);
+    Workload::new(
+        format!("`{}` {kind:?} seed {seed}", netlist.name),
+        move |cfg| catalogue_trial(netlist, kind, cfg, seed),
+    )
+}
+
+/// Asserts that seeded `kind` trials of every shipped netlist, fanned
+/// out under `cell` over a 4-thread runner with one catalogue per
+/// worker, agree with the sequential loop under `reference`.
+pub fn assert_parallel_catalogue_sweep(
+    kind: StimulusKind,
+    reference: &SimConfig,
+    cell: &SimConfig,
+) {
+    let catalogue = shipped_netlists();
+    let jobs: Vec<(usize, u64)> = (0..catalogue.len())
+        .flat_map(|n| (0..3u64).map(move |seed| (n, seed)))
         .collect();
-    let activity = sim.activity();
-    TrialFingerprint {
-        probe_times,
-        handled: activity.handled.clone(),
-        emitted: activity.emitted.clone(),
-        peak_pending: activity.peak_pending,
-        anomalies: activity
-            .anomalies
-            .iter()
-            .map(|(kind, &count)| (format!("{kind:?}"), count))
-            .collect(),
-        violations: sim
-            .sanitizer_report()
-            .map(|r| {
-                r.violations
-                    .iter()
-                    .map(std::string::ToString::to_string)
-                    .collect()
-            })
-            .unwrap_or_default(),
+    let parallel =
+        Runner::with_threads(4).map_init(&jobs, shipped_netlists, |catalogue, _, &(n, seed)| {
+            catalogue_trial(&catalogue[n], kind, cell, seed)
+        });
+    for (&(n, seed), subject) in jobs.iter().zip(&parallel) {
+        let expected = catalogue_trial(&catalogue[n], kind, reference, seed);
+        let what = format!("`{}` seed {seed}", catalogue[n].name);
+        assert_agree(&what, &expected, reference, subject, cell);
+    }
+}
+
+/// Runs `trains` through `circuit` under `cfg` and returns the
+/// fingerprint of `probes` with the finished simulator.
+pub fn run_trains(
+    circuit: Circuit,
+    trains: &[(InputId, Burst)],
+    probes: &[ProbeId],
+    cfg: &SimConfig,
+) -> (Fingerprint, ShardedSimulator) {
+    let mut sim = ShardedSimulator::with_config(circuit, cfg);
+    for &(input, train) in trains {
+        sim.schedule_burst(input, train)
+            .expect("input of this circuit");
+    }
+    let summary = sim.run().expect("trains simulate");
+    (Fingerprint::capture(&sim, summary, probes), sim)
+}
+
+/// Wire jitter of std-dev `ps` picoseconds on [`JITTER_SEED`].
+pub fn jitter_ps(ps: f64) -> Jitter {
+    Jitter {
+        sigma: Time::from_ps(ps),
+        seed: JITTER_SEED,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use usfq_core::netlists::shipped_netlists;
+    use usfq_sim::{SanitizerConfig, Sched};
+
+    /// A reference-configured simulator with burst delivery on or off.
+    fn burst_sim(circuit: Circuit, burst: bool) -> Simulator {
+        Simulator::with_config(
+            circuit,
+            &SimConfig {
+                burst,
+                ..SimConfig::reference()
+            },
+        )
+    }
 
     #[test]
     fn delay_chain_shape() {
@@ -556,18 +578,24 @@ mod tests {
     #[test]
     fn fingerprints_match_across_schedulers_smoke() {
         let netlist = &shipped_netlists()[0];
-        let heap = catalogue_trial(netlist, Sched::Heap, 1, true);
-        let wheel = catalogue_trial(netlist, Sched::Wheel, 1, true);
-        assert_eq!(heap, wheel);
+        let cfg = |sched| SimConfig {
+            sched,
+            sanitizer: Some(SanitizerConfig::default()),
+            ..SimConfig::reference()
+        };
+        assert_eq!(
+            catalogue_trial(netlist, StimulusKind::Pulses, &cfg(Sched::Heap), 1),
+            catalogue_trial(netlist, StimulusKind::Pulses, &cfg(Sched::Wheel), 1)
+        );
     }
 
     #[test]
     fn burst_stream_kernel_counts() {
         let (c, input, div, tap) = burst_stream();
-        let mut sim = Simulator::with_burst(c, true);
+        let mut sim = burst_sim(c, true);
         drive_burst_stream(&mut sim, input, div, tap, 6);
         let (c, input, div, tap) = burst_stream();
-        let mut slow = Simulator::with_burst(c, false);
+        let mut slow = burst_sim(c, false);
         drive_burst_stream(&mut slow, input, div, tap, 6);
         assert_eq!(sim.probe_times(div), slow.probe_times(div));
         assert_eq!(sim.probe_times(tap), slow.probe_times(tap));
@@ -577,11 +605,11 @@ mod tests {
     fn jittered_burst_stream_coalesces_and_matches_pulse() {
         let sigma = Time::from_ps(BURST_STREAM_JITTER_SIGMA_PS);
         let (c, input, div, tap) = burst_stream();
-        let mut sim = Simulator::with_burst(c, true);
+        let mut sim = burst_sim(c, true);
         sim.enable_wire_jitter(sigma, JITTER_SEED);
         drive_burst_stream_jittered(&mut sim, input, div, tap, 6);
         let (c, input, div, tap) = burst_stream();
-        let mut slow = Simulator::with_burst(c, false);
+        let mut slow = burst_sim(c, false);
         slow.enable_wire_jitter(sigma, JITTER_SEED);
         drive_burst_stream_jittered(&mut slow, input, div, tap, 6);
         assert_eq!(sim.probe_times(div), slow.probe_times(div));
@@ -596,10 +624,10 @@ mod tests {
     #[test]
     fn counting_feedback_burst_equals_pulse_in_log_steps() {
         let (c, input, probe) = counting_feedback();
-        let mut sim = Simulator::with_burst(c, true);
+        let mut sim = burst_sim(c, true);
         drive_counting_feedback(&mut sim, input, probe, 8);
         let (c, input, probe) = counting_feedback();
-        let mut slow = Simulator::with_burst(c, false);
+        let mut slow = burst_sim(c, false);
         drive_counting_feedback(&mut slow, input, probe, 8);
         assert_eq!(sim.probe_times(probe), slow.probe_times(probe));
         // The cycle lookahead must consume each halved generation
@@ -612,9 +640,15 @@ mod tests {
     #[test]
     fn jittered_catalogue_trial_is_deterministic() {
         let netlist = &shipped_netlists()[0];
-        let sigma = Time::from_ps(2.0);
-        let a = catalogue_burst_trial_jittered(netlist, Sched::Wheel, 1, true, true, sigma, 1);
-        let b = catalogue_burst_trial_jittered(netlist, Sched::Wheel, 1, true, true, sigma, 1);
+        let cfg = SimConfig {
+            sched: Sched::Wheel,
+            burst: true,
+            jitter: Some(jitter_ps(2.0)),
+            sanitizer: Some(SanitizerConfig::default()),
+            ..SimConfig::reference()
+        };
+        let a = catalogue_trial(netlist, StimulusKind::Trains, &cfg, 1);
+        let b = catalogue_trial(netlist, StimulusKind::Trains, &cfg, 1);
         assert_eq!(a, b);
     }
 
@@ -635,44 +669,17 @@ mod tests {
 
     #[test]
     fn small_fabric_shards_match_sequential() {
-        use usfq_sim::ShardedSimulator;
-        let stimulus = {
-            let f = fabric(6, 30, 11);
-            fabric_stimulus(&f, 8, 1)
-        };
-        let run_seq = || {
-            let f = fabric(6, 30, 11);
-            let mut sim = Simulator::new(f.circuit);
-            for &(input, train) in &stimulus {
-                sim.schedule_burst(input, train).unwrap();
-            }
-            let summary = sim.run().unwrap();
-            let traces: Vec<Vec<Time>> = f
-                .probes
-                .iter()
-                .map(|&p| sim.probe_times(p).to_vec())
-                .collect();
-            (summary, traces, sim.activity().clone())
-        };
-        let (seq_summary, seq_traces, seq_activity) = run_seq();
+        let f = fabric(6, 30, 11);
+        let stimulus = fabric_stimulus(&f, 8, 1);
+        let seq_cfg = SimConfig::default();
+        let (seq, _) = run_trains(f.circuit.clone(), &stimulus, &f.probes, &seq_cfg);
         for shards in [2, 3] {
-            let f = fabric(6, 30, 11);
-            let mut sim = ShardedSimulator::new(f.circuit, shards);
-            for &(input, train) in &stimulus {
-                sim.schedule_burst(input, train).unwrap();
-            }
-            let summary = sim.run().unwrap();
-            assert_eq!(summary, seq_summary, "{shards} shards");
-            let traces: Vec<Vec<Time>> = f
-                .probes
-                .iter()
-                .map(|&p| sim.probe_times(p).to_vec())
-                .collect();
-            assert_eq!(traces, seq_traces, "{shards} shards");
-            let a = sim.activity();
-            assert_eq!(a.handled, seq_activity.handled, "{shards} shards");
-            assert_eq!(a.emitted, seq_activity.emitted, "{shards} shards");
-            assert_eq!(a.anomalies, seq_activity.anomalies, "{shards} shards");
+            let cfg = SimConfig {
+                shards,
+                ..SimConfig::default()
+            };
+            let (sharded, _) = run_trains(f.circuit.clone(), &stimulus, &f.probes, &cfg);
+            assert_agree(&format!("{shards} shards"), &seq, &seq_cfg, &sharded, &cfg);
         }
     }
 

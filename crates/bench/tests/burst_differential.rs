@@ -1,141 +1,248 @@
-//! The `burst == pulse` engine differential: for every catalogue
-//! netlist and seeded uniform-train stimulus, the coalesced burst
-//! engine must reproduce the pulse-level reference — probe traces,
-//! per-component activity, anomaly tallies, and sanitizer violations
-//! alike — under both schedulers, sequentially and in parallel.
+//! The `burst == pulse` slice of the engine configuration cube
+//! ([`usfq_sim::check`]): coalesced delivery must reproduce the
+//! pulse-level reference, up to the fields [`Fingerprint::normalized`]
+//! documents for the burst axis (queue high-water mark, violation
+//! order, the end time of trailing absorbed pulses).
 //!
-//! Two fingerprint fields are deliberately normalized before the
-//! comparison (see DESIGN.md, "Burst-event coalescing"):
-//!
-//! - `peak_pending`: an atomic burst dispatch occupies one queue slot
-//!   where the pulse-level engine holds `count`, so the high-water mark
-//!   legitimately differs.
-//! - violation *order*: a coalesced train reports its window
-//!   violations in one batch at the head-pulse dispatch; the set is
-//!   identical, the interleaving against other components is not.
+//! The catalogue cubes check every cell on a 4-thread runner against
+//! references on the test thread. The directed tests after them pin
+//! what a cube cannot: the one pinned divergence, both sides of the
+//! jitter-envelope boundary, trains straddling a shard cut, and random
+//! cell chains.
 
 use usfq_bench::kernels::{
-    catalogue_burst_trial, catalogue_burst_trial_jittered, jitter_sigma_from_env, TrialFingerprint,
-    JITTER_SEED,
+    assert_parallel_catalogue_sweep, burst_stream, catalogue_workloads, jitter_ps, run_trains,
+    StimulusKind, JITTER_SEED,
 };
 use usfq_cells::interconnect::{Jtl, Merger, Splitter};
 use usfq_cells::storage::{Dff, Ndro};
 use usfq_cells::toggle::Tff;
 use usfq_core::netlists::shipped_netlists;
-use usfq_sim::check::for_all;
+use usfq_sim::check::{assert_agree, check_cube, cube, for_all, Workload};
 use usfq_sim::component::Buffer;
-use usfq_sim::stats::StatKind;
-use usfq_sim::{
-    Burst, Circuit, InputId, ProbeId, Runner, Sched, ShardedSimulator, Simulator, Time,
-};
+use usfq_sim::{Burst, Circuit, InputId, Jitter, ProbeId, SanitizerConfig, Sched, SimConfig, Time};
 
-/// Strips the two documented divergences so the rest of the
-/// fingerprint can be compared with plain `==`.
-fn normalized(mut fp: TrialFingerprint) -> TrialFingerprint {
-    fp.peak_pending = 0;
-    fp.violations.sort();
-    fp
+/// The reference configuration with burst delivery `on` or off.
+fn delivery(on: bool) -> SimConfig {
+    SimConfig {
+        burst: on,
+        ..SimConfig::reference()
+    }
 }
 
-/// Every shipped netlist, a handful of seeds, both schedulers,
-/// sanitizer on and off: the coalesced engine equals the pulse-level
-/// reference.
+/// Loose pulses and uniform trains through every shipped netlist, at
+/// one shard: every burst-on cell of the cube (heap and wheel,
+/// sanitizer off and on) against the heap burst reference, and that
+/// against the pulse-level one.
 #[test]
 fn full_catalogue_burst_equals_pulse() {
     let catalogue = shipped_netlists();
-    for netlist in &catalogue {
-        for seed in 0..4u64 {
-            for sched in [Sched::Heap, Sched::Wheel] {
-                for sanitize in [false, true] {
-                    let burst =
-                        normalized(catalogue_burst_trial(netlist, sched, seed, sanitize, true));
-                    let pulse =
-                        normalized(catalogue_burst_trial(netlist, sched, seed, sanitize, false));
-                    assert_eq!(
-                        burst, pulse,
-                        "`{}` diverged (seed {seed}, {sched:?}, sanitize {sanitize})",
-                        netlist.name
-                    );
-                }
-            }
-        }
-    }
+    let kinds = [StimulusKind::Pulses, StimulusKind::Trains];
+    let cells: Vec<SimConfig> = cube(&[1], &[None])
+        .into_iter()
+        .filter(|c| c.burst)
+        .collect();
+    check_cube(&catalogue_workloads(&catalogue, &kinds, 0..4), &cells);
 }
 
-/// The jittered full-catalogue cube: with deterministic bounded
-/// wire-delay jitter enabled, the coalesced engine still equals the
-/// pulse-level reference — across both schedulers, sanitizer on/off,
-/// and at 1 and 2 shards. Jitter draws are keyed
-/// `(seed, wire, emission time)`, so burst/pulse identity holds at
-/// any *fixed* shard count (each shard count is its own jittered
-/// universe; the two are not compared against each other).
-///
-/// The jitter std-dev comes from `USFQ_JITTER` (integer femtoseconds;
-/// the CI engine matrix sets it), defaulting to 2 ps — wide enough
-/// that some envelopes clear their windows and coalesce while others
-/// exceed them and fall back per-cell, so both sides of the
-/// acceptance boundary are exercised on every run.
+/// Uniform trains through every shipped netlist under 2 ps and 4 ps
+/// wire jitter, at 1 and 2 shards: wide enough that some envelopes
+/// clear their windows and coalesce while others fall back per cell.
+/// Jittered cells compare with the references at the same jitter and
+/// shard count, because partitioning renumbers wires and so changes
+/// the draw stream; each stimulus seed draws its own jitter stream.
 #[test]
 fn jittered_catalogue_burst_equals_pulse_across_shards() {
-    let sigma = jitter_sigma_from_env().unwrap_or_else(|| Time::from_ps(2.0));
     let catalogue = shipped_netlists();
-    for netlist in &catalogue {
-        for seed in 0..2u64 {
-            for sched in [Sched::Heap, Sched::Wheel] {
-                for sanitize in [false, true] {
-                    for shards in [1usize, 2] {
-                        let burst = normalized(catalogue_burst_trial_jittered(
-                            netlist, sched, seed, sanitize, true, sigma, shards,
-                        ));
-                        let pulse = normalized(catalogue_burst_trial_jittered(
-                            netlist, sched, seed, sanitize, false, sigma, shards,
-                        ));
-                        assert_eq!(
-                            burst, pulse,
-                            "`{}` diverged under jitter (seed {seed}, {sched:?}, \
-                             sanitize {sanitize}, {shards} shards, sigma {sigma:?})",
-                            netlist.name
-                        );
-                    }
-                }
-            }
+    check_cube(
+        &catalogue_workloads(&catalogue, &[StimulusKind::Trains], 0..2),
+        &cube(&[1, 2], &[Some(jitter_ps(2.0)), Some(jitter_ps(4.0))]),
+    );
+}
+
+/// A coalesced, wheel-scheduled, sanitized sweep fanned out over a
+/// 4-thread runner with per-thread catalogues equals the pulse-level,
+/// heap-scheduled sequential loop.
+#[test]
+fn parallel_burst_sweep_equals_sequential_pulse_sweep() {
+    let sanitized = SimConfig {
+        sanitizer: Some(SanitizerConfig::default()),
+        ..SimConfig::reference()
+    };
+    let cell = SimConfig {
+        sched: Sched::Wheel,
+        burst: true,
+        ..sanitized.clone()
+    };
+    assert_parallel_catalogue_sweep(StimulusKind::Trains, &sanitized, &cell);
+}
+
+/// Reconvergent fan-out with an exact equal-time tie at a
+/// port-order-sensitive cell — the one *pinned residual divergence* of
+/// burst coalescing (see DESIGN.md, "Burst-event coalescing").
+///
+/// Both paths from buffer `a` reach the DFF at the same femtosecond
+/// (direct 3 ps to IN_S vs 1 ps + buffer + 4 ps to IN_R, with the
+/// buffer re-emitting as part of the same train). The pulse-level
+/// engine allocates seq numbers interleaved with downstream activity,
+/// so the regenerated IN_R pulse sorts *before* the same-time IN_S
+/// pulse; the burst engine allocates a whole emitted train's seqs in
+/// one block at emission time, inverting that tie. A set-before-read
+/// DFF drops one read (IgnoredPulse) where read-before-set answers it.
+/// Both orders are deterministic and both are defensible semantics for
+/// a zero-margin race the sanitizer would flag anyway — so the exact
+/// outcome of *each* mode is pinned here rather than forcing the modes
+/// to agree.
+#[test]
+fn reconvergent_equal_time_tie_is_a_pinned_divergence() {
+    let mut c = Circuit::new();
+    let input = c.input("in");
+    let a = c.add(Buffer::new("a", Time::from_ps(1.0)));
+    let b = c.add(Buffer::new("b", Time::from_ps(1.0)));
+    let d = c.add(Dff::new("dff"));
+    c.connect_input(input, a.input(0), Time::ZERO).unwrap();
+    // Direct "set" path: A -> DFF.IN_S, wire 3 ps.
+    c.connect(a.output(0), d.input(Dff::IN_S), Time::from_ps(3.0))
+        .unwrap();
+    // Long "read" path: A -> B (1 ps wire) -> DFF.IN_R (4 ps wire).
+    c.connect(a.output(0), b.input(0), Time::from_ps(1.0))
+        .unwrap();
+    c.connect(b.output(0), d.input(Dff::IN_R), Time::from_ps(4.0))
+        .unwrap();
+    let q = c.probe(d.output(Dff::OUT_Q), "q");
+    let trains = [(input, Burst::uniform(Time::ZERO, Time::from_ps(3.0), 4))];
+    let ps = |v: &[f64]| v.iter().map(|&t| Time::from_ps(t)).collect::<Vec<_>>();
+    // Both schedulers must resolve the tie identically: they pop equal
+    // times in insertion order.
+    for sched in [Sched::Heap, Sched::Wheel] {
+        let cfg = |burst| SimConfig {
+            sched,
+            ..delivery(burst)
+        };
+        let (pulse, _) = run_trains(c.clone(), &trains, &[q], &cfg(false));
+        // Pulse-level: every read finds the bit set -> four Q pulses.
+        assert_eq!(
+            pulse.probe_times,
+            [ps(&[12.0, 15.0, 18.0, 21.0])],
+            "{sched}"
+        );
+        assert!(pulse.anomalies.is_empty(), "{sched}: {:?}", pulse.anomalies);
+
+        let (burst, _) = run_trains(c.clone(), &trains, &[q], &cfg(true));
+        // Coalesced: the tie inverts once, one read hits an empty cell.
+        assert_eq!(burst.probe_times, [ps(&[12.0, 15.0, 18.0])], "{sched}");
+        assert_eq!(
+            burst.anomalies,
+            [("IgnoredPulse".to_string(), 1)],
+            "{sched}"
+        );
+    }
+}
+
+/// The per-cell fallback boundary, pinned from both sides on the
+/// pulse-stream showcase chain (five zero-delay hops, so the envelope
+/// span after hop `k` is exactly `k` jitter bounds wide, and the
+/// tightest acceptance check is hop 3 against the 40 ps train
+/// period): at σ = 5 ps every hop's worst-case envelope clears its
+/// window and the whole chain coalesces, while at σ = 6 ps hop 3
+/// exceeds the window and *only that wire* expands to exact pulses —
+/// upstream hops keep their closed forms. Both sides agree with the
+/// pulse-level reference.
+#[test]
+fn envelope_exceeding_a_window_falls_back_per_cell_not_per_run() {
+    for sigma_ps in [5.0, 6.0] {
+        let run = |burst: bool| {
+            let (c, input, div, tap) = burst_stream();
+            let cfg = SimConfig {
+                jitter: Some(jitter_ps(sigma_ps)),
+                ..delivery(burst)
+            };
+            let train = Burst::uniform(Time::ZERO, Time::from_ps(40.0), 64);
+            let (fp, sim) = run_trains(c, &[(input, train)], &[div, tap], &cfg);
+            assert_eq!(fp.probe_times[0].len(), 16, "sigma {sigma_ps} ps");
+            assert_eq!(fp.probe_times[1].len(), 64, "sigma {sigma_ps} ps");
+            (fp, cfg, sim.activity().coalesce)
+        };
+        let (pulse, pulse_cfg, _) = run(false);
+        let (burst, burst_cfg, stats) = run(true);
+        assert_agree(
+            &format!("sigma {sigma_ps} ps"),
+            &pulse,
+            &pulse_cfg,
+            &burst,
+            &burst_cfg,
+        );
+        assert!(stats.hits > 0, "sigma {sigma_ps} ps: {stats:?}");
+        if sigma_ps < 5.5 {
+            assert_eq!(stats.bail_jitter, 0, "sigma {sigma_ps} ps: {stats:?}");
+        } else {
+            assert!(stats.bail_jitter > 0, "sigma {sigma_ps} ps: {stats:?}");
         }
     }
 }
 
-/// The differential also holds when burst trials fan out over the
-/// parallel runner: a coalesced parallel sweep equals the pulse-level
-/// sequential loop.
+/// Two buffer chains bridged by a long crosslink, driven by trains
+/// dense enough that every conservative lookahead window cuts them:
+/// each round the upstream shard emits a *prefix* of a train and the
+/// remainder crosses the boundary in later rounds. Sharded output
+/// agrees with sequential at the same delivery mode, end time included.
 #[test]
-fn parallel_burst_sweep_equals_sequential_pulse_sweep() {
-    let catalogue = shipped_netlists();
-    let jobs: Vec<(usize, u64)> = (0..catalogue.len())
-        .flat_map(|n| (0..3u64).map(move |seed| (n, seed)))
-        .collect();
+fn bursts_straddling_a_shard_boundary_match_sequential() {
+    let mut c = Circuit::new();
+    let input = c.input("drive");
+    let mut prev = None;
+    for i in 0..6 {
+        let b = c.add(Buffer::new(format!("a{i}"), Time::from_fs(900 + 10 * i)));
+        match prev {
+            None => c
+                .connect_input(input, b.input(0), Time::from_fs(200))
+                .unwrap(),
+            Some(p) => c.connect(p, b.input(0), Time::from_fs(1_100)).unwrap(),
+        }
+        prev = Some(b.output(0));
+    }
+    let cut_src = prev.unwrap();
+    let mut prev = None;
+    let mut first = None;
+    for i in 0..6 {
+        let b = c.add(Buffer::new(format!("b{i}"), Time::from_fs(950 + 10 * i)));
+        if let Some(p) = prev {
+            c.connect(p, b.input(0), Time::from_fs(1_300)).unwrap();
+        } else {
+            first = Some(b.input(0));
+        }
+        prev = Some(b.output(0));
+    }
+    // The only inter-chain wire: a 15 ps crosslink, so the
+    // conservative lookahead window is 15 ps.
+    c.connect(cut_src, first.unwrap(), Time::from_ps(15.0))
+        .unwrap();
+    let probe = c.probe(prev.unwrap(), "end");
 
-    let sequential: Vec<TrialFingerprint> = jobs
-        .iter()
-        .map(|&(n, seed)| {
-            normalized(catalogue_burst_trial(
-                &catalogue[n],
-                Sched::Heap,
-                seed,
-                true,
-                false,
-            ))
-        })
-        .collect();
-    let parallel =
-        Runner::with_threads(4).map_init(&jobs, shipped_netlists, |catalogue, _, &(n, seed)| {
-            normalized(catalogue_burst_trial(
-                &catalogue[n],
-                Sched::Wheel,
-                seed,
-                true,
-                true,
-            ))
-        });
-    assert_eq!(sequential, parallel);
+    // ~2 ps period over 64 pulses: each 15 ps window carries ~7 pulses
+    // of the train across the cut, so every round splits a train into
+    // prefix + straddling suffix. The second train starts mid-window
+    // and is sparse enough to straddle with 1-2 pulses per round.
+    let trains = [
+        (input, Burst::uniform(Time::ZERO, Time::from_fs(2_048), 64)),
+        (
+            input,
+            Burst::uniform(Time::from_fs(13_000), Time::from_ps(11.0), 24),
+        ),
+    ];
+    for burst in [false, true] {
+        let seq_cfg = delivery(burst);
+        let (seq, _) = run_trains(c.clone(), &trains, &[probe], &seq_cfg);
+        for shards in [2, 3] {
+            let cfg = SimConfig {
+                shards,
+                ..seq_cfg.clone()
+            };
+            let (sharded, sim) = run_trains(c.clone(), &trains, &[probe], &cfg);
+            assert_eq!(sim.num_shards(), shards, "the chains split");
+            assert_agree("straddling trains", &seq, &seq_cfg, &sharded, &cfg);
+        }
+    }
 }
 
 /// A randomly shaped chain of closed-form cells: input → stages →
@@ -184,111 +291,22 @@ fn random_chain(stages: &[u8]) -> (Circuit, InputId, Vec<ProbeId>) {
     (c, input, probes)
 }
 
-/// Runs one uniform train through a [`random_chain`] with coalescing
-/// on and off and returns everything the two runs must agree on.
-///
-/// The final `Simulator::now` is deliberately absent: a trailing pulse
-/// that is absorbed without emission (e.g. the odd ninth pulse into a
-/// TFF) advances the pulse-level clock to its arrival, but inside an
-/// atomic burst it is consumed at the head dispatch and no discrete
-/// event ever carries the clock there (see DESIGN.md).
-#[allow(clippy::type_complexity)]
-fn chain_fingerprint(
-    stages: &[u8],
-    train: Burst,
-    coalesce: bool,
-) -> (
-    Vec<Vec<Time>>,
-    Vec<u64>,
-    Vec<u64>,
-    std::collections::BTreeMap<usfq_sim::stats::StatKind, u64>,
-) {
-    let (proto, input, probes) = random_chain(stages);
-    let mut sim = Simulator::with_burst(proto, coalesce);
-    sim.schedule_burst(input, train).unwrap();
-    sim.run().unwrap();
-    let traces: Vec<Vec<Time>> = probes
-        .iter()
-        .map(|&p| sim.probe_times(p).to_vec())
-        .collect();
-    let activity = sim.activity();
-    (
-        traces,
-        activity.handled.clone(),
-        activity.emitted.clone(),
-        activity.anomalies.clone(),
-    )
-}
-
-/// [`chain_fingerprint`] with deterministic wire jitter of std-dev
-/// `sigma_fs` enabled (0 = off), for the envelope-boundary sweeps.
-#[allow(clippy::type_complexity)]
-fn jittered_chain_fingerprint(
-    stages: &[u8],
-    train: Burst,
-    sigma_fs: u64,
-    coalesce: bool,
-) -> (
-    Vec<Vec<Time>>,
-    Vec<u64>,
-    Vec<u64>,
-    std::collections::BTreeMap<usfq_sim::stats::StatKind, u64>,
-) {
-    let (proto, input, probes) = random_chain(stages);
-    let mut sim = Simulator::with_burst(proto, coalesce);
-    if sigma_fs > 0 {
-        sim.enable_wire_jitter(Time::from_fs(sigma_fs), JITTER_SEED);
-    }
-    sim.schedule_burst(input, train).unwrap();
-    sim.run().unwrap();
-    let traces: Vec<Vec<Time>> = probes
-        .iter()
-        .map(|&p| sim.probe_times(p).to_vec())
-        .collect();
-    let activity = sim.activity();
-    (
-        traces,
-        activity.handled.clone(),
-        activity.emitted.clone(),
-        activity.anomalies.clone(),
-    )
-}
-
-/// The per-cell fallback boundary, pinned from both sides on the
-/// pulse-stream showcase chain (five zero-delay hops, so the envelope
-/// span after hop `k` is exactly `k` jitter bounds wide, and the
-/// tightest acceptance check is hop 3 against the 40 ps train
-/// period): at σ = 5 ps every hop's worst-case envelope clears its
-/// window and the whole chain coalesces, while at σ = 6 ps hop 3
-/// exceeds the window and *only that wire* expands to exact pulses —
-/// upstream hops keep their closed forms. Both sides stay
-/// byte-identical to the pulse-level reference.
-#[test]
-fn envelope_exceeding_a_window_falls_back_per_cell_not_per_run() {
-    use usfq_bench::kernels::{burst_stream, drive_burst_stream_jittered};
-    let run = |sigma_ps: f64, coalesce: bool| {
-        let (c, input, div, tap) = burst_stream();
-        let mut sim = Simulator::with_burst(c, coalesce);
-        sim.enable_wire_jitter(Time::from_ps(sigma_ps), JITTER_SEED);
-        drive_burst_stream_jittered(&mut sim, input, div, tap, 6);
-        (
-            sim.probe_times(div).to_vec(),
-            sim.probe_times(tap).to_vec(),
-            sim.activity().coalesce,
-        )
+/// One uniform train through a [`random_chain`] agrees with bursts on
+/// and off, under wire jitter of std-dev `sigma_fs` (0 = off).
+fn assert_chain_agrees(stages: &[u8], train: Burst, sigma_fs: u64) {
+    let (c, input, probes) = random_chain(stages);
+    let cell = SimConfig {
+        jitter: (sigma_fs > 0).then_some(Jitter {
+            sigma: Time::from_fs(sigma_fs),
+            seed: JITTER_SEED,
+        }),
+        ..delivery(true)
     };
-    for sigma_ps in [5.0, 6.0] {
-        let (div_b, tap_b, stats) = run(sigma_ps, true);
-        let (div_p, tap_p, _) = run(sigma_ps, false);
-        assert_eq!(div_b, div_p, "sigma {sigma_ps} ps");
-        assert_eq!(tap_b, tap_p, "sigma {sigma_ps} ps");
-        assert!(stats.hits > 0, "sigma {sigma_ps} ps: {stats:?}");
-        if sigma_ps < 5.5 {
-            assert_eq!(stats.bail_jitter, 0, "sigma {sigma_ps} ps: {stats:?}");
-        } else {
-            assert!(stats.bail_jitter > 0, "sigma {sigma_ps} ps: {stats:?}");
-        }
-    }
+    let what = format!("chain {stages:?}, {train:?}, sigma {sigma_fs} fs");
+    let workload = Workload::new(what, |cfg| {
+        run_trains(c.clone(), &[(input, train)], &probes, cfg).0
+    });
+    check_cube(&[workload], &[cell]);
 }
 
 /// Directed cell-chain sweep: dense, sparse, and zero-period trains
@@ -311,154 +329,7 @@ fn directed_chains_burst_equals_pulse() {
     ];
     for stages in chains {
         for train in trains {
-            assert_eq!(
-                chain_fingerprint(stages, train, true),
-                chain_fingerprint(stages, train, false),
-                "chain {stages:?} diverged on {train:?}"
-            );
-        }
-    }
-}
-
-/// Reconvergent fan-out with an exact equal-time tie at a
-/// port-order-sensitive cell — the one *pinned residual divergence* of
-/// burst coalescing (see DESIGN.md, "Burst-event coalescing",
-/// residual divergence classes).
-///
-/// Both paths from buffer `a` reach the DFF at the same femtosecond
-/// (direct 3 ps to IN_S vs 1 ps + buffer + 4 ps to IN_R, with the
-/// buffer re-emitting as part of the same train). The pulse-level
-/// engine allocates seq numbers interleaved with downstream activity,
-/// so the regenerated IN_R pulse sorts *before* the same-time IN_S
-/// pulse; the burst engine allocates a whole emitted train's seqs in
-/// one block at emission time, inverting that tie. A set-before-read
-/// DFF drops one read (IgnoredPulse) where read-before-set answers it.
-/// Both orders are deterministic and both are defensible semantics for
-/// a zero-margin race the sanitizer would flag anyway — so the exact
-/// outcome of *each* mode is pinned here rather than forcing the modes
-/// to agree (a conservative static reconvergence gate would forfeit
-/// the 67× coalescing win on every fan-out netlist).
-#[test]
-fn reconvergent_equal_time_tie_is_a_pinned_divergence() {
-    let run = |coalesce: bool| {
-        let mut c = Circuit::new();
-        let input = c.input("in");
-        let a = c.add(Buffer::new("a", Time::from_ps(1.0)));
-        let b = c.add(Buffer::new("b", Time::from_ps(1.0)));
-        let d = c.add(Dff::new("dff"));
-        c.connect_input(input, a.input(0), Time::ZERO).unwrap();
-        // Direct "set" path: A -> DFF.IN_S, wire 3 ps.
-        c.connect(a.output(0), d.input(Dff::IN_S), Time::from_ps(3.0))
-            .unwrap();
-        // Long "read" path: A -> B (1 ps wire) -> DFF.IN_R (4 ps wire).
-        c.connect(a.output(0), b.input(0), Time::from_ps(1.0))
-            .unwrap();
-        c.connect(b.output(0), d.input(Dff::IN_R), Time::from_ps(4.0))
-            .unwrap();
-        let p = c.probe(d.output(Dff::OUT_Q), "q");
-        let mut sim = Simulator::with_burst(c, coalesce);
-        sim.schedule_burst(input, Burst::uniform(Time::ZERO, Time::from_ps(3.0), 4))
-            .unwrap();
-        sim.run().unwrap();
-        (
-            sim.probe_times(p).to_vec(),
-            sim.activity().anomalies.clone(),
-        )
-    };
-
-    let ps = |v: &[f64]| v.iter().map(|&t| Time::from_ps(t)).collect::<Vec<_>>();
-    let (pulse_q, pulse_anomalies) = run(false);
-    // Pulse-level: every read finds the bit set -> four Q pulses.
-    assert_eq!(pulse_q, ps(&[12.0, 15.0, 18.0, 21.0]));
-    assert!(pulse_anomalies.is_empty(), "{pulse_anomalies:?}");
-
-    let (burst_q, burst_anomalies) = run(true);
-    // Coalesced: the tie inverts once, one read hits an empty cell.
-    assert_eq!(burst_q, ps(&[12.0, 15.0, 18.0]));
-    assert_eq!(
-        burst_anomalies.get(&StatKind::IgnoredPulse).copied(),
-        Some(1),
-        "{burst_anomalies:?}"
-    );
-}
-
-/// Two buffer chains bridged by a long crosslink, driven by trains
-/// dense enough that every conservative lookahead window cuts them:
-/// each round the upstream shard emits a *prefix* of a train and the
-/// remainder crosses the boundary in later rounds. Sharded output must
-/// be byte-identical to sequential, coalesced or not.
-#[test]
-fn bursts_straddling_a_shard_boundary_match_sequential() {
-    let build = || {
-        let mut c = Circuit::new();
-        let input = c.input("drive");
-        let mut prev = None;
-        for i in 0..6 {
-            let b = c.add(Buffer::new(format!("a{i}"), Time::from_fs(900 + 10 * i)));
-            match prev {
-                None => c
-                    .connect_input(input, b.input(0), Time::from_fs(200))
-                    .unwrap(),
-                Some(p) => c.connect(p, b.input(0), Time::from_fs(1_100)).unwrap(),
-            }
-            prev = Some(b.output(0));
-        }
-        let cut_src = prev.unwrap();
-        let mut prev = None;
-        let mut first = None;
-        for i in 0..6 {
-            let b = c.add(Buffer::new(format!("b{i}"), Time::from_fs(950 + 10 * i)));
-            if let Some(p) = prev {
-                c.connect(p, b.input(0), Time::from_fs(1_300)).unwrap();
-            } else {
-                first = Some(b.input(0));
-            }
-            prev = Some(b.output(0));
-        }
-        // The only inter-chain wire: a 15 ps crosslink, so the
-        // conservative lookahead window is 15 ps.
-        c.connect(cut_src, first.unwrap(), Time::from_ps(15.0))
-            .unwrap();
-        let probe = c.probe(prev.unwrap(), "end");
-        (c, input, probe)
-    };
-
-    // ~2 ps period over 64 pulses: each 15 ps window carries ~7 pulses
-    // of the train across the cut, so every round splits a train into
-    // prefix + straddling suffix. The second train starts mid-window
-    // and is sparse enough to straddle with 1-2 pulses per round.
-    let trains = [
-        Burst::uniform(Time::ZERO, Time::from_fs(2_048), 64),
-        Burst::uniform(Time::from_fs(13_000), Time::from_ps(11.0), 24),
-    ];
-    for coalesce in [false, true] {
-        let (c, input, probe) = build();
-        let mut seq = Simulator::new(c);
-        seq.set_burst(coalesce);
-        for train in trains {
-            seq.schedule_burst(input, train).unwrap();
-        }
-        let seq_summary = seq.run().unwrap();
-
-        for shards in [2, 3] {
-            let (c, input, probe_s) = build();
-            assert_eq!(probe_s, probe);
-            let mut sharded = ShardedSimulator::new(c, shards);
-            sharded.set_burst(coalesce);
-            for train in trains {
-                sharded.schedule_burst(input, train).unwrap();
-            }
-            let summary = sharded.run().unwrap();
-            assert_eq!(summary, seq_summary, "shards {shards} coalesce {coalesce}");
-            assert_eq!(
-                sharded.probe_times(probe),
-                seq.probe_times(probe),
-                "shards {shards} coalesce {coalesce}"
-            );
-            let (a, b) = (sharded.activity(), seq.activity());
-            assert_eq!(a.handled, b.handled);
-            assert_eq!(a.emitted, b.emitted);
-            assert_eq!(a.anomalies, b.anomalies);
+            assert_chain_agrees(stages, train, 0);
         }
     }
 }
@@ -466,9 +337,8 @@ fn bursts_straddling_a_shard_boundary_match_sequential() {
 // Each property case simulates two full trials; keep the default case
 // counts moderate. The nightly workflow raises PROPTEST_CASES.
 
-/// Random uniform trains through random cell chains: probe traces,
-/// activity, and anomaly tallies are identical with coalescing on and
-/// off.
+/// Random uniform trains through random cell chains agree with
+/// coalescing on and off.
 #[test]
 fn random_trains_through_random_chains_match() {
     for_all(96, |rng| {
@@ -478,10 +348,7 @@ fn random_trains_through_random_chains_match() {
         let start_fs = rng.gen_range(0u64..20_000);
         let period_fs = rng.gen_range(0u64..40_000);
         let train = Burst::uniform(Time::from_fs(start_fs), Time::from_fs(period_fs), count);
-        assert_eq!(
-            chain_fingerprint(&stages, train, true),
-            chain_fingerprint(&stages, train, false)
-        );
+        assert_chain_agrees(&stages, train, 0);
     });
 }
 
@@ -489,8 +356,7 @@ fn random_trains_through_random_chains_match() {
 /// ranges from a fraction of the train period to several times it, so
 /// envelopes land on every side of the per-wire acceptance boundary
 /// (`min_gap >= env_span`) — fully coalesced, fully expanded, and mixed
-/// per-cell fallback chains all reduce to the same pulse-level
-/// reference.
+/// per-cell fallback chains all agree with the pulse-level reference.
 #[test]
 fn jittered_random_trains_through_random_chains_match() {
     for_all(96, |rng| {
@@ -501,9 +367,6 @@ fn jittered_random_trains_through_random_chains_match() {
         let period_fs = rng.gen_range(0u64..40_000);
         let sigma_fs = rng.gen_range(0u64..20_000);
         let train = Burst::uniform(Time::from_fs(start_fs), Time::from_fs(period_fs), count);
-        assert_eq!(
-            jittered_chain_fingerprint(&stages, train, sigma_fs, true),
-            jittered_chain_fingerprint(&stages, train, sigma_fs, false)
-        );
+        assert_chain_agrees(&stages, train, sigma_fs);
     });
 }

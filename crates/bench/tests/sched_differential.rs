@@ -1,101 +1,99 @@
-//! The `wheel == heap` scheduler differential: for every catalogue
-//! netlist and seeded stimulus, the calendar-wheel scheduler must
-//! reproduce the reference binary heap bit for bit — probe traces,
-//! per-component activity, queue high-water mark, and sanitizer
-//! violations alike.
+//! The `wheel == heap` slice of the engine configuration cube
+//! ([`usfq_sim::check`]): the calendar-wheel scheduler must reproduce
+//! the reference binary heap bit for bit — nothing is normalized on
+//! the scheduler axis — sanitizer on and off, fresh and reused.
 //!
-//! The directed sweeps below pin fixed seeds; the property widens the
-//! seed space.
+//! The random property at the end samples the whole cube: any netlist,
+//! stimulus, seed and cell against its reference chain.
 
-use usfq_bench::kernels::{catalogue_trial, delay_chain, TrialFingerprint};
+use usfq_bench::kernels::{
+    assert_parallel_catalogue_sweep, catalogue_config, catalogue_probes, catalogue_trial,
+    catalogue_workloads, drive_catalogue, fabric, fabric_stimulus, jitter_ps,
+    random_catalogue_workload, run_trains, StimulusKind,
+};
 use usfq_core::netlists::shipped_netlists;
-use usfq_sim::check::for_all;
-use usfq_sim::{Runner, Sched, Simulator, Time};
+use usfq_sim::check::{check_cube, cube, for_all, random_cell};
+use usfq_sim::{Fingerprint, SanitizerConfig, Sched, ShardedSimulator, SimConfig};
 
-/// Every shipped netlist, a handful of seeds, sanitizer on and off:
-/// identical fingerprints under both schedulers.
+/// Loose pulses and uniform trains through every shipped netlist, at
+/// one shard with pulse-level delivery: heap and wheel, sanitizer off
+/// and on, against the reference.
 #[test]
 fn full_catalogue_fingerprints_match() {
     let catalogue = shipped_netlists();
-    for netlist in &catalogue {
-        for seed in 0..4u64 {
-            for sanitize in [false, true] {
-                let heap = catalogue_trial(netlist, Sched::Heap, seed, sanitize);
-                let wheel = catalogue_trial(netlist, Sched::Wheel, seed, sanitize);
+    let kinds = [StimulusKind::Pulses, StimulusKind::Trains];
+    let cells: Vec<SimConfig> = cube(&[1], &[None])
+        .into_iter()
+        .filter(|c| !c.burst)
+        .collect();
+    check_cube(&catalogue_workloads(&catalogue, &kinds, 0..4), &cells);
+}
+
+/// A wheel-scheduled, sanitized sweep fanned out over a 4-thread
+/// runner with per-thread catalogues equals the heap-scheduled
+/// sequential loop.
+#[test]
+fn parallel_wheel_sweep_equals_sequential_heap_sweep() {
+    let heap = SimConfig {
+        sanitizer: Some(SanitizerConfig::default()),
+        ..SimConfig::reference()
+    };
+    let wheel = SimConfig {
+        sched: Sched::Wheel,
+        ..heap.clone()
+    };
+    assert_parallel_catalogue_sweep(StimulusKind::Pulses, &heap, &wheel);
+}
+
+/// A simulator reused after `reset` gives exactly the fresh
+/// simulator's fingerprint, in every cell — either scheduler, sharded
+/// or not, jittered or not.
+#[test]
+fn reset_reuse_matches_fresh_under_both_schedulers() {
+    let catalogue = shipped_netlists();
+    for cell in cube(&[1, 2], &[None, Some(jitter_ps(2.0))]) {
+        for netlist in &catalogue {
+            for kind in [StimulusKind::Pulses, StimulusKind::Trains] {
+                let cfg = catalogue_config(&cell, 3);
+                let mut sim = ShardedSimulator::with_config(netlist.circuit.clone(), &cfg);
+                drive_catalogue(&mut sim, netlist, kind, 0xC0FFEE);
+                sim.reset();
+                let summary = drive_catalogue(&mut sim, netlist, kind, 3);
                 assert_eq!(
-                    heap, wheel,
-                    "`{}` diverged (seed {seed}, sanitize {sanitize})",
+                    Fingerprint::capture(&sim, summary, &catalogue_probes(netlist)),
+                    catalogue_trial(netlist, kind, &cell, 3),
+                    "`{}` {kind:?} reused under {cell:?}",
                     netlist.name
                 );
             }
         }
     }
-}
-
-/// The differential also holds when trials fan out over the parallel
-/// runner: a wheel-scheduled parallel sweep equals the heap-scheduled
-/// sequential loop.
-#[test]
-fn parallel_wheel_sweep_equals_sequential_heap_sweep() {
-    let catalogue = shipped_netlists();
-    let jobs: Vec<(usize, u64)> = (0..catalogue.len())
-        .flat_map(|n| (0..3u64).map(move |seed| (n, seed)))
-        .collect();
-
-    let sequential: Vec<TrialFingerprint> = jobs
-        .iter()
-        .map(|&(n, seed)| catalogue_trial(&catalogue[n], Sched::Heap, seed, true))
-        .collect();
-    let parallel =
-        Runner::with_threads(4).map_init(&jobs, shipped_netlists, |catalogue, _, &(n, seed)| {
-            catalogue_trial(&catalogue[n], Sched::Wheel, seed, true)
-        });
-    assert_eq!(sequential, parallel);
-}
-
-/// Simulator reuse (`reset` between trials) keeps the differential:
-/// a reused wheel simulator matches a fresh heap simulator.
-#[test]
-fn reset_reuse_matches_fresh_under_both_schedulers() {
-    let (proto, input, probe) = delay_chain(64);
-    let mut reused = Simulator::with_sched(proto.clone(), Sched::Wheel);
-    for trial in 0..8u64 {
-        reused.reset();
-        let mut fresh = Simulator::with_sched(proto.clone(), Sched::Heap);
-        for sim in [&mut reused, &mut fresh] {
-            for k in 0..16u64 {
-                sim.schedule_input(input, Time::from_ps(7.0 * k as f64 + trial as f64))
-                    .unwrap();
-            }
-            sim.run().unwrap();
+    let fab = fabric(8, 40, 5);
+    let (warm_up, stimulus) = (fabric_stimulus(&fab, 5, 9), fabric_stimulus(&fab, 5, 5));
+    for cell in cube(&[1, 2, 4], &[None]) {
+        let (_, mut sim) = run_trains(fab.circuit.clone(), &warm_up, &fab.probes, &cell);
+        sim.reset();
+        for &(input, train) in &stimulus {
+            sim.schedule_burst(input, train).unwrap();
         }
+        let summary = sim.run().unwrap();
         assert_eq!(
-            reused.probe_times(probe),
-            fresh.probe_times(probe),
-            "trial {trial} diverged"
-        );
-        assert_eq!(
-            reused.activity().peak_pending,
-            fresh.activity().peak_pending,
-            "trial {trial}: queue high-water marks diverged"
+            Fingerprint::capture(&sim, summary, &fab.probes),
+            run_trains(fab.circuit.clone(), &stimulus, &fab.probes, &cell).0,
+            "fabric reused under {cell:?}"
         );
     }
 }
 
-/// Random catalogue netlist × random seed × sanitizer flag: the full
-/// fingerprint (traces, activity, peak_pending, violations) is
-/// identical under both schedulers. Each case simulates two full
-/// trials, so the default case count stays moderate; the nightly
-/// workflow raises PROPTEST_CASES.
+/// Random netlist × stimulus kind × seed × cell, against the cell's
+/// reference chain. The nightly workflow raises `PROPTEST_CASES`.
 #[test]
 fn random_trials_fingerprints_match() {
     let catalogue = shipped_netlists();
-    for_all(64, |rng| {
-        let netlist = &catalogue[rng.gen_range(0usize..16) % catalogue.len()];
-        let seed = rng.gen_range(0u64..1_000_000);
-        let sanitize = rng.gen_bool(0.5);
-        let heap = catalogue_trial(netlist, Sched::Heap, seed, sanitize);
-        let wheel = catalogue_trial(netlist, Sched::Wheel, seed, sanitize);
-        assert_eq!(heap, wheel);
+    let jitters = [None, Some(jitter_ps(2.0)), Some(jitter_ps(4.0))];
+    for_all(256, |rng| {
+        let workload = random_catalogue_workload(rng, &catalogue);
+        let cell = random_cell(rng, 1..4, &jitters);
+        check_cube(&[workload], &[cell]);
     });
 }

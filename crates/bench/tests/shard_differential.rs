@@ -1,284 +1,67 @@
-//! The `shard(N) == sequential` engine differential: partitioned
-//! conservative-parallel runs must reproduce the sequential engine
-//! byte-for-byte — probe traces, per-component activity, anomaly
-//! tallies, run summaries, and sanitizer violations — across
-//! schedulers, sanitizer on/off, burst coalescing on/off, catalogue
-//! netlists and generated fabrics alike.
+//! The `shard(N) == sequential` slice of the engine configuration cube
+//! ([`usfq_sim::check`]): partitioned conservative-parallel runs must
+//! reproduce the sequential engine, up to the two fields
+//! [`Fingerprint::normalized`] documents for the shard axis (each
+//! shard's own queue high-water mark, and the merged violations'
+//! sorted order) — across schedulers, sanitizer on/off, burst delivery
+//! on/off, catalogue netlists and generated fabrics alike.
 //!
-//! Two fields are normalized before comparison (see DESIGN.md,
-//! "Sharded simulation"):
-//!
-//! - `peak_pending`: per-shard queues have their own high-water marks;
-//!   the merged report takes the max, not the sequential value.
-//! - sanitizer violation *order*: the merged set is sorted; the
-//!   sequential engine reports in detection order. The *set* must be
-//!   identical, so both sides are compared sorted.
+//! [`Fingerprint::normalized`]: usfq_sim::Fingerprint::normalized
 
-use usfq_bench::kernels::{catalogue_burst_stimulus, catalogue_stimulus, fabric, fabric_stimulus};
+use usfq_bench::kernels::{catalogue_workloads, fabric_workload, jitter_ps, StimulusKind};
 use usfq_core::netlists::shipped_netlists;
-use usfq_sim::check::for_all;
-use usfq_sim::stats::StatKind;
-use usfq_sim::{
-    Circuit, InputId, ProbeId, RunSummary, Runner, SanitizerConfig, Sched, ShardedSimulator,
-    Simulator, Time,
-};
+use usfq_sim::check::{check_cube, cube, for_all, random_cell, Workload};
+use usfq_sim::{Sched, SimConfig};
 
-/// Everything a sharded run must reproduce from the sequential
-/// reference (peak_pending excluded, violations pre-sorted).
-#[derive(Debug, Clone, PartialEq)]
-struct Fingerprint {
-    summary: RunSummary,
-    end: Time,
-    probe_times: Vec<Vec<Time>>,
-    handled: Vec<u64>,
-    emitted: Vec<u64>,
-    anomalies: Vec<(StatKind, u64)>,
-    violations: Vec<String>,
-}
-
-/// One stimulus program, replayable against either engine front-end.
-#[derive(Debug, Clone)]
-enum Stim {
-    Pulse(InputId, Time),
-    Burst(InputId, usfq_sim::Burst),
-}
-
-fn sequential_fingerprint(
-    circuit: Circuit,
-    probes: &[ProbeId],
-    stim: &[Stim],
-    sched: Sched,
-    sanitize: bool,
-    coalesce: bool,
-) -> Fingerprint {
-    let mut sim = Simulator::with_sched(circuit, sched);
-    sim.set_burst(coalesce);
-    if sanitize {
-        sim.enable_sanitizer(SanitizerConfig::default());
-    }
-    for s in stim {
-        match *s {
-            Stim::Pulse(input, at) => sim.schedule_input(input, at).unwrap(),
-            Stim::Burst(input, train) => sim.schedule_burst(input, train).unwrap(),
-        }
-    }
-    let summary = sim.run().unwrap();
-    let mut violations: Vec<String> = sim
-        .sanitizer_report()
-        .map(|r| {
-            r.violations
-                .iter()
-                .map(std::string::ToString::to_string)
-                .collect()
-        })
-        .unwrap_or_default();
-    violations.sort();
-    let activity = sim.activity();
-    Fingerprint {
-        summary,
-        end: sim.now(),
-        probe_times: probes
-            .iter()
-            .map(|&p| sim.probe_times(p).to_vec())
-            .collect(),
-        handled: activity.handled.clone(),
-        emitted: activity.emitted.clone(),
-        anomalies: activity.anomalies.iter().map(|(&k, &v)| (k, v)).collect(),
-        violations,
-    }
-}
-
-fn sharded_fingerprint(
-    circuit: Circuit,
-    probes: &[ProbeId],
-    stim: &[Stim],
-    shards: usize,
-    sched: Sched,
-    sanitize: bool,
-    coalesce: bool,
-) -> Fingerprint {
-    let mut sim = ShardedSimulator::with_sched(circuit, shards, sched);
-    sim.set_burst(coalesce);
-    if sanitize {
-        sim.enable_sanitizer(SanitizerConfig::default());
-    }
-    for s in stim {
-        match *s {
-            Stim::Pulse(input, at) => sim.schedule_input(input, at).unwrap(),
-            Stim::Burst(input, train) => sim.schedule_burst(input, train).unwrap(),
-        }
-    }
-    let summary = sim.run().unwrap();
-    let activity = sim.activity();
-    Fingerprint {
-        summary,
-        end: sim.now(),
-        probe_times: probes
-            .iter()
-            .map(|&p| sim.probe_times(p).to_vec())
-            .collect(),
-        handled: activity.handled.clone(),
-        emitted: activity.emitted.clone(),
-        anomalies: activity.anomalies.iter().map(|(&k, &v)| (k, v)).collect(),
-        violations: sim.sanitizer_violations(),
-    }
-}
-
-/// Every shipped netlist, pulse and burst stimulus, both schedulers,
-/// sanitizer on/off, coalescing on/off, at 2 and 3 shards. Catalogue
-/// netlists are small and zero-delay-coupled, so many partition
-/// attempts legitimately fall back to the sequential path — that
-/// fallback is part of the contract under test.
+/// Loose pulses and uniform trains through every shipped netlist at 2
+/// and 3 shards, in every scheduler × delivery × sanitizer cell.
+/// Catalogue netlists are small and zero-delay-coupled, so many
+/// partition attempts fall back to one shard; that fallback is part of
+/// the contract.
 #[test]
 fn full_catalogue_sharded_equals_sequential() {
     let catalogue = shipped_netlists();
-    for netlist in &catalogue {
-        let probes: Vec<ProbeId> = netlist.circuit.probe_taps().map(|(id, _)| id).collect();
-        for seed in 0..2u64 {
-            let pulse_stim: Vec<Stim> = catalogue_stimulus(netlist, seed)
-                .into_iter()
-                .map(|(i, t)| Stim::Pulse(i, t))
-                .collect();
-            let burst_stim: Vec<Stim> = catalogue_burst_stimulus(netlist, seed)
-                .into_iter()
-                .map(|(i, b)| Stim::Burst(i, b))
-                .collect();
-            for stim in [&pulse_stim, &burst_stim] {
-                for sched in [Sched::Heap, Sched::Wheel] {
-                    for sanitize in [false, true] {
-                        for coalesce in [false, true] {
-                            let seq = sequential_fingerprint(
-                                netlist.circuit.clone(),
-                                &probes,
-                                stim,
-                                sched,
-                                sanitize,
-                                coalesce,
-                            );
-                            for shards in [2usize, 3] {
-                                let sharded = sharded_fingerprint(
-                                    netlist.circuit.clone(),
-                                    &probes,
-                                    stim,
-                                    shards,
-                                    sched,
-                                    sanitize,
-                                    coalesce,
-                                );
-                                assert_eq!(
-                                    sharded, seq,
-                                    "`{}` diverged (seed {seed}, {shards} shards, {sched:?}, \
-                                     sanitize {sanitize}, coalesce {coalesce})",
-                                    netlist.name
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
+    let kinds = [StimulusKind::Pulses, StimulusKind::Trains];
+    check_cube(
+        &catalogue_workloads(&catalogue, &kinds, 0..4),
+        &cube(&[2, 3], &[None]),
+    );
 }
 
-/// The generated fabric at every benchmarked shard count, both
-/// schedulers, coalescing on and off.
+/// The 16×60 generated fabric at every benchmarked shard count, in
+/// every scheduler × delivery × sanitizer cell.
 #[test]
 fn fabric_sharded_equals_sequential_across_shard_counts() {
-    let fab = fabric(16, 60, 0xFAB);
-    let probes = fab.probes.clone();
-    let stim: Vec<Stim> = fabric_stimulus(&fab, 6, 2)
-        .into_iter()
-        .map(|(i, b)| Stim::Burst(i, b))
-        .collect();
-    for sched in [Sched::Heap, Sched::Wheel] {
-        for coalesce in [false, true] {
-            let seq =
-                sequential_fingerprint(fab.circuit.clone(), &probes, &stim, sched, false, coalesce);
-            for shards in [1usize, 2, 4, 8] {
-                let sharded = sharded_fingerprint(
-                    fab.circuit.clone(),
-                    &probes,
-                    &stim,
-                    shards,
-                    sched,
-                    false,
-                    coalesce,
-                );
-                assert_eq!(
-                    sharded, seq,
-                    "fabric diverged ({shards} shards, {sched:?}, coalesce {coalesce})"
-                );
-            }
-        }
-    }
+    let workload = fabric_workload(16, 60, 0xFAB, 6, 2);
+    check_cube(&[workload], &cube(&[1, 2, 4, 8], &[None]));
 }
 
-/// Sharded trials stay deterministic under the parallel runner: a
-/// sweep of sharded simulations fanned out over threads equals the
-/// sequential loop of sequential simulations.
+/// A sweep of sharded (2 shards, wheel, bursts) fabric trials fanned
+/// out over a 4-thread runner equals the sequential loop of reference
+/// trials.
 #[test]
 fn runner_sweep_of_sharded_sims_is_deterministic() {
-    let seeds: Vec<u64> = (0..6).collect();
-    let sequential: Vec<Fingerprint> = seeds
-        .iter()
-        .map(|&seed| {
-            let fab = fabric(8, 40, seed);
-            let probes = fab.probes.clone();
-            let stim: Vec<Stim> = fabric_stimulus(&fab, 5, seed)
-                .into_iter()
-                .map(|(i, b)| Stim::Burst(i, b))
-                .collect();
-            sequential_fingerprint(fab.circuit, &probes, &stim, Sched::Wheel, false, true)
-        })
+    let workloads: Vec<Workload> = (0..6)
+        .map(|seed| fabric_workload(8, 40, seed, 5, seed))
         .collect();
-    let parallel = Runner::with_threads(4).map(&seeds, |_, &seed| {
-        let fab = fabric(8, 40, seed);
-        let probes = fab.probes.clone();
-        let stim: Vec<Stim> = fabric_stimulus(&fab, 5, seed)
-            .into_iter()
-            .map(|(i, b)| Stim::Burst(i, b))
-            .collect();
-        sharded_fingerprint(fab.circuit, &probes, &stim, 2, Sched::Wheel, false, true)
-    });
-    assert_eq!(sequential, parallel);
+    let cell = SimConfig {
+        sched: Sched::Wheel,
+        burst: true,
+        shards: 2,
+        ..SimConfig::reference()
+    };
+    check_cube(&workloads, &[cell]);
 }
 
-/// Random fabric shapes, seeds, and shard counts: partitioned runs
-/// reproduce the sequential fingerprint. Each case simulates one
-/// sequential and one sharded trial over a generated fabric, so the
-/// default case count stays moderate; the nightly workflow raises
-/// PROPTEST_CASES.
+/// Random fabric shapes, seeds and cells at up to 5 shards, against
+/// the cell's reference chain. The nightly workflow raises `PROPTEST_CASES`.
 #[test]
 fn random_fabrics_shard_deterministically() {
+    let jitters = [None, Some(jitter_ps(2.0)), Some(jitter_ps(4.0))];
     for_all(48, |rng| {
-        let width = rng.gen_range(2usize..10);
-        let depth = rng.gen_range(4usize..40);
+        let (width, depth) = (rng.gen_range(2usize..10), rng.gen_range(4usize..40));
         let seed = rng.gen_range(0u64..1_000);
-        let shards = rng.gen_range(2usize..6);
-        let coalesce = rng.gen_bool(0.5);
-        let fab = fabric(width, depth, seed);
-        let probes = fab.probes.clone();
-        let stim: Vec<Stim> = fabric_stimulus(&fab, 4, seed)
-            .into_iter()
-            .map(|(i, b)| Stim::Burst(i, b))
-            .collect();
-        let seq = sequential_fingerprint(
-            fab.circuit.clone(),
-            &probes,
-            &stim,
-            Sched::Wheel,
-            false,
-            coalesce,
-        );
-        let sharded = sharded_fingerprint(
-            fab.circuit,
-            &probes,
-            &stim,
-            shards,
-            Sched::Wheel,
-            false,
-            coalesce,
-        );
-        assert_eq!(sharded, seq);
+        let cell = random_cell(rng, 1..6, &jitters);
+        check_cube(&[fabric_workload(width, depth, seed, 4, seed)], &[cell]);
     });
 }

@@ -713,14 +713,15 @@ mod tests {
     /// coefficient gates included).
     #[test]
     fn one_result_however_the_simulator_was_built() {
-        use usfq_sim::{SanitizerConfig, Sched, Simulator};
+        use usfq_sim::{SanitizerConfig, Sched, SimConfig, Simulator};
         let prototypes = shipped_netlists();
         for sched in [Sched::Heap, Sched::Wheel] {
-            let build = |circuit: Circuit| {
-                let mut sim = Simulator::with_sched(circuit, sched);
-                sim.enable_sanitizer(SanitizerConfig::default());
-                sim
+            let cfg = SimConfig {
+                sched,
+                sanitizer: Some(SanitizerConfig::default()),
+                ..SimConfig::reference()
             };
+            let build = |circuit: Circuit| Simulator::with_config(circuit, &cfg);
             // One long-lived simulator per netlist, dirtied by a
             // warm-up run before its first reset.
             let mut reused: Vec<Simulator> = prototypes

@@ -26,10 +26,9 @@
 //!   (compatible crossbar settings) and sub-slots (disjoint path
 //!   resources), emits SEL toggles and flit trains, and derives the
 //!   per-flow delivery windows. Loss-free by construction.
-//! * [`scenario`] — run a schedule under any `{sched, burst, shards}`
-//!   engine configuration and fingerprint the outcome; the
-//!   fingerprint is configuration-invariant, which the differential
-//!   suites and the CI matrix pin.
+//! * [`scenario`] — run a schedule under any [`usfq_sim::SimConfig`]
+//!   and fingerprint the outcome; fingerprints from every
+//!   configuration agree, which the engine configuration cube pins.
 //!
 //! Lint: generated fabrics pass `usfq-lint` clean under
 //! [`topology::NocFabric::lint_config`], which *declares* the two
@@ -53,7 +52,7 @@ pub use plan::{plan, FlowDelivery, Schedule};
 pub use router::{BuiltRouter, InPort, RouterSpec};
 pub use scenario::{
     decode, run_scenario, simulate, simulate_env, summarize, DecodedFlow, NocOutcome,
-    ScenarioResult, SimConfig,
+    ScenarioResult,
 };
 pub use topology::{NocFabric, Route, Topology, LINK_DELAY};
 pub use traffic::{generate, Flow, Pattern};

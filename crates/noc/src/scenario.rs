@@ -2,71 +2,20 @@
 //! under any engine configuration, decode the arriving flits, and
 //! summarize latency / throughput / area.
 //!
-//! The [`NocOutcome`] fingerprint deliberately excludes the two
-//! documented engine divergences (`peak_pending`, sanitizer violation
-//! *order* — violations are pre-sorted, and the event count, which the
-//! burst engine legitimately compresses), so outcomes from any point
-//! of the `{sched} × {burst} × {shards}` configuration space compare
-//! with plain `==`. That is the byte-identical contract the
-//! differential tests and the CI matrix pin.
+//! A run's output is a [`usfq_sim::Fingerprint`]; outcomes from any
+//! point of the engine configuration cube agree after
+//! [`Fingerprint::normalized`](usfq_sim::Fingerprint::normalized).
 
-use usfq_sim::{SanitizerConfig, Sched, ShardedSimulator, SimError, Time};
+use usfq_sim::{Fingerprint, ShardedSimulator, SimConfig, SimError, Time};
 
 use crate::flit::FlitGeometry;
 use crate::plan::{plan, Schedule};
 use crate::topology::{NocFabric, Topology};
 use crate::traffic::{generate, Flow, Pattern};
 
-/// One point of the engine configuration space.
-#[derive(Debug, Clone, Copy)]
-pub struct SimConfig {
-    /// Shard count (1 = single sequential simulator).
-    pub shards: usize,
-    /// Event-queue scheduler.
-    pub sched: Sched,
-    /// Burst (coalesced-train) engine on/off.
-    pub burst: bool,
-    /// Runtime pulse sanitizer on/off.
-    pub sanitize: bool,
-}
-
-impl SimConfig {
-    /// The reference point: sequential heap scheduler, pulse-level.
-    pub fn reference() -> Self {
-        SimConfig {
-            shards: 1,
-            sched: Sched::Heap,
-            burst: false,
-            sanitize: false,
-        }
-    }
-
-    /// The far corner the acceptance differential pins against the
-    /// reference: two shards, calendar wheel, coalesced bursts.
-    pub fn subject() -> Self {
-        SimConfig {
-            shards: 2,
-            sched: Sched::Wheel,
-            burst: true,
-            sanitize: false,
-        }
-    }
-}
-
-/// A configuration-invariant run fingerprint (see module docs).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NocOutcome {
-    /// Arrival times at each eject probe, endpoint order.
-    pub probe_times: Vec<Vec<Time>>,
-    /// Pulses handled per component.
-    pub handled: Vec<u64>,
-    /// Pulses emitted per component.
-    pub emitted: Vec<u64>,
-    /// Anomaly tallies (e.g. merger collisions), rendered and sorted.
-    pub anomalies: Vec<(String, u64)>,
-    /// Sanitizer violations, rendered and sorted; empty when off.
-    pub violations: Vec<String>,
-}
+/// The run fingerprint of a routed-traffic simulation, with probe
+/// times in eject-probe (endpoint) order.
+pub type NocOutcome = Fingerprint;
 
 /// Simulates `schedule` on `fabric` under `cfg`.
 ///
@@ -77,59 +26,28 @@ pub struct NocOutcome {
 pub fn simulate(
     fabric: &NocFabric,
     schedule: &Schedule,
-    cfg: SimConfig,
+    cfg: &SimConfig,
 ) -> Result<NocOutcome, SimError> {
-    let mut sim = ShardedSimulator::with_sched(fabric.circuit.clone(), cfg.shards, cfg.sched);
-    sim.set_burst(cfg.burst);
-    if cfg.sanitize {
-        sim.enable_sanitizer(SanitizerConfig::default());
-    }
-    run_and_fingerprint(fabric, schedule, sim)
-}
-
-/// Simulates `schedule` with every engine knob taken from the
-/// environment (`USFQ_SHARDS`, `USFQ_SCHED`, `USFQ_BURST`) — the entry
-/// point the CI configuration matrix steers.
-///
-/// # Errors
-///
-/// Propagates simulator errors (none occur for planner-produced
-/// schedules on their own fabric).
-pub fn simulate_env(fabric: &NocFabric, schedule: &Schedule) -> Result<NocOutcome, SimError> {
-    let sim = ShardedSimulator::from_env(fabric.circuit.clone());
-    run_and_fingerprint(fabric, schedule, sim)
-}
-
-fn run_and_fingerprint(
-    fabric: &NocFabric,
-    schedule: &Schedule,
-    mut sim: ShardedSimulator,
-) -> Result<NocOutcome, SimError> {
+    let mut sim = ShardedSimulator::with_config(fabric.circuit.clone(), cfg);
     for (input, times) in &schedule.control {
         sim.schedule_pulses(*input, times.iter().copied())?;
     }
     for (input, stream, at) in &schedule.payload {
         sim.schedule_burst(*input, stream.burst_from(*at))?;
     }
-    sim.run()?;
-    let activity = sim.activity();
-    let mut violations = sim.sanitizer_violations();
-    violations.sort();
-    Ok(NocOutcome {
-        probe_times: fabric
-            .eject
-            .iter()
-            .map(|&p| sim.probe_times(p).to_vec())
-            .collect(),
-        handled: activity.handled.clone(),
-        emitted: activity.emitted.clone(),
-        anomalies: activity
-            .anomalies
-            .iter()
-            .map(|(kind, &count)| (format!("{kind:?}"), count))
-            .collect(),
-        violations,
-    })
+    let summary = sim.run()?;
+    Ok(Fingerprint::capture(&sim, summary, &fabric.eject))
+}
+
+/// [`simulate`] under the environment's engine configuration
+/// ([`SimConfig::from_env`]).
+///
+/// # Errors
+///
+/// Propagates simulator errors (none occur for planner-produced
+/// schedules on their own fabric).
+pub fn simulate_env(fabric: &NocFabric, schedule: &Schedule) -> Result<NocOutcome, SimError> {
+    simulate(fabric, schedule, SimConfig::from_env())
 }
 
 /// One decoded flow.
@@ -226,7 +144,7 @@ pub fn run_scenario(
     pattern: Pattern,
     flows_per_node: usize,
     seed: u64,
-    cfg: SimConfig,
+    cfg: &SimConfig,
 ) -> ScenarioResult {
     let geometry = FlitGeometry::with_bits(4).expect("4-bit flits are always valid");
     let fabric = topology.build(geometry);

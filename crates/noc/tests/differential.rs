@@ -1,19 +1,20 @@
-//! Routed-traffic engine differential — the acceptance contract: NoC
-//! simulation under `{2 shards, wheel, burst}` is byte-identical to
-//! `{1 shard, heap, pulse}`, across every topology × pattern pair,
-//! with and without the sanitizer. `peak_pending` and violation
-//! *order* (the two documented divergences) are excluded from the
-//! fingerprint by construction ([`usfq_noc::NocOutcome`]).
-//!
-//! `env_config_matches_reference` is the test the CI matrix steers:
-//! it reads `USFQ_SCHED` / `USFQ_BURST` / `USFQ_SHARDS` from the
-//! environment, so each matrix leg genuinely exercises a different
-//! engine configuration against the same fixed reference.
+//! Routed traffic through the engine configuration cube
+//! ([`usfq_sim::check`]): every topology × traffic pattern, in every
+//! scheduler × delivery × sanitizer × shard-count cell, agrees with the
+//! sequential heap-scheduled run at the same delivery mode, and that
+//! with the pulse-level reference, by
+//! [`Fingerprint::normalized`](usfq_sim::Fingerprint::normalized).
 
-use usfq_noc::{plan, simulate, simulate_env, FlitGeometry, Pattern, SimConfig, Topology};
-use usfq_sim::Sched;
+use usfq_noc::{
+    plan, simulate, simulate_env, FlitGeometry, NocFabric, Pattern, Schedule, Topology,
+};
+use usfq_sim::check::{assert_agree, check_cube, cube, reference_for, Workload};
+use usfq_sim::{SanitizerConfig, Sched, SimConfig};
 
-fn scenarios() -> Vec<(Topology, Pattern, u64)> {
+/// The nine scenarios: mesh, torus and big-switch fabrics under every
+/// traffic pattern, each with its own traffic seed.
+fn scenarios() -> Vec<(String, NocFabric, Schedule)> {
+    let geometry = FlitGeometry::with_bits(4).unwrap();
     let mut v = Vec::new();
     for topology in [
         Topology::Mesh { k: 3 },
@@ -21,111 +22,70 @@ fn scenarios() -> Vec<(Topology, Pattern, u64)> {
         Topology::BigSwitch { n: 6 },
     ] {
         for (i, pattern) in Pattern::all().into_iter().enumerate() {
-            v.push((topology, pattern, 40 + i as u64));
+            let fabric = topology.build(geometry);
+            let seed = 40 + i as u64;
+            let flows =
+                usfq_noc::generate(pattern, topology.nodes(), 2, geometry.epoch.n_max(), seed);
+            let schedule = plan(&fabric, &flows);
+            let name = format!("{} × {} (seed {seed})", topology.label(), pattern.label());
+            v.push((name, fabric, schedule));
         }
     }
     v
 }
 
-/// The acceptance corner: `{2 shards, wheel, burst}` equals
-/// `{1 shard, heap, pulse}` byte-for-byte.
+/// The scenarios as configuration-cube workloads.
+fn workloads(scenarios: &[(String, NocFabric, Schedule)]) -> Vec<Workload<'_>> {
+    scenarios
+        .iter()
+        .map(|(name, fabric, schedule)| {
+            Workload::new(name.clone(), move |cfg| {
+                simulate(fabric, schedule, cfg).unwrap()
+            })
+        })
+        .collect()
+}
+
+/// The acceptance corner `{2 shards, wheel, burst}`, with and without
+/// the sanitizer, agrees with the sequential heap run at its own
+/// delivery mode, and that with `{1 shard, heap, pulse}`.
 #[test]
 fn sharded_wheel_burst_equals_sequential_heap_pulse() {
-    for (topology, pattern, seed) in scenarios() {
-        for sanitize in [false, true] {
-            let geometry = FlitGeometry::with_bits(4).unwrap();
-            let fabric = topology.build(geometry);
-            let flows =
-                usfq_noc::generate(pattern, topology.nodes(), 2, geometry.epoch.n_max(), seed);
-            let schedule = plan(&fabric, &flows);
-            let reference = simulate(
-                &fabric,
-                &schedule,
-                SimConfig {
-                    sanitize,
-                    ..SimConfig::reference()
-                },
-            )
-            .unwrap();
-            let subject = simulate(
-                &fabric,
-                &schedule,
-                SimConfig {
-                    sanitize,
-                    ..SimConfig::subject()
-                },
-            )
-            .unwrap();
-            assert_eq!(
-                reference,
-                subject,
-                "{} × {} (seed {seed}, sanitize {sanitize}) diverged",
-                topology.label(),
-                pattern.label()
-            );
-        }
-    }
+    let corner = SimConfig {
+        sched: Sched::Wheel,
+        burst: true,
+        shards: 2,
+        ..SimConfig::reference()
+    };
+    let sanitized = SimConfig {
+        sanitizer: Some(SanitizerConfig::default()),
+        ..corner
+    };
+    check_cube(&workloads(&scenarios()), &[corner, sanitized]);
 }
 
-/// Every corner of the small configuration cube agrees with the
-/// reference — the cube the CI matrix walks via the env test below.
+/// Every scenario in every cell at 1, 2 and 4 shards, the cells on a
+/// 4-thread runner.
 #[test]
 fn full_config_cube_agrees_on_routed_traffic() {
-    let topology = Topology::Mesh { k: 3 };
-    let geometry = FlitGeometry::with_bits(4).unwrap();
-    let fabric = topology.build(geometry);
-    let flows = usfq_noc::generate(
-        Pattern::Hotspot,
-        topology.nodes(),
-        2,
-        geometry.epoch.n_max(),
-        7,
-    );
-    let schedule = plan(&fabric, &flows);
-    let reference = simulate(&fabric, &schedule, SimConfig::reference()).unwrap();
-    for shards in [1, 2, 4] {
-        for sched in [Sched::Heap, Sched::Wheel] {
-            for burst in [false, true] {
-                let outcome = simulate(
-                    &fabric,
-                    &schedule,
-                    SimConfig {
-                        shards,
-                        sched,
-                        burst,
-                        sanitize: false,
-                    },
-                )
-                .unwrap();
-                assert_eq!(
-                    reference, outcome,
-                    "{shards} shards, {sched:?}, burst {burst} diverged"
-                );
-            }
-        }
-    }
+    check_cube(&workloads(&scenarios()), &cube(&[1, 2, 4], &[None]));
 }
 
-/// The env-driven run (whatever `USFQ_SHARDS`/`USFQ_SCHED`/
-/// `USFQ_BURST` say — defaults included) matches the fixed reference.
+/// The environment's configuration (whatever `USFQ_SCHED`,
+/// `USFQ_BURST`, `USFQ_SHARDS` and `USFQ_WIRE_JITTER` say, defaults
+/// included) agrees with its reference: `simulate_env` forwards
+/// [`SimConfig::from_env`] unchanged.
 #[test]
 fn env_config_matches_reference() {
-    for (topology, pattern, seed) in scenarios() {
-        let geometry = FlitGeometry::with_bits(4).unwrap();
-        let fabric = topology.build(geometry);
-        let flows = usfq_noc::generate(pattern, topology.nodes(), 2, geometry.epoch.n_max(), seed);
-        let schedule = plan(&fabric, &flows);
-        let reference = simulate(&fabric, &schedule, SimConfig::reference()).unwrap();
-        let env_run = simulate_env(&fabric, &schedule).unwrap();
-        assert_eq!(
-            reference,
-            env_run,
-            "{} × {} (seed {seed}) diverged under env config {:?}/{:?}/{:?}",
-            topology.label(),
-            pattern.label(),
-            std::env::var(usfq_sim::shard::SHARDS_ENV).ok(),
-            std::env::var(usfq_sim::sched::SCHED_ENV).ok(),
-            std::env::var(usfq_sim::BURST_ENV).ok(),
+    let env = SimConfig::from_env();
+    let reference_cfg = reference_for(env);
+    for (name, fabric, schedule) in scenarios() {
+        assert_agree(
+            &name,
+            &simulate(&fabric, &schedule, &reference_cfg).unwrap(),
+            &reference_cfg,
+            &simulate_env(&fabric, &schedule).unwrap(),
+            env,
         );
     }
 }

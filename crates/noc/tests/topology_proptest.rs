@@ -6,9 +6,9 @@
 //! The fixed-case tests pin the same three properties on the shipped
 //! scenario sizes.
 
-use usfq_noc::{decode, lint_fabric, plan, simulate, FlitGeometry, Pattern, SimConfig, Topology};
+use usfq_noc::{decode, lint_fabric, plan, simulate, FlitGeometry, Pattern, Topology};
 use usfq_sim::check::for_all;
-use usfq_sim::CircuitGraph;
+use usfq_sim::{CircuitGraph, SanitizerConfig, SimConfig};
 
 /// The three properties the satellite task names, for one topology.
 fn check_topology(topology: Topology, seed: u64) {
@@ -58,8 +58,8 @@ fn check_topology(topology: Topology, seed: u64) {
     let outcome = simulate(
         &fabric,
         &schedule,
-        SimConfig {
-            sanitize: true,
+        &SimConfig {
+            sanitizer: Some(SanitizerConfig::default()),
             ..SimConfig::reference()
         },
     )

@@ -1,4 +1,5 @@
-//! A seeded property-test runner with no dependency beyond std.
+//! A seeded property-test runner and the engine configuration cube,
+//! with no dependency beyond std.
 //!
 //! [`for_all`] runs a property over a number of generated cases. Case
 //! `i` draws its inputs from [`SplitMix64::new(i)`](SplitMix64::new),
@@ -14,11 +15,31 @@
 //!     assert_eq!(a + b, b + a);
 //! });
 //! ```
+//!
+//! The *engine configuration cube* checks that the engine's
+//! interchangeable paths give the same answer. A [`Workload`] is a
+//! simulation whose output must not depend on how the engine computes
+//! it; a *cell* is one full [`SimConfig`] from [`cube`]: scheduler ×
+//! delivery × sanitizer × shard count × wire jitter. [`check_cube`]
+//! runs every workload under every cell and compares each run's
+//! [`Fingerprint`] with its [`reference_for`] cell's, after
+//! [`Fingerprint::normalized`], the one documented divergence rule.
+//! A reference is sequential and heap-scheduled but keeps its cell's
+//! delivery and sanitizer, so every cell is compared exactly (end time
+//! and violations included) with the sequential run at the same
+//! delivery mode. Each burst reference is in turn compared with the
+//! pulse-level one and each sanitized reference with the unsanitized
+//! one, which covers the delivery and sanitizer axes. Every cell sets
+//! every field, so no check depends on the environment.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::OnceLock;
 
+use crate::config::{Fingerprint, Jitter, SimConfig};
 use crate::rng::SplitMix64;
+use crate::runner::Runner;
+use crate::sanitizer::SanitizerConfig;
+use crate::sched::Sched;
 
 /// When set to a count, replaces the case count of every property (the
 /// nightly workflow deepens every suite this way). Read once per
@@ -52,6 +73,179 @@ pub fn for_all(cases: u64, mut property: impl FnMut(&mut SplitMix64)) {
     }
 }
 
+/// One workload of the configuration cube: a label for failure
+/// messages and the run it stands for, under any configuration.
+pub struct Workload<'a> {
+    /// Names the workload in a failure message.
+    pub name: String,
+    /// Runs the workload under a configuration.
+    pub run: Box<dyn Fn(&SimConfig) -> Fingerprint + Sync + 'a>,
+}
+
+impl<'a> Workload<'a> {
+    /// A workload named `name` that runs `run`.
+    pub fn new(
+        name: impl Into<String>,
+        run: impl Fn(&SimConfig) -> Fingerprint + Sync + 'a,
+    ) -> Workload<'a> {
+        Workload {
+            name: name.into(),
+            run: Box::new(run),
+        }
+    }
+}
+
+/// Every cell of `sched × burst × sanitizer × shards × jitter`.
+pub fn cube(shards: &[usize], jitters: &[Option<Jitter>]) -> Vec<SimConfig> {
+    let mut cells = Vec::new();
+    for &jitter in jitters {
+        for &shards in shards {
+            for sched in [Sched::Heap, Sched::Wheel] {
+                for burst in [false, true] {
+                    for sanitize in [false, true] {
+                        cells.push(SimConfig {
+                            sched,
+                            burst,
+                            shards,
+                            jitter,
+                            sanitizer: sanitize.then(SanitizerConfig::default),
+                        });
+                    }
+                }
+            }
+        }
+    }
+    cells
+}
+
+/// A random cell: scheduler, delivery and sanitizer drawn uniformly,
+/// the shard count from `shards` and the jitter from `jitters`.
+pub fn random_cell(
+    rng: &mut SplitMix64,
+    shards: std::ops::Range<usize>,
+    jitters: &[Option<Jitter>],
+) -> SimConfig {
+    SimConfig {
+        sched: if rng.gen_bool(0.5) {
+            Sched::Wheel
+        } else {
+            Sched::Heap
+        },
+        burst: rng.gen_bool(0.5),
+        shards: rng.gen_range(shards),
+        jitter: jitters[rng.gen_range(0..jitters.len())],
+        sanitizer: rng.gen_bool(0.5).then(SanitizerConfig::default),
+    }
+}
+
+/// The cell `cell` is checked against: [`SimConfig::reference`] with
+/// the cell's delivery, sanitizer and jitter, and — because jitter
+/// draws are keyed by shard-local wire index — a jittered cell's own
+/// shard count.
+pub fn reference_for(cell: &SimConfig) -> SimConfig {
+    SimConfig {
+        burst: cell.burst,
+        shards: if cell.jitter.is_some() {
+            cell.shards
+        } else {
+            1
+        },
+        jitter: cell.jitter,
+        sanitizer: cell.sanitizer.clone(),
+        ..SimConfig::reference()
+    }
+}
+
+/// The references a reference is in turn checked against: itself with
+/// the sanitizer off, and itself with pulse-level delivery. Followed
+/// transitively, every reference reaches the bare pulse-level one.
+fn parents(reference: &SimConfig) -> Vec<SimConfig> {
+    let mut parents = Vec::new();
+    if reference.sanitizer.is_some() {
+        parents.push(SimConfig {
+            sanitizer: None,
+            ..reference.clone()
+        });
+    }
+    if reference.burst {
+        parents.push(SimConfig {
+            burst: false,
+            ..reference.clone()
+        });
+    }
+    parents
+}
+
+/// Asserts that `subject`, a run under `cell`, agrees with `reference`,
+/// a run under `reference_cfg`, by [`Fingerprint::normalized`].
+///
+/// # Panics
+///
+/// When the runs disagree, naming `what` and the cell, or when the two
+/// configurations are not comparable at all.
+pub fn assert_agree(
+    what: &str,
+    reference: &Fingerprint,
+    reference_cfg: &SimConfig,
+    subject: &Fingerprint,
+    cell: &SimConfig,
+) {
+    let norm = |fp: &Fingerprint| {
+        fp.normalized(reference_cfg, cell)
+            .expect("a cell is comparable with its reference")
+    };
+    assert_eq!(
+        norm(subject),
+        norm(reference),
+        "{what} diverged under {cell:?}"
+    );
+}
+
+/// Runs every workload under every cell and checks each run against
+/// its [`reference_for`] cell, and each reference against its
+/// unsanitized and pulse-level counterparts. The cells run on a
+/// 4-thread [`Runner`] and each workload's references on the calling
+/// thread, so the thread axis is covered too.
+///
+/// # Panics
+///
+/// At the first run that disagrees with its reference.
+pub fn check_cube(workloads: &[Workload], cells: &[SimConfig]) {
+    let jobs: Vec<(&Workload, &SimConfig)> = workloads
+        .iter()
+        .flat_map(|w| cells.iter().map(move |c| (w, c)))
+        .collect();
+    let subjects = Runner::with_threads(4).map(&jobs, |_, (w, c)| (w.run)(c));
+    let mut reference_cfgs: Vec<SimConfig> = Vec::new();
+    let mut pending: Vec<SimConfig> = cells.iter().map(reference_for).collect();
+    while let Some(r) = pending.pop() {
+        if !reference_cfgs.contains(&r) {
+            pending.extend(parents(&r));
+            reference_cfgs.push(r);
+        }
+    }
+    let index = |r: &SimConfig| {
+        reference_cfgs
+            .iter()
+            .position(|c| c == r)
+            .expect("listed above")
+    };
+    for (workload, subjects) in workloads.iter().zip(subjects.chunks(cells.len())) {
+        let references: Vec<Fingerprint> =
+            reference_cfgs.iter().map(|r| (workload.run)(r)).collect();
+        for (r, reference) in reference_cfgs.iter().zip(&references) {
+            for parent in parents(r) {
+                let expected = &references[index(&parent)];
+                assert_agree(&workload.name, expected, &parent, reference, r);
+            }
+        }
+        for (cell, subject) in cells.iter().zip(subjects) {
+            let r = reference_for(cell);
+            assert_agree(&workload.name, &references[index(&r)], &r, subject, cell);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,5 +263,72 @@ mod tests {
     #[should_panic(expected = "property failed at case 0 of")]
     fn a_failing_case_names_its_index_and_seed() {
         for_all(4, |_| panic!("boom"));
+    }
+
+    /// A run that counts one event under the wheel and none under the
+    /// heap: the scheduler axis must catch it.
+    fn sched_dependent(cfg: &SimConfig) -> Fingerprint {
+        Fingerprint {
+            summary: crate::engine::RunSummary {
+                events: u64::from(cfg.sched == Sched::Wheel),
+                end_time: crate::time::Time::ZERO,
+            },
+            probe_times: Vec::new(),
+            handled: Vec::new(),
+            emitted: Vec::new(),
+            anomalies: Vec::new(),
+            peak_pending: 0,
+            violations: Vec::new(),
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sched-dependent diverged under")]
+    fn check_cube_catches_a_configuration_dependent_workload() {
+        check_cube(
+            &[Workload::new("sched-dependent", sched_dependent)],
+            &cube(&[1, 2], &[None]),
+        );
+    }
+
+    /// A run that ends at `shards` fs with bursts on and at 0 without:
+    /// the burst axis may move the end time, the shard axis may not.
+    fn sharded_burst_end_time(cfg: &SimConfig) -> Fingerprint {
+        let mut fp = sched_dependent(&SimConfig::reference());
+        fp.summary.end_time = crate::time::Time::from_fs(u64::from(cfg.burst) * cfg.shards as u64);
+        fp
+    }
+
+    #[test]
+    #[should_panic(expected = "sharded burst end time diverged under")]
+    fn check_cube_compares_sharded_bursts_with_sequential_bursts() {
+        check_cube(
+            &[Workload::new(
+                "sharded burst end time",
+                sharded_burst_end_time,
+            )],
+            &cube(&[1, 2], &[None]),
+        );
+    }
+
+    #[test]
+    fn a_reference_keeps_the_delivery_sanitizer_and_a_jittered_shard_count() {
+        let jitter = Some(Jitter {
+            sigma: crate::time::Time::from_fs(2000),
+            seed: 1,
+        });
+        for cell in cube(&[1, 3], &[None, jitter]) {
+            let r = reference_for(&cell);
+            assert_eq!(r.sched, Sched::Heap, "{cell:?}");
+            assert_eq!(r.burst, cell.burst, "{cell:?}");
+            assert_eq!(r.sanitizer, cell.sanitizer, "{cell:?}");
+            assert_eq!(r.jitter, cell.jitter, "{cell:?}");
+            let shards = if cell.jitter.is_some() {
+                cell.shards
+            } else {
+                1
+            };
+            assert_eq!(r.shards, shards, "{cell:?}");
+        }
     }
 }

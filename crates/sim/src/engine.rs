@@ -2,93 +2,22 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::burst::Burst;
 use crate::circuit::{Circuit, InputId, OutputNet, ProbeId};
 use crate::component::{BurstStep, Ctx};
+use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::rng::SplitMix64;
 use crate::sanitizer::{SanitizerConfig, SanitizerReport, SanitizerState};
-use crate::sched::{CalendarWheel, Sched, WheelStats, SCHED_ENV};
+use crate::sched::{CalendarWheel, Sched, WheelStats};
 use crate::stats::ActivityReport;
 use crate::time::Time;
 
 /// Default safety valve: a run aborts after this many events, which points
 /// at an oscillating circuit rather than a legitimate workload.
 pub const DEFAULT_EVENT_LIMIT: u64 = 200_000_000;
-
-/// Environment variable toggling the coalesced-burst fast path
-/// (`USFQ_BURST=0|off|false|no` disables it; anything else, or the
-/// variable being unset, leaves it on). See [`Simulator::with_burst`].
-/// Like every engine variable, it is read once, at first use.
-pub const BURST_ENV: &str = "USFQ_BURST";
-
-/// The engine defaults taken from the environment: [`SCHED_ENV`],
-/// [`BURST_ENV`] and [`WIRE_JITTER_ENV`]. They are read once per
-/// process, when the first simulator is built (or [`Sched::from_env`]
-/// is first called), so setting one of the variables after that has no
-/// effect.
-struct EngineEnv {
-    sched: Sched,
-    burst: bool,
-    jitter: Option<JitterModel>,
-}
-
-fn engine_env() -> &'static EngineEnv {
-    static ENV: OnceLock<EngineEnv> = OnceLock::new();
-    ENV.get_or_init(|| EngineEnv {
-        sched: std::env::var(SCHED_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or_default(),
-        burst: std::env::var(BURST_ENV).map_or(true, |v| {
-            !matches!(
-                v.trim().to_ascii_lowercase().as_str(),
-                "0" | "off" | "false" | "no"
-            )
-        }),
-        jitter: std::env::var(WIRE_JITTER_ENV)
-            .ok()
-            .and_then(|raw| parse_wire_jitter(&raw)),
-    })
-}
-
-/// The scheduler named by [`SCHED_ENV`]; see [`Sched::from_env`].
-pub(crate) fn sched_from_env() -> Sched {
-    engine_env().sched
-}
-
-/// Environment variable enabling wire-delay jitter in every simulator
-/// at construction: `USFQ_WIRE_JITTER=<sigma_fs>[:<seed>]` turns on
-/// the same deterministic triangular model as
-/// [`Simulator::enable_wire_jitter`], with the standard deviation in
-/// femtoseconds and an optional draw seed (default
-/// [`WIRE_JITTER_DEFAULT_SEED`]). Unset, empty, unparsable, or `0`
-/// leaves jitter off. Read once, at first use. Explicit
-/// `enable_wire_jitter` / `disable_wire_jitter` calls override the
-/// ambient setting, so experiments that sweep sigma themselves are
-/// unaffected.
-///
-/// This is how the figure artefacts run "with jitter enabled" without
-/// per-experiment plumbing: the simulators they build deep inside the
-/// accelerator blocks all pass through [`Simulator::with_sched`].
-pub const WIRE_JITTER_ENV: &str = "USFQ_WIRE_JITTER";
-
-/// Jitter seed used by [`WIRE_JITTER_ENV`] when the value carries no
-/// explicit `:<seed>` suffix.
-pub const WIRE_JITTER_DEFAULT_SEED: u64 = 0x5EED;
-
-/// Parses a [`WIRE_JITTER_ENV`] value. Kept separate from the env read
-/// so the grammar is unit-testable without touching process state.
-fn parse_wire_jitter(raw: &str) -> Option<JitterModel> {
-    let (sigma, seed) = match raw.split_once(':') {
-        Some((s, seed)) => (s, seed.trim().parse().ok()?),
-        None => (raw, WIRE_JITTER_DEFAULT_SEED),
-    };
-    let sigma_fs: u64 = sigma.trim().parse().ok()?;
-    (sigma_fs > 0).then(|| JitterModel::new(Time::from_fs(sigma_fs), seed))
-}
 
 /// Event payload, kept to 16 bytes (`u32` component/port indices, the
 /// discriminant packed into their padding) so a queued [`Event`] stays
@@ -300,7 +229,7 @@ impl Queue {
         let imp = match sched {
             Sched::Heap => QueueImpl::Heap(BinaryHeap::with_capacity(capacity)),
             Sched::Wheel => QueueImpl::Wheel(CalendarWheel::for_max_delay(max_delay)),
-            // `Simulator::with_sched` resolves `Auto` before the queue
+            // `Simulator::with_config` resolves `Auto` before the queue
             // is built.
             Sched::Auto => unreachable!("Sched::Auto must be resolved before queue construction"),
         };
@@ -589,8 +518,8 @@ pub struct Simulator {
     /// tracking did.
     pending_weight: u64,
     peak_weight: u64,
-    /// Whether the coalesced fast path is enabled (see
-    /// [`Simulator::with_burst`]).
+    /// Whether the coalesced fast path is enabled
+    /// ([`SimConfig::burst`]).
     burst_enabled: bool,
     /// Per-component feedback lookahead: a lower bound on the wire
     /// delay around any comp-to-comp cycle through the component
@@ -800,19 +729,33 @@ pub(crate) fn cycle_lookahead(circuit: &Circuit) -> Vec<Time> {
 }
 
 impl Simulator {
-    /// Wraps a finished circuit in a simulator using the scheduler
-    /// selected by the `USFQ_SCHED` environment variable (automatic
-    /// heap/wheel selection by default) — see [`Simulator::with_sched`].
-    /// Ambient wire-delay jitter is picked up from [`WIRE_JITTER_ENV`]
-    /// if set.
+    /// Wraps a finished circuit in a simulator configured by the
+    /// environment ([`SimConfig::from_env`]).
     pub fn new(circuit: Circuit) -> Self {
-        Simulator::with_sched(circuit, Sched::from_env())
+        Simulator::with_config(circuit, SimConfig::from_env())
     }
 
-    /// Wraps a finished circuit in a simulator with an explicit event
-    /// scheduler. [`Sched::Auto`] is resolved here against the
-    /// netlist's size and delay profile (see [`Sched::resolve`]);
-    /// [`Simulator::sched`] reports the resolved choice.
+    /// [`Simulator::new`] with an explicit event scheduler.
+    pub fn with_sched(circuit: Circuit, sched: Sched) -> Self {
+        Simulator::with_config(
+            circuit,
+            &SimConfig {
+                sched,
+                ..SimConfig::from_env().clone()
+            },
+        )
+    }
+
+    /// Wraps a finished circuit in a simulator configured by `config`:
+    /// scheduler, burst delivery, wire jitter and sanitizer. A plain
+    /// simulator is one shard, so [`SimConfig::shards`] is ignored (see
+    /// [`ShardedSimulator::with_config`](crate::ShardedSimulator::with_config)).
+    ///
+    /// [`Sched::Auto`] is resolved here against the netlist's size and
+    /// delay profile (see [`Sched::resolve`]); [`Simulator::sched`]
+    /// reports the resolved choice. Scheduler choice never affects
+    /// results: both schedulers drain events in identical
+    /// `(time, insertion)` order.
     ///
     /// The event queue and probe recordings are pre-sized from the
     /// netlist's aggregate fan-out ([`Circuit::num_wires`]), so the
@@ -821,15 +764,11 @@ impl Simulator {
     /// The calendar wheel's bucket width is derived from the circuit's
     /// maximum cell/wire delay ([`Circuit::max_delay`]).
     ///
-    /// Scheduler choice never affects results: both schedulers drain
-    /// events in identical `(time, insertion)` order, a contract
-    /// enforced by the `wheel == heap` differential suites.
-    ///
     /// The fan-out table, delay bound and cell facts come from the
     /// circuit's compiled form, built once per topology and shared by
     /// every clone, so a simulator per trial only allocates its own
     /// mutable state.
-    pub fn with_sched(circuit: Circuit, sched: Sched) -> Self {
+    pub fn with_config(circuit: Circuit, config: &SimConfig) -> Self {
         let compiled = circuit.compiled();
         let num_wires = compiled.nets.num_wires();
         let max_delay = compiled.max_delay;
@@ -837,13 +776,16 @@ impl Simulator {
         // One traversal of every wire can be in flight at once; a few
         // epochs of slack covers pipelined stimuli without regrowth.
         let queue_capacity = num_wires.saturating_mul(2).max(16);
-        let sched = sched.resolve(num_wires, max_delay);
+        let sched = config.sched.resolve(num_wires, max_delay);
         let probe_data = (0..circuit.num_probes())
             .map(|_| Vec::with_capacity(16))
             .collect();
         let activity = ActivityReport::with_components(circuit.num_components());
         let queue = Queue::new(sched, queue_capacity, max_delay);
-        let env = engine_env();
+        let sanitizer = config
+            .sanitizer
+            .clone()
+            .map(|cfg| SanitizerState::new(&circuit, cfg));
         Simulator {
             circuit,
             nets,
@@ -855,41 +797,17 @@ impl Simulator {
             event_limit: DEFAULT_EVENT_LIMIT,
             events_processed: 0,
             ctx: Ctx::default(),
-            jitter: env.jitter,
-            sanitizer: None,
+            jitter: config.jitter.map(|j| JitterModel::new(j.sigma, j.seed)),
+            sanitizer,
             bursts: Vec::new(),
             free_bursts: Vec::new(),
             trail_accs: Vec::new(),
             live_bursts: 0,
             pending_weight: 0,
             peak_weight: 0,
-            burst_enabled: env.burst,
+            burst_enabled: config.burst,
             cycle_la: None,
         }
-    }
-
-    /// Wraps a circuit with the burst fast path explicitly enabled or
-    /// disabled, overriding the `USFQ_BURST` environment variable
-    /// (scheduler still from `USFQ_SCHED`). With bursts off, coalesced
-    /// stimuli ([`Simulator::schedule_burst`]) are expanded to
-    /// pulse-level events up front — the reference behaviour the burst
-    /// differential suites compare against.
-    pub fn with_burst(circuit: Circuit, enabled: bool) -> Self {
-        let mut sim = Simulator::new(circuit);
-        sim.burst_enabled = enabled;
-        sim
-    }
-
-    /// Enables or disables the coalesced-burst fast path. Only affects
-    /// stimuli scheduled afterwards; trains already in flight keep
-    /// their representation.
-    pub fn set_burst(&mut self, enabled: bool) {
-        self.burst_enabled = enabled;
-    }
-
-    /// Whether the coalesced-burst fast path is enabled.
-    pub fn burst_enabled(&self) -> bool {
-        self.burst_enabled
     }
 
     /// The scheduler this simulator runs on.
@@ -933,11 +851,6 @@ impl Simulator {
         self.sanitizer = Some(SanitizerState::new(&self.circuit, config));
     }
 
-    /// Disables the runtime sanitizer, discarding recorded violations.
-    pub fn disable_sanitizer(&mut self) {
-        self.sanitizer = None;
-    }
-
     /// The sanitizer's findings so far, or `None` when it is disabled.
     pub fn sanitizer_report(&self) -> Option<SanitizerReport<'_>> {
         self.sanitizer.as_ref().map(SanitizerState::report)
@@ -960,14 +873,6 @@ impl Simulator {
     /// [`Simulator::reset`]).
     pub(crate) fn events_processed(&self) -> u64 {
         self.events_processed
-    }
-
-    /// Partitions `circuit` into at most `shards` conservative-PDES
-    /// shards — see [`ShardedSimulator`](crate::shard::ShardedSimulator).
-    /// `shards <= 1` (and any circuit the partitioner cannot split)
-    /// yields the plain sequential engine behind the same front-end.
-    pub fn with_shards(circuit: Circuit, shards: usize) -> crate::shard::ShardedSimulator {
-        crate::shard::ShardedSimulator::new(circuit, shards)
     }
 
     /// Schedules a pulse on an external input at absolute time `t`.
@@ -1927,6 +1832,18 @@ mod tests {
     use super::*;
     use crate::component::{Buffer, Component};
 
+    /// A reference-configured simulator with `sched` and `burst` set.
+    fn sim_with(circuit: Circuit, sched: Sched, burst: bool) -> Simulator {
+        Simulator::with_config(
+            circuit,
+            &SimConfig {
+                sched,
+                burst,
+                ..SimConfig::reference()
+            },
+        )
+    }
+
     #[test]
     fn delay_chain_propagates() {
         let mut c = Circuit::new();
@@ -2257,20 +2174,27 @@ mod tests {
         sim.disable_wire_jitter();
     }
 
-    /// The `USFQ_WIRE_JITTER` grammar: `<sigma_fs>[:<seed>]`, with the
-    /// bound derived exactly as `enable_wire_jitter` derives it.
+    /// The `USFQ_WIRE_JITTER` grammar, `<sigma_fs>[:<seed>]`, through
+    /// a pure lookup, with the envelope half-width derived exactly as
+    /// `enable_wire_jitter` derives it: `ceil(sigma · √6)` fs.
     #[test]
     fn wire_jitter_env_grammar() {
-        let jm = parse_wire_jitter("2000").expect("bare sigma parses");
+        use crate::config::{WIRE_JITTER_DEFAULT_SEED, WIRE_JITTER_ENV};
+        let model = |raw: &str| {
+            SimConfig::from_vars(&[(WIRE_JITTER_ENV, raw)])
+                .jitter
+                .map(|j| JitterModel::new(j.sigma, j.seed))
+        };
+        let jm = model("2000").expect("bare sigma parses");
         assert_eq!(jm.bound_fs, 4899); // ceil(2000·√6)
         assert_eq!(jm.seed, WIRE_JITTER_DEFAULT_SEED);
-        let jm = parse_wire_jitter(" 500 : 7 ").expect("sigma:seed parses");
+        let jm = model(" 500 : 7 ").expect("sigma:seed parses");
         assert_eq!(jm.bound_fs, 1225); // ceil(500·√6)
         assert_eq!(jm.seed, 7);
-        assert!(parse_wire_jitter("0").is_none(), "0 means off");
-        assert!(parse_wire_jitter("").is_none());
-        assert!(parse_wire_jitter("2ps").is_none(), "units are rejected");
-        assert!(parse_wire_jitter("2000:").is_none(), "dangling seed");
+        assert!(model("0").is_none(), "0 means off");
+        assert!(model("").is_none());
+        assert!(model("2ps").is_none(), "units are rejected");
+        assert!(model("2000:").is_none(), "dangling seed");
     }
 
     #[test]
@@ -2300,7 +2224,7 @@ mod tests {
         let probe = c.probe(b3.output(0), "out");
 
         let run = |sched: Sched| {
-            let mut sim = Simulator::with_sched(c.clone(), sched);
+            let mut sim = sim_with(c.clone(), sched, true);
             assert_eq!(sim.sched(), sched);
             sim.enable_wire_jitter(Time::from_ps(0.5), 11);
             for k in 0..64u64 {
@@ -2338,7 +2262,7 @@ mod tests {
         let p = c.probe(b.output(0), "p");
         // Bucket width derives from the 9 ps delay, so a 1 µs horizon
         // is far beyond the wheel window.
-        let mut sim = Simulator::with_sched(c, Sched::Wheel);
+        let mut sim = sim_with(c, Sched::Wheel, true);
         for k in (0..32u64).rev() {
             sim.schedule_input(input, Time::from_ns(40.0 * k as f64))
                 .unwrap();
@@ -2372,12 +2296,12 @@ mod tests {
         let burst = Burst::uniform(Time::from_ps(5.0), Time::from_ps(10.0), 16);
 
         let (c, input, p) = chain_fixture();
-        let mut fast = Simulator::with_burst(c, true);
+        let mut fast = sim_with(c, Sched::Heap, true);
         fast.schedule_burst(input, burst).unwrap();
         let sum_fast = fast.run().unwrap();
 
         let (c, input, p2) = chain_fixture();
-        let mut slow = Simulator::with_burst(c, false);
+        let mut slow = sim_with(c, Sched::Heap, false);
         slow.schedule_burst(input, burst).unwrap();
         let sum_slow = slow.run().unwrap();
 
@@ -2395,13 +2319,13 @@ mod tests {
     fn schedule_burst_disabled_expands_to_pulses() {
         let t = Time::from_ps(7.0);
         let (c, input, p) = chain_fixture();
-        let mut a = Simulator::with_burst(c, false);
+        let mut a = sim_with(c, Sched::Heap, false);
         a.schedule_burst(input, Burst::uniform(t, Time::ZERO, 4))
             .unwrap();
         a.run().unwrap();
 
         let (c, input, p2) = chain_fixture();
-        let mut b = Simulator::with_burst(c, false);
+        let mut b = sim_with(c, Sched::Heap, false);
         b.schedule_pulses(input, [t, t, t, t]).unwrap();
         b.run().unwrap();
 
@@ -2421,7 +2345,7 @@ mod tests {
         let b = c.add(Buffer::new("b", Time::ZERO));
         c.connect_input(input, b.input(0), Time::ZERO).unwrap();
         let p = c.probe(b.output(0), "p");
-        let mut sim = Simulator::with_burst(c, true);
+        let mut sim = sim_with(c, Sched::Heap, true);
         sim.set_event_limit(5);
         sim.schedule_burst(input, Burst::uniform(Time::ZERO, Time::from_ps(10.0), 10))
             .unwrap();
@@ -2459,12 +2383,12 @@ mod tests {
         let deadline = Time::from_ps(500.0);
 
         let (c, input, p) = build();
-        let mut fast = Simulator::with_burst(c, true);
+        let mut fast = sim_with(c, Sched::Heap, true);
         fast.schedule_burst(input, burst).unwrap();
         fast.run_until(deadline).unwrap();
 
         let (c, input, p2) = build();
-        let mut slow = Simulator::with_burst(c, false);
+        let mut slow = sim_with(c, Sched::Heap, false);
         slow.schedule_burst(input, burst).unwrap();
         slow.run_until(deadline).unwrap();
 
@@ -2477,7 +2401,7 @@ mod tests {
     #[test]
     fn burst_respects_run_until_deadline() {
         let (c, input, p) = chain_fixture();
-        let mut sim = Simulator::with_burst(c, true);
+        let mut sim = sim_with(c, Sched::Heap, true);
         sim.schedule_burst(input, Burst::uniform(Time::ZERO, Time::from_ps(10.0), 10))
             .unwrap();
         sim.run_until(Time::from_ps(45.0)).unwrap();

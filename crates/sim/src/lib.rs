@@ -23,6 +23,10 @@
 //!   scheduler tuned to picosecond cell delays is the default, with the
 //!   reference binary heap selectable via `USFQ_SCHED=heap` for
 //!   differential testing.
+//! * [`SimConfig`] is the one engine configuration (scheduler, burst
+//!   delivery, shards, wire jitter, sanitizer) every simulator is built
+//!   from, and [`Fingerprint`] the one run fingerprint two
+//!   configurations must agree on.
 //! * [`stats::ActivityReport`] counts pulse arrivals and emissions per
 //!   component; [`power`] converts activity into active/passive power using
 //!   per-cell Josephson-junction accounting.
@@ -68,6 +72,7 @@ pub mod burst;
 pub mod check;
 pub mod circuit;
 pub mod component;
+pub mod config;
 pub mod engine;
 pub mod error;
 pub mod graph;
@@ -86,12 +91,16 @@ pub use circuit::{
     Circuit, CompId, FanoutOverflow, InputId, NodeRef, ProbeId, ProbeSource, SinkRef, WireId,
 };
 pub use component::{BurstStep, Component, Ctx, Hazard, StaticMeta};
-pub use engine::{RunSummary, Simulator, BURST_ENV, WIRE_JITTER_DEFAULT_SEED, WIRE_JITTER_ENV};
+pub use config::{
+    Fingerprint, Jitter, SimConfig, BURST_ENV, SCHED_ENV, SHARDS_ENV, WIRE_JITTER_DEFAULT_SEED,
+    WIRE_JITTER_ENV,
+};
+pub use engine::{RunSummary, Simulator};
 pub use error::SimError;
 pub use graph::CircuitGraph;
 pub use runner::Runner;
 pub use sanitizer::{SanitizerConfig, SanitizerReport, Violation, ViolationKind};
 pub use sched::{CalendarWheel, Sched, WheelStats};
-pub use shard::{ShardedSimulator, SHARDS_ENV};
+pub use shard::ShardedSimulator;
 pub use stats::{ActivityReport, CoalesceStats, StatKind};
 pub use time::Time;

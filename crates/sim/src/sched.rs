@@ -65,18 +65,14 @@
 //! differential soundness) is built on.
 //!
 //! The reference [`BinaryHeap`](std::collections::BinaryHeap) scheduler
-//! is kept selectable — [`Sched::Heap`] via the `USFQ_SCHED`
-//! environment variable — for differential testing and benchmarking.
+//! is kept selectable — [`Sched::Heap`] in a
+//! [`SimConfig`](crate::SimConfig) or via `USFQ_SCHED` — for
+//! differential testing and benchmarking.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::time::Time;
-
-/// Environment variable selecting the event scheduler
-/// (`heap` | `wheel` | `auto`, case-insensitive). Unset or
-/// unrecognised values fall back to [`Sched::Auto`].
-pub const SCHED_ENV: &str = "USFQ_SCHED";
 
 /// [`Sched::Auto`] picks the wheel only for netlists with at least
 /// this many wires. The wheel's amortised-`O(1)` ordering wins when
@@ -125,14 +121,6 @@ pub enum Sched {
 }
 
 impl Sched {
-    /// Reads the scheduler choice from [`SCHED_ENV`] (`USFQ_SCHED`).
-    /// Unset, empty, or unrecognised values select [`Sched::Auto`].
-    /// The variable is read once per process, at first use, together
-    /// with the engine's other environment defaults.
-    pub fn from_env() -> Sched {
-        crate::engine::sched_from_env()
-    }
-
     /// Resolves [`Sched::Auto`] for a circuit with `num_wires` total
     /// fan-out wires and `max_delay` largest single-hop latency;
     /// explicit choices pass through unchanged.

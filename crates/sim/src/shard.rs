@@ -38,13 +38,16 @@
 //! and activity counters are byte-identical whenever same-femtosecond
 //! pulse collisions do not straddle a shard boundary — the normal case,
 //! pinned across the whole netlist catalogue and the generated fabrics
-//! by the `shard_differential` suite. The known, documented divergences
-//! mirror the burst engine's: `peak_pending` (each shard tracks its own
-//! queue high-water mark) and sanitizer violation *order* (merged
-//! sorted; see [`ShardedSimulator::sanitizer_violations`]). The event
-//! safety valve is enforced per shard rather than globally.
+//! by the engine configuration cube ([`check_cube`](crate::check::check_cube),
+//! run by `crates/bench/tests/shard_differential.rs`).
+//! The known, documented divergences are those of
+//! [`Fingerprint::normalized`](crate::Fingerprint::normalized):
+//! `peak_pending` (each shard tracks its own queue high-water mark) and
+//! sanitizer violation *order* (merged sorted; see
+//! [`ShardedSimulator::sanitizer_violations`]). The event safety valve
+//! is enforced per shard rather than globally.
 //!
-//! `USFQ_SHARDS=1` (the default) bypasses all of this: the
+//! One shard (the default) bypasses all of this: the
 //! [`ShardedSimulator`] then holds a single ordinary [`Simulator`] and
 //! delegates every call with zero overhead.
 
@@ -55,17 +58,11 @@ use std::sync::{Barrier, Mutex};
 
 use crate::burst::Burst;
 use crate::circuit::{Circuit, CompHandle, InputId, ProbeId, ProbeSource};
+use crate::config::SimConfig;
 use crate::engine::{RunSummary, Simulator};
 use crate::error::SimError;
-use crate::sanitizer::SanitizerConfig;
-use crate::sched::Sched;
 use crate::stats::ActivityReport;
 use crate::time::Time;
-
-/// Environment variable selecting the shard count for
-/// [`ShardedSimulator::from_env`] (a positive integer; unset, empty, or
-/// unparsable values mean 1 = sequential).
-pub const SHARDS_ENV: &str = "USFQ_SHARDS";
 
 /// Planner scratch: one egress record per cut net —
 /// `(source component index, output port, [(dest shard, ingress input)])`.
@@ -528,9 +525,8 @@ fn worker_loop(
 /// The sharded front-end: an N-way parallel drop-in for the common
 /// [`Simulator`] surface (schedule / run / probes / activity / reset).
 ///
-/// Construct with [`ShardedSimulator::new`] (explicit shard count) or
-/// [`ShardedSimulator::from_env`] (`USFQ_SHARDS`). A shard count of 1 —
-/// or a circuit the partitioner cannot split, e.g. one zero-delay
+/// Construct with [`ShardedSimulator::with_config`]. A shard count of 1
+/// — or a circuit the partitioner cannot split, e.g. one zero-delay
 /// component group — falls back to a single embedded [`Simulator`] with
 /// zero per-call overhead. See the [module docs](self) for the
 /// synchronization protocol and the determinism contract.
@@ -554,24 +550,39 @@ struct Multi {
 }
 
 impl ShardedSimulator {
-    /// Partitions `circuit` into at most `shards` shards under the
-    /// `USFQ_SCHED`-selected scheduler. Falls back to sequential when
-    /// `shards <= 1` or the circuit cannot be split.
+    /// [`ShardedSimulator::with_config`] on the environment's
+    /// configuration ([`SimConfig::from_env`]) with an explicit shard
+    /// count.
     pub fn new(circuit: Circuit, shards: usize) -> Self {
-        Self::with_sched(circuit, shards, Sched::from_env())
+        Self::with_config(
+            circuit,
+            &SimConfig {
+                shards,
+                ..SimConfig::from_env().clone()
+            },
+        )
     }
 
-    /// [`ShardedSimulator::new`] with an explicit per-worker scheduler
-    /// ([`Sched::Auto`] resolves against each sub-circuit).
-    pub fn with_sched(circuit: Circuit, shards: usize, sched: Sched) -> Self {
-        match Plan::build(&circuit, shards) {
+    /// Partitions `circuit` into at most [`SimConfig::shards`] shards,
+    /// each worker a [`Simulator::with_config`] of its sub-circuit
+    /// ([`Sched::Auto`](crate::Sched::Auto) resolves per sub-circuit).
+    /// Falls back to one embedded simulator when `shards <= 1` or the
+    /// circuit cannot be split.
+    ///
+    /// Jitter draws are keyed by each worker's *local* flat wire index,
+    /// so a jittered sharded run is deterministic and burst/pulse
+    /// byte-identical at a fixed shard count, but does not reproduce
+    /// the sequential engine's draw stream: partitioning renumbers the
+    /// wires.
+    pub fn with_config(circuit: Circuit, config: &SimConfig) -> Self {
+        match Plan::build(&circuit, config.shards) {
             None => ShardedSimulator {
-                inner: Inner::Single(Box::new(Simulator::with_sched(circuit, sched))),
+                inner: Inner::Single(Box::new(Simulator::with_config(circuit, config))),
             },
             Some((plan, subs)) => {
                 let workers: Vec<Simulator> = subs
                     .into_iter()
-                    .map(|sub| Simulator::with_sched(sub, sched))
+                    .map(|sub| Simulator::with_config(sub, config))
                     .collect();
                 let offsets = plan.egress.iter().map(|e| vec![0usize; e.len()]).collect();
                 let merged = ActivityReport::with_components(plan.num_comps);
@@ -586,12 +597,6 @@ impl ShardedSimulator {
                 }
             }
         }
-    }
-
-    /// Reads the shard count from [`SHARDS_ENV`] (`USFQ_SHARDS`);
-    /// unset, empty, or unparsable values mean 1 (sequential).
-    pub fn from_env(circuit: Circuit) -> Self {
-        Self::new(circuit, shards_from_env())
     }
 
     /// Number of shards actually running (1 = sequential fallback).
@@ -617,51 +622,6 @@ impl ShardedSimulator {
         match &self.inner {
             Inner::Single(_) => 0,
             Inner::Multi(m) => m.plan.cut_wires,
-        }
-    }
-
-    /// Enables or disables the coalesced-burst fast path in every
-    /// shard (see [`Simulator::set_burst`]). Cross-boundary trains are
-    /// re-coalesced on injection only while enabled's underlying
-    /// `schedule_burst` keeps them coalesced.
-    pub fn set_burst(&mut self, enabled: bool) {
-        match &mut self.inner {
-            Inner::Single(sim) => sim.set_burst(enabled),
-            Inner::Multi(m) => {
-                for w in &mut m.workers {
-                    w.set_burst(enabled);
-                }
-            }
-        }
-    }
-
-    /// Enables the runtime pulse sanitizer in every shard (see
-    /// [`Simulator::enable_sanitizer`]).
-    pub fn enable_sanitizer(&mut self, config: SanitizerConfig) {
-        match &mut self.inner {
-            Inner::Single(sim) => sim.enable_sanitizer(config),
-            Inner::Multi(m) => {
-                for w in &mut m.workers {
-                    w.enable_sanitizer(config.clone());
-                }
-            }
-        }
-    }
-
-    /// Enables deterministic bounded wire-delay jitter in every shard
-    /// (see [`Simulator::enable_wire_jitter`]). Jitter draws are keyed
-    /// by each engine's *local* flat wire index, so a sharded jittered
-    /// run is deterministic and burst/pulse byte-identical **at a
-    /// fixed shard count**, but does not reproduce the sequential
-    /// engine's draw stream — partitioning renumbers the wires.
-    pub fn enable_wire_jitter(&mut self, sigma: Time, seed: u64) {
-        match &mut self.inner {
-            Inner::Single(sim) => sim.enable_wire_jitter(sigma, seed),
-            Inner::Multi(m) => {
-                for w in &mut m.workers {
-                    w.enable_wire_jitter(sigma, seed);
-                }
-            }
         }
     }
 
@@ -789,39 +749,29 @@ impl ShardedSimulator {
         }
     }
 
-    /// Rendered sanitizer violations, merged across shards and sorted
-    /// lexicographically (the normalized form the differential suites
-    /// compare — sequential violation *order* is a documented
-    /// divergence, exactly as it is for the burst engine). Empty when
-    /// the sanitizer is disabled.
+    /// Rendered sanitizer violations: in detection order on one shard,
+    /// merged across shards and sorted lexicographically otherwise
+    /// (cross-shard detection order is not defined). Empty when the
+    /// sanitizer is disabled.
     pub fn sanitizer_violations(&self) -> Vec<String> {
-        let mut all: Vec<String> = match &self.inner {
-            Inner::Single(sim) => sim
-                .sanitizer_report()
+        let rendered = |sim: &Simulator| -> Vec<String> {
+            sim.sanitizer_report()
                 .map(|r| {
                     r.violations
                         .iter()
                         .map(std::string::ToString::to_string)
                         .collect()
                 })
-                .unwrap_or_default(),
-            Inner::Multi(m) => m
-                .workers
-                .iter()
-                .flat_map(|w| {
-                    w.sanitizer_report()
-                        .map(|r| {
-                            r.violations
-                                .iter()
-                                .map(std::string::ToString::to_string)
-                                .collect::<Vec<_>>()
-                        })
-                        .unwrap_or_default()
-                })
-                .collect(),
+                .unwrap_or_default()
         };
-        all.sort_unstable();
-        all
+        match &self.inner {
+            Inner::Single(sim) => rendered(sim),
+            Inner::Multi(m) => {
+                let mut all: Vec<String> = m.workers.iter().flat_map(rendered).collect();
+                all.sort_unstable();
+                all
+            }
+        }
     }
 
     /// The simulation clock: time of the last processed event across
@@ -860,15 +810,6 @@ impl ShardedSimulator {
             }
         }
     }
-}
-
-/// Reads the shard count from [`SHARDS_ENV`].
-fn shards_from_env() -> usize {
-    std::env::var(SHARDS_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
 }
 
 impl Multi {
@@ -944,6 +885,18 @@ mod tests {
     use super::*;
     use crate::component::Buffer;
 
+    /// The default engine configuration at `shards` shards, whatever
+    /// the environment says.
+    fn sharded(circuit: Circuit, shards: usize) -> ShardedSimulator {
+        ShardedSimulator::with_config(
+            circuit,
+            &SimConfig {
+                shards,
+                ..SimConfig::default()
+            },
+        )
+    }
+
     /// Two parallel buffer chains with a positive-delay crosslink: the
     /// canonical 2-shard partition target.
     fn two_chains() -> (Circuit, Vec<InputId>, Vec<ProbeId>) {
@@ -989,8 +942,8 @@ mod tests {
     #[test]
     fn sharded_matches_sequential_on_two_chains() {
         let (c, inputs, probes) = two_chains();
-        let mut seq = ShardedSimulator::new(c.clone(), 1);
-        let mut par = ShardedSimulator::new(c, 2);
+        let mut seq = sharded(c.clone(), 1);
+        let mut par = sharded(c, 2);
         assert_eq!(seq.num_shards(), 1);
         assert_eq!(par.num_shards(), 2);
         assert_eq!(par.lookahead(), Time::from_ps(15.0));
@@ -1010,7 +963,7 @@ mod tests {
     #[test]
     fn reset_allows_identical_reruns() {
         let (c, inputs, probes) = two_chains();
-        let mut par = ShardedSimulator::new(c, 2);
+        let mut par = sharded(c, 2);
         drive(&mut par, &inputs);
         let first: Vec<Vec<Time>> = probes
             .iter()
@@ -1040,7 +993,7 @@ mod tests {
             }
             prev = Some(cell.output(0));
         }
-        let sim = ShardedSimulator::new(c, 4);
+        let sim = sharded(c, 4);
         assert_eq!(sim.num_shards(), 1);
         assert_eq!(sim.lookahead(), Time::MAX);
     }
@@ -1048,7 +1001,7 @@ mod tests {
     #[test]
     fn foreign_ids_are_rejected() {
         let (c, _, _) = two_chains();
-        let mut sim = ShardedSimulator::new(c, 2);
+        let mut sim = sharded(c, 2);
         assert!(sim.schedule_input(InputId(99), Time::ZERO).is_err());
         assert!(sim
             .schedule_burst(
@@ -1062,8 +1015,8 @@ mod tests {
     #[cfg_attr(miri, ignore = "64-pulse burst trains are too slow under miri")]
     fn burst_stimulus_crosses_boundaries() {
         let (c, inputs, probes) = two_chains();
-        let mut seq = ShardedSimulator::new(c.clone(), 1);
-        let mut par = ShardedSimulator::new(c, 2);
+        let mut seq = sharded(c.clone(), 1);
+        let mut par = sharded(c, 2);
         for sim in [&mut seq, &mut par] {
             for &input in &inputs {
                 sim.schedule_burst(input, Burst::uniform(Time::ZERO, Time::from_ps(9.0), 32))
@@ -1079,7 +1032,7 @@ mod tests {
     #[test]
     fn event_limit_trips_in_a_shard() {
         let (c, inputs, _) = two_chains();
-        let mut par = ShardedSimulator::new(c, 2);
+        let mut par = sharded(c, 2);
         par.set_event_limit(3);
         for &input in &inputs {
             for p in 0..5u64 {
@@ -1093,10 +1046,18 @@ mod tests {
         ));
     }
 
+    /// The `USFQ_SHARDS` grammar through a pure lookup, so the result
+    /// never depends on the test's environment: a positive integer; 0,
+    /// empty and garbage mean 1.
     #[test]
     fn shards_env_parsing() {
-        // Not set in the test environment: default is 1.
-        assert_eq!(shards_from_env(), 1);
+        use crate::config::SHARDS_ENV;
+        let shards = |raw: &str| SimConfig::from_vars(&[(SHARDS_ENV, raw)]).shards;
+        assert_eq!(SimConfig::from_vars(&[]).shards, 1, "unset means 1");
+        assert_eq!(shards(" 4 "), 4);
+        for raw in ["0", "", "two", "-2", "1.5"] {
+            assert_eq!(shards(raw), 1, "{raw:?}");
+        }
     }
 
     #[test]

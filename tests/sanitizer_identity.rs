@@ -1,127 +1,88 @@
-//! The sanitizer's zero-interference contract, checked as a property:
-//! enabling the pulse sanitizer must not change a single probe
-//! timestamp. The sanitizer observes event delivery; it never filters,
-//! delays, or reorders pulses, so a sanitizer-on run and a
-//! sanitizer-off run of the same stimulus are bit-identical at every
-//! probe.
+//! The sanitizer's zero-interference contract, checked on the
+//! sanitizer axis of the engine configuration cube
+//! ([`usfq::sim::check`]): the sanitizer observes event delivery and
+//! never filters, delays or reorders pulses, so a sanitized run agrees
+//! with an unsanitized one in every field but the violations it
+//! records — loose pulses and coalesced trains, any scheduler, any
+//! shard count, with or without wire jitter.
 
 use usfq::core::netlists::shipped_netlists;
-use usfq::sim::check::for_all;
-use usfq::sim::rng::xorshift64;
-use usfq::sim::{SanitizerConfig, Sched, Simulator, Time};
+use usfq::sim::check::{assert_agree, for_all, random_cell};
+use usfq::sim::{SanitizerConfig, Sched, SimConfig};
+use usfq_bench::kernels::{catalogue_trial, jitter_ps, random_catalogue_workload, StimulusKind};
 
-/// Runs one randomized trial on catalogue netlist `idx` under an
-/// explicit scheduler and returns every probe's pulse-time trace.
-fn trial_on(idx: usize, seed: u64, sanitize: bool, sched: Sched) -> Vec<(String, Vec<Time>)> {
-    let catalogue = shipped_netlists();
-    let netlist = &catalogue[idx % catalogue.len()];
-    let mut sim = Simulator::with_sched(netlist.circuit.clone(), sched);
-    if sanitize {
-        sim.enable_sanitizer(SanitizerConfig::default());
-    }
-
-    let mut rng = seed
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(0x0123_4567_89AB_CDEF)
-        | 1;
-    let max_pulses = netlist.epoch.n_max().min(8);
-    let window_ps = netlist.input_window.as_ps();
-    let inputs: Vec<_> = netlist.circuit.inputs().map(|(id, _)| id).collect();
-    for input in inputs {
-        let pulses = xorshift64(&mut rng) % (max_pulses + 1);
-        for _ in 0..pulses {
-            let frac = (xorshift64(&mut rng) % 10_000) as f64 / 10_000.0;
-            sim.schedule_input(input, Time::from_ps(window_ps * frac))
-                .expect("shipped netlist input");
-        }
-    }
-    sim.run().expect("shipped netlist simulates");
-
-    netlist
-        .circuit
-        .probe_taps()
-        .map(|(probe, _)| {
-            let name = netlist
-                .circuit
-                .probe_name(probe)
-                .expect("probe from this circuit")
-                .to_string();
-            (name, sim.probe_times(probe).to_vec())
-        })
-        .collect()
-}
-
-/// Runs one randomized trial under the default scheduler.
-fn trial(idx: usize, seed: u64, sanitize: bool) -> Vec<(String, Vec<Time>)> {
-    trial_on(idx, seed, sanitize, Sched::default())
-}
-
-/// For any catalogue netlist and any random stimulus, the probe traces
-/// with the sanitizer enabled equal the traces without it — under both
-/// event schedulers.
+/// Any catalogue netlist, stimulus kind and seed, in a random cell:
+/// sanitizer on agrees with sanitizer off.
 #[test]
 fn sanitizer_on_is_bit_identical_to_sanitizer_off() {
+    let catalogue = shipped_netlists();
+    let jitters = [None, Some(jitter_ps(2.0))];
     for_all(256, |rng| {
-        let (idx, seed) = (rng.gen_range(0usize..16), rng.gen_range(0u64..1_000_000));
-        for sched in [Sched::Heap, Sched::Wheel] {
-            let with = trial_on(idx, seed, true, sched);
-            let without = trial_on(idx, seed, false, sched);
-            assert_eq!(with, without, "sanitizer identity broke under {sched}");
-        }
+        let workload = random_catalogue_workload(rng, &catalogue);
+        let plain = SimConfig {
+            sanitizer: None,
+            ..random_cell(rng, 1..3, &jitters)
+        };
+        let sanitized = SimConfig {
+            sanitizer: Some(SanitizerConfig::default()),
+            ..plain
+        };
+        assert_agree(
+            &workload.name,
+            &(workload.run)(&plain),
+            &plain,
+            &(workload.run)(&sanitized),
+            &sanitized,
+        );
     });
 }
 
-/// The scheduler must be equally invisible: wheel and heap produce
-/// bit-identical traces for the same stimulus, sanitizer on or off.
+/// The scheduler must be equally invisible: in a random cell, the
+/// wheel gives exactly the heap's fingerprint, violations included.
 #[test]
 fn wheel_is_bit_identical_to_heap() {
+    let catalogue = shipped_netlists();
+    let jitters = [None, Some(jitter_ps(2.0))];
     for_all(256, |rng| {
-        let (idx, seed) = (rng.gen_range(0usize..16), rng.gen_range(0u64..1_000_000));
-        let sanitize = rng.gen_bool(0.5);
-        let wheel = trial_on(idx, seed, sanitize, Sched::Wheel);
-        let heap = trial_on(idx, seed, sanitize, Sched::Heap);
-        assert_eq!(wheel, heap);
+        let workload = random_catalogue_workload(rng, &catalogue);
+        let heap = SimConfig {
+            sched: Sched::Heap,
+            ..random_cell(rng, 1..3, &jitters)
+        };
+        let wheel = SimConfig {
+            sched: Sched::Wheel,
+            ..heap.clone()
+        };
+        assert_eq!(
+            (workload.run)(&wheel),
+            (workload.run)(&heap),
+            "{} under {heap:?}",
+            workload.name
+        );
     });
 }
 
+/// A netlist whose waived hazards fire dynamically (the unipolar
+/// multiplier's NDRO race): the sanitizer records violations and leaves
+/// everything else exactly as the unsanitized run has it.
 #[test]
 fn sanitizer_reports_without_perturbing_a_hazardous_run() {
-    // Directed spot-check: pick a netlist whose waived hazards fire
-    // dynamically (unipolar-multiplier's NDRO race) and confirm the
-    // sanitizer both records violations and leaves the traces alone.
     let catalogue = shipped_netlists();
-    let idx = catalogue
+    let netlist = catalogue
         .iter()
-        .position(|n| n.name == "unipolar-multiplier")
+        .find(|n| n.name == "unipolar-multiplier")
         .expect("catalogue ships the unipolar multiplier");
-    let mut recorded = 0usize;
+    let plain = SimConfig::reference();
+    let sanitized = SimConfig {
+        sanitizer: Some(SanitizerConfig::default()),
+        ..plain
+    };
+    let mut recorded = 0;
     for seed in 0..8 {
-        let with = trial(idx, seed, true);
-        let without = trial(idx, seed, false);
-        assert_eq!(with, without, "seed {seed} diverged");
-
-        // Re-run with the sanitizer to count violations (trial drops
-        // the simulator, so recount here).
-        let netlist = &catalogue[idx];
-        let mut sim = Simulator::new(netlist.circuit.clone());
-        sim.enable_sanitizer(SanitizerConfig::default());
-        let mut rng = seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(0x0123_4567_89AB_CDEF)
-            | 1;
-        let max_pulses = netlist.epoch.n_max().min(8);
-        let window_ps = netlist.input_window.as_ps();
-        let inputs: Vec<_> = netlist.circuit.inputs().map(|(id, _)| id).collect();
-        for input in inputs {
-            let pulses = xorshift64(&mut rng) % (max_pulses + 1);
-            for _ in 0..pulses {
-                let frac = (xorshift64(&mut rng) % 10_000) as f64 / 10_000.0;
-                sim.schedule_input(input, Time::from_ps(window_ps * frac))
-                    .unwrap();
-            }
-        }
-        sim.run().unwrap();
-        recorded += sim.sanitizer_report().unwrap().violations.len();
+        let with = catalogue_trial(netlist, StimulusKind::Pulses, &sanitized, seed);
+        let without = catalogue_trial(netlist, StimulusKind::Pulses, &plain, seed);
+        assert_agree(&format!("seed {seed}"), &without, &plain, &with, &sanitized);
+        recorded += with.violations.len();
     }
     assert!(
         recorded > 0,
