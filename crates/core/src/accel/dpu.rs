@@ -6,15 +6,33 @@
 //! `(a₀b₀ + a₁b₁ + … ) / L`.
 
 use usfq_encoding::{Epoch, PulseStream, RlValue};
+use usfq_sim::{Burst, Circuit, InputId, ProbeId, Time};
 
-use crate::blocks::{BipolarMultiplier, CountingNetwork};
+use crate::blocks::{BipolarMultiplier, BipolarMultiplierPorts, CountingNetwork};
 use crate::error::CoreError;
+use crate::rig::Rig;
 
 /// An `L`-lane bipolar dot-product unit.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub struct DotProductUnit {
     epoch: Epoch,
     lanes: usize,
+    rig: Option<Rig<DpuIo>>,
+}
+
+/// The ids of the monolithic DPU circuit ([`DotProductUnit::circuit`]).
+#[derive(Debug, Clone)]
+pub struct DpuIo {
+    /// Epoch marker shared by every lane.
+    pub e: InputId,
+    /// Slot clock shared by every lane's inverter.
+    pub clk: InputId,
+    /// Per lane, the pulse-stream operand.
+    pub a: Vec<InputId>,
+    /// Per lane, the race-logic operand.
+    pub b: Vec<InputId>,
+    /// The counting tree's root.
+    pub top: ProbeId,
 }
 
 impl DotProductUnit {
@@ -28,7 +46,11 @@ impl DotProductUnit {
     pub fn new(epoch: Epoch, lanes: usize) -> Result<Self, CoreError> {
         // Constructing the network validates the width.
         CountingNetwork::new(epoch, lanes)?;
-        Ok(DotProductUnit { epoch, lanes })
+        Ok(DotProductUnit {
+            epoch,
+            lanes,
+            rig: None,
+        })
     }
 
     /// The DPU's epoch.
@@ -96,23 +118,72 @@ impl DotProductUnit {
     /// gate-level bipolar multipliers and the balancer counting tree
     /// instantiated together, sharing one epoch marker and one slot
     /// clock, exactly as the paper's Fig. 15 draws it. One simulation,
-    /// one answer.
+    /// one answer. The circuit is built on the first call and rerun by
+    /// every later one.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] on a length mismatch,
     /// encoding errors for out-of-range elements, or a simulation error.
-    pub fn dot_monolithic(&self, a: &[f64], b: &[f64]) -> Result<f64, CoreError> {
-        use crate::blocks::BipolarMultiplierPorts;
-        use usfq_cells::balancer::Balancer;
-        use usfq_sim::{Circuit, Simulator, Time};
+    pub fn dot_monolithic(&mut self, a: &[f64], b: &[f64]) -> Result<f64, CoreError> {
+        let mut rig = match self.rig.take() {
+            Some(rig) => rig,
+            None => Rig::new(self.circuit()?),
+        };
+        let out = self.dot_on(&mut rig, a, b);
+        self.rig = Some(rig);
+        out
+    }
 
+    /// [`DotProductUnit::dot_monolithic`] on a rig of
+    /// [`DotProductUnit::circuit`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidConfig`] on a length mismatch,
+    /// encoding errors for out-of-range elements, or a simulation error.
+    pub fn dot_on(&self, rig: &mut Rig<DpuIo>, a: &[f64], b: &[f64]) -> Result<f64, CoreError> {
         self.check_lengths(a, b)?;
+        let gates = b
+            .iter()
+            .map(|&bi| Ok(RlValue::from_bipolar(bi, self.epoch)?.pulse_time_from(Time::ZERO)))
+            .collect::<Result<Vec<_>, CoreError>>()?;
+        let streams = a
+            .iter()
+            .map(|&ai| Ok(PulseStream::from_bipolar(ai, self.epoch)?.burst_on_grid(Time::ZERO)))
+            .collect::<Result<Vec<_>, CoreError>>()?;
+        let slot = self.epoch.slot_width();
+        let clock = Burst::uniform(slot / 2, slot, self.epoch.n_max());
+        rig.run(|sim, io| {
+            sim.schedule_input(io.e, Time::ZERO)?;
+            // RL gates first, so exact ties favour the reset (see
+            // `BipolarMultiplier::multiply_on`).
+            for (&input, &at) in io.b.iter().zip(&gates) {
+                sim.schedule_input(input, at)?;
+            }
+            sim.schedule_burst(io.clk, clock)?;
+            for (&input, &stream) in io.a.iter().zip(&streams) {
+                sim.schedule_burst(input, stream)?;
+            }
+            Ok(())
+        })?;
+        let count = (rig.sim().probe_count(rig.io().top) as u64).min(self.epoch.n_max());
+        Ok(self.decode(PulseStream::from_count(count, self.epoch)?))
+    }
+
+    /// The monolithic circuit (paper Fig. 15): one gate-level bipolar
+    /// multiplier per lane, all driven by the shared `E` and `slot_clk`
+    /// inputs, feeding the `L:1` balancer counting tree.
+    ///
+    /// # Errors
+    ///
+    /// Propagates circuit wiring errors.
+    pub fn circuit(&self) -> Result<(Circuit, DpuIo), CoreError> {
         let mut c = Circuit::new();
-        let in_e = c.input("E");
-        let in_clk = c.input("slot_clk");
-        let mut stream_inputs = Vec::with_capacity(self.lanes);
-        let mut rl_inputs = Vec::with_capacity(self.lanes);
+        let e = c.input("E");
+        let clk = c.input("slot_clk");
+        let mut a = Vec::with_capacity(self.lanes);
+        let mut b = Vec::with_capacity(self.lanes);
         let mut lane_outs = Vec::with_capacity(self.lanes);
         for i in 0..self.lanes {
             let ports = BipolarMultiplierPorts::build(&mut c, &format!("m{i}"), self.epoch)?;
@@ -120,48 +191,15 @@ impl DotProductUnit {
             let sb = c.input(format!("b{i}"));
             c.connect_input(sa, ports.in_a, Time::ZERO)?;
             c.connect_input(sb, ports.in_b, Time::ZERO)?;
-            c.connect_input(in_e, ports.in_e, Time::ZERO)?;
-            c.connect_input(in_clk, ports.in_clk, Time::ZERO)?;
-            stream_inputs.push(sa);
-            rl_inputs.push(sb);
+            c.connect_input(e, ports.in_e, Time::ZERO)?;
+            c.connect_input(clk, ports.in_clk, Time::ZERO)?;
+            a.push(sa);
+            b.push(sb);
             lane_outs.push(ports.out);
         }
-        // The counting tree (paper Fig. 6d): L−1 balancers.
-        let mut lanes = lane_outs;
-        let mut id = 0;
-        while lanes.len() > 1 {
-            let mut next = Vec::with_capacity(lanes.len() / 2);
-            for pair in lanes.chunks(2) {
-                let bal = c.add(Balancer::new(format!("bal{id}")));
-                id += 1;
-                c.connect(pair[0], bal.input(Balancer::IN_A), Time::ZERO)?;
-                c.connect(pair[1], bal.input(Balancer::IN_B), Time::ZERO)?;
-                next.push(bal.output(Balancer::OUT_Y1));
-            }
-            lanes = next;
-        }
-        let top = c.probe(lanes[0], "top");
-
-        let mut sim = Simulator::new(c);
-        sim.schedule_input(in_e, Time::ZERO)?;
-        // RL gates first, so exact ties favour the reset (see
-        // multiply_streams).
-        for (i, &bi) in b.iter().enumerate() {
-            let gate = RlValue::from_bipolar(bi, self.epoch)?;
-            sim.schedule_input(rl_inputs[i], gate.pulse_time_from(Time::ZERO))?;
-        }
-        let half_slot = self.epoch.slot_width() / 2;
-        sim.schedule_burst(
-            in_clk,
-            usfq_sim::Burst::uniform(half_slot, self.epoch.slot_width(), self.epoch.n_max()),
-        )?;
-        for (i, &ai) in a.iter().enumerate() {
-            let stream = PulseStream::from_bipolar(ai, self.epoch)?;
-            sim.schedule_burst(stream_inputs[i], stream.burst_on_grid(Time::ZERO))?;
-        }
-        sim.run()?;
-        let count = (sim.probe_count(top) as u64).min(self.epoch.n_max());
-        Ok(self.decode(PulseStream::from_count(count, self.epoch)?))
+        let top = CountingNetwork::build_tree(&mut c, lane_outs, "bal")?;
+        let top = c.probe(top, "top");
+        Ok((c, DpuIo { e, clk, a, b, top }))
     }
 
     /// Weight-stationary dot product: the weights live in a
@@ -294,7 +332,7 @@ mod tests {
 
     #[test]
     fn monolithic_circuit_matches_functional() {
-        let dpu = DotProductUnit::new(epoch(5), 4).unwrap();
+        let mut dpu = DotProductUnit::new(epoch(5), 4).unwrap();
         let a = [0.5, -0.25, 0.75, -1.0];
         let b = [0.25, 0.5, -0.5, 0.125];
         let mono = dpu.dot_monolithic(&a, &b).unwrap();

@@ -10,27 +10,46 @@
 //!
 //! The inter-epoch sample delay (the RL shift register) is sequenced by
 //! a [`RlShiftRegister`]; its integrator memory cell is validated
-//! structurally in `blocks::shift`. This keeps the per-sample circuit
-//! acyclic so each epoch is one self-contained simulation.
+//! structurally in `blocks::shift`. This keeps the per-sample circuits
+//! acyclic so each epoch is a set of self-contained simulations.
 //!
-//! Intended for validation and study, not sweeps: a 4-tap, 5-bit filter
-//! simulates a few thousand events per sample.
+//! Like the physical wave-pipelined datapath, which takes a new sample
+//! every epoch, the filter builds its circuits once, on the first
+//! sample, as [`Rig`]s: one PNM per tap (the tap's word is fixed at
+//! construction), one bipolar multiplier the taps share, and one `L:1`
+//! counting tree. Every later sample reruns them, so each sample still
+//! simulates every PNM, every multiplication and the tree, but pays no
+//! circuit build.
 
 use usfq_encoding::{Epoch, PulseStream, RlValue};
 
 use crate::blocks::{
-    BipolarMultiplier, CountingNetwork, MemoryBank, PulseNumberMultiplier, RlShiftRegister,
+    BipolarIo, BipolarMultiplier, CountingIo, CountingNetwork, MemoryBank, PnmIo,
+    PulseNumberMultiplier, RlShiftRegister,
 };
 use crate::error::CoreError;
+use crate::rig::Rig;
 
 /// A pulse-level U-SFQ FIR filter.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct StructuralFir {
     epoch: Epoch,
     bank: MemoryBank,
     shift: RlShiftRegister,
-    lanes: usize,
+    net: CountingNetwork,
     gain: f64,
+    rigs: Option<FirRigs>,
+}
+
+/// The datapath's circuits, built on the first sample.
+#[derive(Debug)]
+struct FirRigs {
+    /// One PNM per tap, programmed with the tap's coefficient word.
+    pnms: Vec<Rig<PnmIo>>,
+    /// The bipolar multiplier every tap's product runs through.
+    mult: Rig<BipolarIo>,
+    /// The `L:1` counting tree.
+    tree: Rig<CountingIo>,
 }
 
 impl StructuralFir {
@@ -59,8 +78,9 @@ impl StructuralFir {
             epoch,
             bank,
             shift: RlShiftRegister::new(epoch, coeffs.len()),
-            lanes: coeffs.len().next_power_of_two().max(2),
+            net: CountingNetwork::new(epoch, coeffs.len().next_power_of_two().max(2))?,
             gain: max_abs,
+            rigs: None,
         })
     }
 
@@ -83,27 +103,49 @@ impl StructuralFir {
     pub fn push(&mut self, x: f64) -> Result<f64, CoreError> {
         let rl = RlValue::from_bipolar(x, self.epoch)?;
         self.shift.shift(Some(rl));
+        let mut rigs = match self.rigs.take() {
+            Some(rigs) => rigs,
+            None => self.build_rigs()?,
+        };
+        let out = self.simulate_sample(&mut rigs);
+        self.rigs = Some(rigs);
+        out
+    }
+
+    fn build_rigs(&self) -> Result<FirRigs, CoreError> {
+        let pnm = PulseNumberMultiplier::new(self.epoch);
+        let pnms = (0..self.taps())
+            .map(|k| Ok(Rig::new(pnm.circuit(self.bank.word(k))?)))
+            .collect::<Result<_, CoreError>>()?;
+        Ok(FirRigs {
+            pnms,
+            mult: Rig::new(BipolarMultiplier::new(self.epoch).circuit()?),
+            tree: Rig::new(self.net.circuit()?),
+        })
+    }
+
+    fn simulate_sample(&self, rigs: &mut FirRigs) -> Result<f64, CoreError> {
         let n_max = self.epoch.n_max();
-        let mult = BipolarMultiplier::new(self.epoch);
         let zero = RlValue::from_slot(n_max / 2, self.epoch)?;
+        let pnm = PulseNumberMultiplier::new(self.epoch);
+        let mult = BipolarMultiplier::new(self.epoch);
+        let lanes = self.net.width();
 
         // Regenerate each coefficient stream through the simulated PNM
         // and multiply it against the tap's delayed RL sample through
         // the simulated two-NDRO circuit.
-        let pnm = PulseNumberMultiplier::new(self.epoch);
-        let mut products = Vec::with_capacity(self.lanes);
-        for k in 0..self.taps() {
-            let coeff_stream = pnm.generate(self.bank.word(k))?;
+        let mut products = Vec::with_capacity(lanes);
+        for (k, pnm_rig) in rigs.pnms.iter_mut().enumerate() {
+            let coeff_stream = pnm.generate_on(pnm_rig)?;
             let sample = self.shift.tap(k).unwrap_or(zero);
-            products.push(mult.multiply_streams(coeff_stream, sample)?);
+            products.push(mult.multiply_on(&mut rigs.mult, coeff_stream, sample)?);
         }
         // Pad to the counting tree's width with bipolar-zero streams.
-        for _ in self.taps()..self.lanes {
+        for _ in self.taps()..lanes {
             products.push(PulseStream::from_count(n_max / 2, self.epoch)?);
         }
-        let net = CountingNetwork::new(self.epoch, self.lanes)?;
-        let top = net.accumulate(&products)?;
-        Ok(top.value_bipolar() * self.lanes as f64 * self.gain)
+        let top = self.net.accumulate_on(&mut rigs.tree, &products)?;
+        Ok(top.value_bipolar() * lanes as f64 * self.gain)
     }
 
     /// Filters a whole signal, resetting the delay line first.

@@ -7,7 +7,7 @@ mod fir;
 mod fir_structural;
 mod pe;
 
-pub use dpu::DotProductUnit;
+pub use dpu::{DotProductUnit, DpuIo};
 pub use fir::{fir_reference, FaultModel, UsfqFir};
 pub use fir_structural::StructuralFir;
-pub use pe::{PeArray, ProcessingElement, StreamToRlIntegrator};
+pub use pe::{PeArray, PeIo, ProcessingElement, StreamToRlIntegrator};

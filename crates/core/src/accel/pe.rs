@@ -11,10 +11,11 @@ use usfq_cells::catalog;
 use usfq_cells::storage::Ndro;
 use usfq_encoding::{Epoch, PulseStream, RlValue};
 use usfq_sim::component::{BurstStep, Component, Ctx, StaticMeta};
-use usfq_sim::{Burst, Circuit, Simulator, Time};
+use usfq_sim::{Burst, Circuit, InputId, ProbeId, Time};
 
 use crate::blocks::gated_count;
 use crate::error::CoreError;
+use crate::rig::Rig;
 
 /// Timer tag for the integrator's delayed output pulse.
 const TAG_EMIT: u64 = 1;
@@ -109,17 +110,37 @@ impl Component for StreamToRlIntegrator {
 
 /// The unipolar U-SFQ processing element.
 ///
-/// [`ProcessingElement::mac`] runs the full pulse-level pipeline;
+/// [`ProcessingElement::mac`] runs the full pulse-level pipeline on one
+/// circuit, built on the first call and rerun for every MAC;
 /// [`ProcessingElement::mac_functional`] is the exact fast mirror.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub struct ProcessingElement {
     epoch: Epoch,
+    rig: Option<Rig<PeIo>>,
+}
+
+/// The ids of a processing element's circuit
+/// ([`ProcessingElement::circuit`]).
+#[derive(Debug, Clone, Copy)]
+pub struct PeIo {
+    /// Epoch marker (sets the multiplier NDRO).
+    pub e: InputId,
+    /// RL operand `in1` (resets the multiplier NDRO).
+    pub in1: InputId,
+    /// Pulse-stream operand `in2` (the NDRO's read port).
+    pub in2: InputId,
+    /// Pulse-stream operand `in3` (the balancer's second input).
+    pub in3: InputId,
+    /// Epoch-end marker latching the integrator.
+    pub epoch_end: InputId,
+    /// The integrator's RL output.
+    pub out: ProbeId,
 }
 
 impl ProcessingElement {
     /// Creates a PE for the given epoch.
     pub fn new(epoch: Epoch) -> Self {
-        ProcessingElement { epoch }
+        ProcessingElement { epoch, rig: None }
     }
 
     /// The PE's epoch.
@@ -147,63 +168,52 @@ impl ProcessingElement {
     /// Computes `(in1·in2 + in3) / 2` through the simulated
     /// multiplier → balancer → integrator pipeline. `in1` is the RL
     /// operand, `in2` and `in3` pulse streams; the result is the RL
-    /// value observed in the following epoch.
+    /// value observed in the following epoch. The circuit is built on
+    /// the first call and rerun by every later one.
     ///
     /// # Errors
     ///
     /// Returns encoding errors for out-of-range operands or a simulation
     /// error.
-    pub fn mac(&self, in1: f64, in2: f64, in3: f64) -> Result<RlValue, CoreError> {
+    pub fn mac(&mut self, in1: f64, in2: f64, in3: f64) -> Result<RlValue, CoreError> {
+        let mut rig = match self.rig.take() {
+            Some(rig) => rig,
+            None => Rig::new(self.circuit()?),
+        };
+        let out = self.mac_on(&mut rig, in1, in2, in3);
+        self.rig = Some(rig);
+        out
+    }
+
+    /// [`ProcessingElement::mac`] on a rig of
+    /// [`ProcessingElement::circuit`].
+    ///
+    /// # Errors
+    ///
+    /// Returns encoding errors for out-of-range operands or a simulation
+    /// error.
+    pub fn mac_on(
+        &self,
+        rig: &mut Rig<PeIo>,
+        in1: f64,
+        in2: f64,
+        in3: f64,
+    ) -> Result<RlValue, CoreError> {
         let rl = RlValue::from_unipolar(in1, self.epoch)?;
         let s2 = PulseStream::from_unipolar(in2, self.epoch)?;
         let s3 = PulseStream::from_unipolar(in3, self.epoch)?;
-
-        let mut c = Circuit::new();
-        let in_e = c.input("E");
-        let in_rl = c.input("in1");
-        let in_a = c.input("in2");
-        let in_b = c.input("in3");
-        let in_epoch_end = c.input("epoch_end");
-
-        let ndro = c.add(Ndro::new("mult"));
-        let bal = c.add(Balancer::new("add"));
-        let integ = c.add(StreamToRlIntegrator::new("integ", self.epoch));
-
-        c.connect_input(in_e, ndro.input(Ndro::IN_S), Time::ZERO)?;
-        c.connect_input(in_rl, ndro.input(Ndro::IN_R), Time::ZERO)?;
-        c.connect_input(in_a, ndro.input(Ndro::IN_CLK), Time::ZERO)?;
-        c.connect(
-            ndro.output(Ndro::OUT_Q),
-            bal.input(Balancer::IN_A),
-            Time::ZERO,
-        )?;
-        c.connect_input(in_b, bal.input(Balancer::IN_B), Time::ZERO)?;
-        c.connect(
-            bal.output(Balancer::OUT_Y1),
-            integ.input(StreamToRlIntegrator::IN),
-            Time::ZERO,
-        )?;
-        c.connect_input(
-            in_epoch_end,
-            integ.input(StreamToRlIntegrator::IN_EPOCH),
-            Time::ZERO,
-        )?;
-        let out = c.probe(integ.output(StreamToRlIntegrator::OUT), "out");
-
-        let mut sim = Simulator::new(c);
-        sim.schedule_input(in_e, Time::ZERO)?;
-        sim.schedule_input(in_rl, rl.pulse_time_from(Time::ZERO))?;
-        sim.schedule_burst(in_a, s2.burst_from(Time::ZERO))?;
         // Offset in3 half a slot to interleave at the balancer.
         let half = self.epoch.slot_width() / 2;
-        sim.schedule_burst(in_b, s3.burst_from(Time::ZERO).delayed(half))?;
         // Latch slightly after the epoch ends so in-flight pulses land.
-        let margin = Time::from_ps(20.0);
-        let latch = self.epoch.duration() + margin;
-        sim.schedule_input(in_epoch_end, latch)?;
-        sim.run()?;
-
-        let times = sim.probe_times(out);
+        let latch = self.epoch.duration() + Time::from_ps(20.0);
+        rig.run(|sim, io| {
+            sim.schedule_input(io.e, Time::ZERO)?;
+            sim.schedule_input(io.in1, rl.pulse_time_from(Time::ZERO))?;
+            sim.schedule_burst(io.in2, s2.burst_from(Time::ZERO))?;
+            sim.schedule_burst(io.in3, s3.burst_from(Time::ZERO).delayed(half))?;
+            sim.schedule_input(io.epoch_end, latch)
+        })?;
+        let times = rig.sim().probe_times(rig.io().out);
         if times.len() != 1 {
             return Err(CoreError::InvalidConfig(format!(
                 "integrator emitted {} pulses, expected 1",
@@ -211,6 +221,57 @@ impl ProcessingElement {
             )));
         }
         Ok(RlValue::from_pulse_time(times[0], latch, self.epoch)?)
+    }
+
+    /// The MAC pipeline (paper Fig. 13): multiplier NDRO → balancer
+    /// adder → RL integrator.
+    ///
+    /// # Errors
+    ///
+    /// Propagates circuit wiring errors.
+    pub fn circuit(&self) -> Result<(Circuit, PeIo), CoreError> {
+        let mut c = Circuit::new();
+        let e = c.input("E");
+        let in1 = c.input("in1");
+        let in2 = c.input("in2");
+        let in3 = c.input("in3");
+        let epoch_end = c.input("epoch_end");
+
+        let ndro = c.add(Ndro::new("mult"));
+        let bal = c.add(Balancer::new("add"));
+        let integ = c.add(StreamToRlIntegrator::new("integ", self.epoch));
+
+        c.connect_input(e, ndro.input(Ndro::IN_S), Time::ZERO)?;
+        c.connect_input(in1, ndro.input(Ndro::IN_R), Time::ZERO)?;
+        c.connect_input(in2, ndro.input(Ndro::IN_CLK), Time::ZERO)?;
+        c.connect(
+            ndro.output(Ndro::OUT_Q),
+            bal.input(Balancer::IN_A),
+            Time::ZERO,
+        )?;
+        c.connect_input(in3, bal.input(Balancer::IN_B), Time::ZERO)?;
+        c.connect(
+            bal.output(Balancer::OUT_Y1),
+            integ.input(StreamToRlIntegrator::IN),
+            Time::ZERO,
+        )?;
+        c.connect_input(
+            epoch_end,
+            integ.input(StreamToRlIntegrator::IN_EPOCH),
+            Time::ZERO,
+        )?;
+        let out = c.probe(integ.output(StreamToRlIntegrator::OUT), "out");
+        Ok((
+            c,
+            PeIo {
+                e,
+                in1,
+                in2,
+                in3,
+                epoch_end,
+                out,
+            },
+        ))
     }
 
     /// Exact functional mirror of [`ProcessingElement::mac`].
@@ -340,7 +401,7 @@ mod tests {
 
     #[test]
     fn pe_mac_structural_basic() {
-        let pe = ProcessingElement::new(epoch(5));
+        let mut pe = ProcessingElement::new(epoch(5));
         // (0.5 · 0.5 + 0.25) / 2 = 0.25.
         let out = pe.mac(0.5, 0.5, 0.25).unwrap();
         assert!(
@@ -352,7 +413,7 @@ mod tests {
 
     #[test]
     fn pe_structural_matches_functional() {
-        let pe = ProcessingElement::new(epoch(5));
+        let mut pe = ProcessingElement::new(epoch(5));
         for (a, b, c) in [
             (0.0, 0.0, 0.0),
             (1.0, 1.0, 1.0),

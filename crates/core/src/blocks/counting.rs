@@ -11,9 +11,10 @@
 
 use usfq_cells::balancer::Balancer;
 use usfq_encoding::{Epoch, PulseStream};
-use usfq_sim::{Circuit, NodeRef, Simulator, Time};
+use usfq_sim::{Circuit, InputId, NodeRef, ProbeId, SimError, Time};
 
 use crate::error::CoreError;
+use crate::rig::Rig;
 
 /// An M:1 counting network of balancers (M a power of two).
 #[derive(Debug, Clone, Copy)]
@@ -67,6 +68,92 @@ impl CountingNetwork {
     /// Returns [`CoreError::InvalidConfig`] on an input-count mismatch,
     /// or a simulation error.
     pub fn accumulate(&self, streams: &[PulseStream]) -> Result<PulseStream, CoreError> {
+        self.accumulate_on(&mut Rig::new(self.circuit()?), streams)
+    }
+
+    /// Sums `width` streams on a rig of [`CountingNetwork::circuit`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidConfig`] on an input-count mismatch,
+    /// or a simulation error.
+    pub fn accumulate_on(
+        &self,
+        rig: &mut Rig<CountingIo>,
+        streams: &[PulseStream],
+    ) -> Result<PulseStream, CoreError> {
+        self.check_inputs(streams)?;
+        rig.run(|sim, io| {
+            // Stagger the inputs so lanes interleave at the first rank.
+            let stagger = Time::from_ps(1.0);
+            for (i, (&input, stream)) in io.inputs.iter().zip(streams).enumerate() {
+                let offset = stagger.scale(i as u64);
+                sim.schedule_burst(input, stream.burst_from(Time::ZERO).delayed(offset))?;
+            }
+            Ok(())
+        })?;
+        Ok(PulseStream::from_count(
+            (rig.sim().probe_count(rig.io().top) as u64).min(self.epoch.n_max()),
+            self.epoch,
+        )?)
+    }
+
+    /// The standalone network: inputs `a{i}` through pass-through
+    /// buffers into the balancer tree, probed at `top`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates circuit wiring errors.
+    pub fn circuit(&self) -> Result<(Circuit, CountingIo), CoreError> {
+        let mut c = Circuit::new();
+        let mut inputs = Vec::with_capacity(self.width);
+        let mut lanes = Vec::with_capacity(self.width);
+        for i in 0..self.width {
+            let input = c.input(format!("a{i}"));
+            let b = c.add(usfq_sim::component::Buffer::new(
+                format!("in{i}"),
+                Time::ZERO,
+            ));
+            c.connect_input(input, b.input(0), Time::ZERO)?;
+            inputs.push(input);
+            lanes.push(b.output(0));
+        }
+        let top = Self::build_tree(&mut c, lanes, "bal")?;
+        let top = c.probe(top, "top");
+        Ok((c, CountingIo { inputs, top }))
+    }
+
+    /// Reduces `lanes` (a power of two of them) pairwise through a
+    /// balancer tree that forwards `Y1` at every stage (paper Fig. 6d),
+    /// naming the balancers `{prefix}0`, `{prefix}1`, … level by level,
+    /// and returns the root. The one counting tree: the standalone
+    /// network, the monolithic DPU and the composed FIR netlist all use
+    /// it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates circuit wiring errors.
+    pub(crate) fn build_tree(
+        circuit: &mut Circuit,
+        mut lanes: Vec<NodeRef>,
+        prefix: &str,
+    ) -> Result<NodeRef, SimError> {
+        let mut id = 0usize;
+        while lanes.len() > 1 {
+            let mut next = Vec::with_capacity(lanes.len() / 2);
+            for pair in lanes.chunks(2) {
+                let bal = circuit.add(Balancer::new(format!("{prefix}{id}")));
+                id += 1;
+                circuit.connect(pair[0], bal.input(Balancer::IN_A), Time::ZERO)?;
+                circuit.connect(pair[1], bal.input(Balancer::IN_B), Time::ZERO)?;
+                next.push(bal.output(Balancer::OUT_Y1));
+            }
+            lanes = next;
+        }
+        Ok(lanes[0])
+    }
+
+    fn check_inputs(&self, streams: &[PulseStream]) -> Result<(), CoreError> {
         if streams.len() != self.width {
             return Err(CoreError::InvalidConfig(format!(
                 "expected {} streams, got {}",
@@ -74,47 +161,7 @@ impl CountingNetwork {
                 streams.len()
             )));
         }
-        let mut c = Circuit::new();
-        let inputs: Vec<_> = (0..self.width).map(|i| c.input(format!("a{i}"))).collect();
-
-        // Seed lanes with pass-through buffers, then reduce pairwise.
-        let mut lanes: Vec<NodeRef> = Vec::with_capacity(self.width);
-        for (i, input) in inputs.iter().enumerate() {
-            let b = c.add(usfq_sim::component::Buffer::new(
-                format!("in{i}"),
-                Time::ZERO,
-            ));
-            c.connect_input(*input, b.input(0), Time::ZERO)?;
-            lanes.push(b.output(0));
-        }
-        let mut next_id = 0usize;
-        let mut level = 0usize;
-        while lanes.len() > 1 {
-            let mut next = Vec::with_capacity(lanes.len() / 2);
-            for pair in lanes.chunks(2) {
-                let bal = c.add(Balancer::new(format!("bal{level}_{next_id}")));
-                next_id += 1;
-                c.connect(pair[0], bal.input(Balancer::IN_A), Time::ZERO)?;
-                c.connect(pair[1], bal.input(Balancer::IN_B), Time::ZERO)?;
-                next.push(bal.output(Balancer::OUT_Y1));
-            }
-            lanes = next;
-            level += 1;
-        }
-        let probe = c.probe(lanes[0], "top");
-
-        let mut sim = Simulator::new(c);
-        // Stagger the inputs so lanes interleave at the first rank.
-        let stagger = Time::from_ps(1.0);
-        for (i, (input, stream)) in inputs.iter().zip(streams).enumerate() {
-            let offset = stagger.scale(i as u64);
-            sim.schedule_burst(*input, stream.burst_from(Time::ZERO).delayed(offset))?;
-        }
-        sim.run()?;
-        Ok(PulseStream::from_count(
-            (sim.probe_count(probe) as u64).min(self.epoch.n_max()),
-            self.epoch,
-        )?)
+        Ok(())
     }
 
     /// Functional mirror: pairwise `⌈(a + b) / 2⌉` reduction, matching
@@ -124,13 +171,7 @@ impl CountingNetwork {
     ///
     /// Returns [`CoreError::InvalidConfig`] on an input-count mismatch.
     pub fn accumulate_functional(&self, streams: &[PulseStream]) -> Result<PulseStream, CoreError> {
-        if streams.len() != self.width {
-            return Err(CoreError::InvalidConfig(format!(
-                "expected {} streams, got {}",
-                self.width,
-                streams.len()
-            )));
-        }
+        self.check_inputs(streams)?;
         let mut counts: Vec<u64> = streams.iter().map(PulseStream::count).collect();
         while counts.len() > 1 {
             counts = counts
@@ -143,6 +184,16 @@ impl CountingNetwork {
             self.epoch,
         )?)
     }
+}
+
+/// The ids of a standalone counting network
+/// ([`CountingNetwork::circuit`]).
+#[derive(Debug, Clone)]
+pub struct CountingIo {
+    /// One stream input per lane.
+    pub inputs: Vec<InputId>,
+    /// The root's `Y1` output.
+    pub top: ProbeId,
 }
 
 #[cfg(test)]

@@ -11,9 +11,10 @@ use usfq_cells::interconnect::{Merger, Splitter};
 use usfq_cells::inverter::ClockedInverter;
 use usfq_cells::storage::Ndro;
 use usfq_encoding::{Epoch, PulseStream, RlValue};
-use usfq_sim::{Circuit, Simulator, Time};
+use usfq_sim::{Circuit, InputId, ProbeId, Time};
 
 use crate::error::CoreError;
+use crate::rig::Rig;
 
 /// Exact count of uniform-stream pulses passing a race-logic gate.
 ///
@@ -80,28 +81,40 @@ impl UnipolarMultiplier {
     ///
     /// Returns a simulation error if the circuit fails to settle.
     pub fn multiply_streams(&self, a: PulseStream, b: RlValue) -> Result<PulseStream, CoreError> {
-        let mut c = Circuit::new();
-        let in_e = c.input("E");
-        let in_b = c.input("B");
-        let in_a = c.input("A");
-        let ndro = c.add(Ndro::new("ndro"));
-        c.connect_input(in_e, ndro.input(Ndro::IN_S), Time::ZERO)?;
-        c.connect_input(in_b, ndro.input(Ndro::IN_R), Time::ZERO)?;
-        c.connect_input(in_a, ndro.input(Ndro::IN_CLK), Time::ZERO)?;
-        let q = c.probe(ndro.output(Ndro::OUT_Q), "Q");
-
-        let mut sim = Simulator::new(c);
-        // The epoch marker arrives first; the RL gate is scheduled before
-        // the stream so that at an exact tie the reset wins ("pulses
-        // arriving before B pass through; pulses after B do not").
-        sim.schedule_input(in_e, Time::ZERO)?;
-        sim.schedule_input(in_b, b.pulse_time_from(Time::ZERO))?;
-        sim.schedule_burst(in_a, a.burst_from(Time::ZERO))?;
-        sim.run()?;
+        let mut rig = Rig::new(self.circuit()?);
+        rig.run(|sim, io| {
+            // The epoch marker arrives first; the RL gate is scheduled
+            // before the stream so that at an exact tie the reset wins
+            // ("pulses arriving before B pass through; pulses after B
+            // do not").
+            sim.schedule_input(io.e, Time::ZERO)?;
+            sim.schedule_input(io.b, b.pulse_time_from(Time::ZERO))?;
+            sim.schedule_burst(io.a, a.burst_from(Time::ZERO))
+        })?;
         Ok(PulseStream::from_count(
-            (sim.probe_count(q) as u64).min(self.epoch.n_max()),
+            (rig.sim().probe_count(rig.io().q) as u64).min(self.epoch.n_max()),
             self.epoch,
         )?)
+    }
+
+    /// The multiplier's circuit: one NDRO whose set port takes the epoch
+    /// marker `E`, reset port the RL operand `B` and read port the
+    /// stream `A`, probed at `Q`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates circuit wiring errors.
+    pub fn circuit(&self) -> Result<(Circuit, UnipolarIo), CoreError> {
+        let mut c = Circuit::new();
+        let e = c.input("E");
+        let b = c.input("B");
+        let a = c.input("A");
+        let ndro = c.add(Ndro::new("ndro"));
+        c.connect_input(e, ndro.input(Ndro::IN_S), Time::ZERO)?;
+        c.connect_input(b, ndro.input(Ndro::IN_R), Time::ZERO)?;
+        c.connect_input(a, ndro.input(Ndro::IN_CLK), Time::ZERO)?;
+        let q = c.probe(ndro.output(Ndro::OUT_Q), "Q");
+        Ok((c, UnipolarIo { e, b, a, q }))
     }
 
     /// Functional mirror of [`UnipolarMultiplier::multiply`]: identical
@@ -160,7 +173,7 @@ impl BipolarMultiplier {
     ///
     /// Returns a simulation error if the circuit fails to settle.
     pub fn multiply_streams(&self, a: PulseStream, b: RlValue) -> Result<PulseStream, CoreError> {
-        Ok(self.multiply_measuring_power(a, b)?.0)
+        self.multiply_on(&mut Rig::new(self.circuit()?), a, b)
     }
 
     /// Multiplies through the simulated circuit and additionally returns
@@ -177,49 +190,63 @@ impl BipolarMultiplier {
         b: RlValue,
         model: &usfq_sim::power::PowerModel,
     ) -> Result<(PulseStream, f64), CoreError> {
-        let (stream, sim) = self.multiply_measuring_power(a, b)?;
-        let window = self.epoch.duration();
-        let power = model.active_power_w(sim.circuit(), sim.activity(), window);
+        let (circuit, io) = self.circuit()?;
+        let mut rig = Rig::new((circuit.clone(), io));
+        let stream = self.multiply_on(&mut rig, a, b)?;
+        let power = model.active_power_w(&circuit, rig.sim().activity(), self.epoch.duration());
         Ok((stream, power))
     }
 
-    fn multiply_measuring_power(
+    /// Multiplies already-encoded bipolar operands on a rig of
+    /// [`BipolarMultiplier::circuit`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a simulation error if the circuit fails to settle.
+    pub fn multiply_on(
         &self,
+        rig: &mut Rig<BipolarIo>,
         a: PulseStream,
         b: RlValue,
-    ) -> Result<(PulseStream, Simulator), CoreError> {
-        let mut c = Circuit::new();
-        let in_e = c.input("E");
-        let in_b = c.input("B");
-        let in_a = c.input("A");
-        let in_clk = c.input("slot_clk");
-
-        let ports = BipolarMultiplierPorts::build(&mut c, "mult", self.epoch)?;
-        c.connect_input(in_a, ports.in_a, Time::ZERO)?;
-        c.connect_input(in_b, ports.in_b, Time::ZERO)?;
-        c.connect_input(in_e, ports.in_e, Time::ZERO)?;
-        c.connect_input(in_clk, ports.in_clk, Time::ZERO)?;
-        let q = c.probe(ports.out, "OUT");
-
-        let mut sim = Simulator::new(c);
-        sim.schedule_input(in_e, Time::ZERO)?;
-        sim.schedule_input(in_b, b.pulse_time_from(Time::ZERO))?;
+    ) -> Result<PulseStream, CoreError> {
         // The inverter samples each slot at its end (half-slot offset
         // keeps the complement stream clear of the slot boundaries).
-        let half_slot = self.epoch.slot_width() / 2;
-        sim.schedule_burst(
-            in_clk,
-            usfq_sim::Burst::uniform(half_slot, self.epoch.slot_width(), self.epoch.n_max()),
-        )?;
-        // Stream pulses are placed on the slot grid so each slot carries
-        // at most one pulse — the inverter's sampling assumption.
-        sim.schedule_burst(in_a, a.burst_on_grid(Time::ZERO))?;
-        sim.run()?;
-        let stream = PulseStream::from_count(
-            (sim.probe_count(q) as u64).min(self.epoch.n_max()),
+        let slot = self.epoch.slot_width();
+        let clock = usfq_sim::Burst::uniform(slot / 2, slot, self.epoch.n_max());
+        rig.run(|sim, io| {
+            sim.schedule_input(io.e, Time::ZERO)?;
+            sim.schedule_input(io.b, b.pulse_time_from(Time::ZERO))?;
+            sim.schedule_burst(io.clk, clock)?;
+            // Stream pulses are placed on the slot grid so each slot
+            // carries at most one pulse — the inverter's sampling
+            // assumption.
+            sim.schedule_burst(io.a, a.burst_on_grid(Time::ZERO))
+        })?;
+        Ok(PulseStream::from_count(
+            (rig.sim().probe_count(rig.io().out) as u64).min(self.epoch.n_max()),
             self.epoch,
-        )?;
-        Ok((stream, sim))
+        )?)
+    }
+
+    /// The standalone multiplier: [`BipolarMultiplierPorts::build`]
+    /// driven by inputs `E`, `B`, `A` and `slot_clk`, probed at `OUT`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates circuit wiring errors.
+    pub fn circuit(&self) -> Result<(Circuit, BipolarIo), CoreError> {
+        let mut c = Circuit::new();
+        let e = c.input("E");
+        let b = c.input("B");
+        let a = c.input("A");
+        let clk = c.input("slot_clk");
+        let ports = BipolarMultiplierPorts::build(&mut c, "mult", self.epoch)?;
+        c.connect_input(a, ports.in_a, Time::ZERO)?;
+        c.connect_input(b, ports.in_b, Time::ZERO)?;
+        c.connect_input(e, ports.in_e, Time::ZERO)?;
+        c.connect_input(clk, ports.in_clk, Time::ZERO)?;
+        let out = c.probe(ports.out, "OUT");
+        Ok((c, BipolarIo { e, b, a, clk, out }))
     }
 
     /// Functional mirror of [`BipolarMultiplier::multiply`] using exact
@@ -362,6 +389,36 @@ impl BipolarMultiplierPorts {
             out: merger.output(Merger::OUT),
         })
     }
+}
+
+/// The ids of a standalone unipolar multiplier
+/// ([`UnipolarMultiplier::circuit`]).
+#[derive(Debug, Clone, Copy)]
+pub struct UnipolarIo {
+    /// Epoch marker.
+    pub e: InputId,
+    /// Race-logic operand.
+    pub b: InputId,
+    /// Pulse-stream operand.
+    pub a: InputId,
+    /// Product stream.
+    pub q: ProbeId,
+}
+
+/// The ids of a standalone bipolar multiplier
+/// ([`BipolarMultiplier::circuit`]).
+#[derive(Debug, Clone, Copy)]
+pub struct BipolarIo {
+    /// Epoch marker.
+    pub e: InputId,
+    /// Race-logic operand.
+    pub b: InputId,
+    /// Pulse-stream operand.
+    pub a: InputId,
+    /// Slot clock for the inverter.
+    pub clk: InputId,
+    /// Product stream.
+    pub out: ProbeId,
 }
 
 /// Slot ids occupied by a `count`-pulse stream on the slot grid

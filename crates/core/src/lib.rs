@@ -19,6 +19,8 @@
 //! * [`netlists`] — every shipped structural netlist packaged with its
 //!   operating envelope, the input catalogue of the `usfq-lint` static
 //!   analyzer.
+//! * [`rig`] — a block's circuit built once with its simulator, rerun
+//!   per operand set.
 //!
 //! Structural implementations simulate real pulse circuits; each
 //! accelerator also has a *functional* model (bit-exact unary semantics
@@ -46,5 +48,7 @@ mod error;
 pub mod model;
 pub mod netlists;
 pub mod repair;
+pub mod rig;
 
 pub use error::CoreError;
+pub use rig::Rig;

@@ -3,28 +3,35 @@
 //! meant to hold so static analyzers (notably `usfq-lint`) can check the
 //! whole catalogue without running a single simulation.
 //!
-//! Each [`BuiltNetlist`] mirrors the circuit the corresponding block or
-//! accelerator builds inline for simulation (`UnipolarMultiplier`,
-//! `DotProductUnit::dot_monolithic`, …); the composed FIR datapath —
-//! PNM coefficient generators feeding per-tap bipolar multipliers and a
-//! balancer counting tree, the paper's Fig. 17 — exists only here as a
-//! single monolithic netlist.
+//! A block's netlist is the circuit the block itself simulates: the
+//! catalogue calls the block's one builder (`UnipolarMultiplier::circuit`,
+//! `CountingNetwork::circuit`, `ProcessingElement::circuit`, …) rather
+//! than keeping a copy. The composed FIR datapath — PNM coefficient
+//! generators feeding per-tap bipolar multipliers and a balancer
+//! counting tree, the paper's Fig. 17 — exists only here as a single
+//! monolithic netlist, assembled from the blocks' in-circuit builders.
 //!
-//! External inputs that drive several sinks are distributed through
-//! explicit splitter trees ([`distribute`]-built), keeping the published
-//! netlists free of fanout violations — the same discipline a physical
-//! layout imposes.
+//! A shipped netlist makes every fanout physical, keeping the catalogue
+//! free of fanout violations — the same discipline a physical layout
+//! imposes. So two netlists differ from their blocks on purpose: the
+//! monolithic DPU distributes its shared epoch marker and slot clock
+//! through explicit splitter trees (`distribute`-built, as the
+//! composed FIR does too), and the Fig. 9a PNM splits each TFF output
+//! between its gate and the next stage.
 
 use usfq_cells::balancer::Balancer;
 use usfq_cells::interconnect::{Merger, Splitter};
 use usfq_cells::storage::Ndro;
-use usfq_cells::toggle::{Tff, Tff2};
+use usfq_cells::toggle::Tff;
 use usfq_encoding::Epoch;
-use usfq_sim::component::Buffer;
 use usfq_sim::{Circuit, InputId, NodeRef, SimError, SinkRef, Time};
 
-use crate::accel::StreamToRlIntegrator;
-use crate::blocks::{BipolarMultiplierPorts, PnmVariant};
+use crate::accel::ProcessingElement;
+use crate::blocks::{
+    merge_taps, BipolarMultiplier, BipolarMultiplierPorts, CountingNetwork, PulseNumberMultiplier,
+    UnipolarMultiplier,
+};
+use crate::error::CoreError;
 
 /// A structural netlist bundled with the envelope it must satisfy.
 #[derive(Debug)]
@@ -86,135 +93,44 @@ fn distribute(
     }
 }
 
-/// Reduces `lanes` pairwise through a balancer counting tree (forwarding
-/// `Y1` at every stage, paper Fig. 6d) and returns the root node.
-fn balancer_tree(
-    c: &mut Circuit,
-    mut lanes: Vec<NodeRef>,
-    prefix: &str,
-) -> Result<NodeRef, SimError> {
-    let mut id = 0usize;
-    while lanes.len() > 1 {
-        let mut next = Vec::with_capacity(lanes.len() / 2);
-        for pair in lanes.chunks(2) {
-            let bal = c.add(Balancer::new(format!("{prefix}{id}")));
-            id += 1;
-            c.connect(pair[0], bal.input(Balancer::IN_A), Time::ZERO)?;
-            c.connect(pair[1], bal.input(Balancer::IN_B), Time::ZERO)?;
-            next.push(bal.output(Balancer::OUT_Y1));
-        }
-        lanes = next;
-    }
-    Ok(lanes[0])
-}
-
-/// Builds one PNM divider chain (paper Fig. 9) programmed with `word`,
-/// returning the clock sink and the merged stream output. Mirrors
-/// `PulseNumberMultiplier::generate_with_times`.
-fn pnm_chain(
-    c: &mut Circuit,
-    prefix: &str,
-    epoch: Epoch,
-    word: u64,
-    variant: PnmVariant,
-) -> Result<(SinkRef, NodeRef), SimError> {
+/// The Fig. 9a PNM programmed with `word`: the block's TFF chain with a
+/// splitter on every TFF output, which drives both the stage's gate and
+/// the next stage.
+fn legacy_pnm(epoch: Epoch, word: u64) -> Result<Circuit, CoreError> {
     let bits = epoch.bits();
-    let mut clk_sink = None;
+    let mut c = Circuit::new();
+    let clk = c.input("clk");
     let mut taps = Vec::new();
     let mut prev_out: Option<NodeRef> = None;
     for i in 0..bits {
-        let (tap, next): (NodeRef, NodeRef) = match variant {
-            PnmVariant::Uniform => {
-                let tff = c.add(Tff2::new(format!("{prefix}tff2_{i}")));
-                match prev_out {
-                    None => clk_sink = Some(tff.input(Tff2::IN)),
-                    Some(out) => c.connect(out, tff.input(Tff2::IN), Time::ZERO)?,
-                }
-                (tff.output(Tff2::OUT_A), tff.output(Tff2::OUT_B))
-            }
-            PnmVariant::Legacy => {
-                let tff = c.add(Tff::new(format!("{prefix}tff_{i}")));
-                match prev_out {
-                    None => clk_sink = Some(tff.input(Tff::IN)),
-                    Some(out) => c.connect(out, tff.input(Tff::IN), Time::ZERO)?,
-                }
-                // The single-output TFF feeds both its gate and the next
-                // stage: unlike the inline simulation builder, a shipped
-                // netlist must make that fanout physical.
-                let spl = c.add(Splitter::new(format!("{prefix}spl_{i}")));
-                c.connect(tff.output(Tff::OUT), spl.input(Splitter::IN), Time::ZERO)?;
-                (spl.output(Splitter::OUT_A), spl.output(Splitter::OUT_B))
-            }
-        };
+        let tff = c.add(Tff::new(format!("tff_{i}")));
+        match prev_out {
+            None => c.connect_input(clk, tff.input(Tff::IN), Time::ZERO)?,
+            Some(out) => c.connect(out, tff.input(Tff::IN), Time::ZERO)?,
+        }
+        let spl = c.add(Splitter::new(format!("spl_{i}")));
+        c.connect(tff.output(Tff::OUT), spl.input(Splitter::IN), Time::ZERO)?;
         let bit = (word >> (bits - 1 - i)) & 1 == 1;
         let gate = if bit {
-            c.add(Ndro::new_set(format!("{prefix}gate_{i}")))
+            c.add(Ndro::new_set(format!("gate_{i}")))
         } else {
-            c.add(Ndro::new(format!("{prefix}gate_{i}")))
+            c.add(Ndro::new(format!("gate_{i}")))
         };
-        c.connect(tap, gate.input(Ndro::IN_CLK), Time::ZERO)?;
+        c.connect(
+            spl.output(Splitter::OUT_A),
+            gate.input(Ndro::IN_CLK),
+            Time::ZERO,
+        )?;
         taps.push(gate.output(Ndro::OUT_Q));
-        prev_out = Some(next);
+        prev_out = Some(spl.output(Splitter::OUT_B));
     }
-    // Zero-window confluence tree: tap pulses never coincide by
-    // construction (see `blocks::pnm`).
-    let mut layer = taps;
-    let mut depth = 0;
-    while layer.len() > 1 {
-        let mut next = Vec::new();
-        for (j, pair) in layer.chunks(2).enumerate() {
-            if pair.len() == 2 {
-                let m = c.add(Merger::with_window(
-                    format!("{prefix}mrg{depth}_{j}"),
-                    Time::ZERO,
-                ));
-                c.connect(pair[0], m.input(Merger::IN_A), Time::ZERO)?;
-                c.connect(pair[1], m.input(Merger::IN_B), Time::ZERO)?;
-                next.push(m.output(Merger::OUT));
-            } else {
-                next.push(pair[0]);
-            }
-        }
-        layer = next;
-        depth += 1;
-    }
-    Ok((clk_sink.expect("chain has at least one stage"), layer[0]))
-}
-
-/// The unipolar multiplier (paper Fig. 3c, left): one NDRO gate.
-fn unipolar_multiplier(epoch: Epoch) -> Result<Circuit, SimError> {
-    let _ = epoch;
-    let mut c = Circuit::new();
-    let in_e = c.input("E");
-    let in_b = c.input("B");
-    let in_a = c.input("A");
-    let ndro = c.add(Ndro::new("ndro"));
-    c.connect_input(in_e, ndro.input(Ndro::IN_S), Time::ZERO)?;
-    c.connect_input(in_b, ndro.input(Ndro::IN_R), Time::ZERO)?;
-    c.connect_input(in_a, ndro.input(Ndro::IN_CLK), Time::ZERO)?;
-    let _ = c.probe(ndro.output(Ndro::OUT_Q), "Q");
-    Ok(c)
-}
-
-/// The bipolar multiplier (paper Fig. 3c, right): two NDROs, a clocked
-/// inverter, and the output merger.
-fn bipolar_multiplier(epoch: Epoch) -> Result<Circuit, SimError> {
-    let mut c = Circuit::new();
-    let in_e = c.input("E");
-    let in_b = c.input("B");
-    let in_a = c.input("A");
-    let in_clk = c.input("slot_clk");
-    let ports = BipolarMultiplierPorts::build(&mut c, "mult", epoch)?;
-    c.connect_input(in_a, ports.in_a, Time::ZERO)?;
-    c.connect_input(in_b, ports.in_b, Time::ZERO)?;
-    c.connect_input(in_e, ports.in_e, Time::ZERO)?;
-    c.connect_input(in_clk, ports.in_clk, Time::ZERO)?;
-    let _ = c.probe(ports.out, "OUT");
+    let out = merge_taps(&mut c, "", taps)?;
+    let _ = c.probe(out, "out");
     Ok(c)
 }
 
 /// A 4:1 merger-tree adder (paper §4.2-A, Fig. 5).
-fn merger_adder(epoch: Epoch) -> Result<Circuit, SimError> {
+fn merger_adder(epoch: Epoch) -> Result<Circuit, CoreError> {
     let _ = epoch;
     const INPUTS: usize = 4;
     let mut c = Circuit::new();
@@ -247,7 +163,7 @@ fn merger_adder(epoch: Epoch) -> Result<Circuit, SimError> {
 }
 
 /// The single-balancer adder (paper §4.2-B): both halves observable.
-fn balancer_adder(epoch: Epoch) -> Result<Circuit, SimError> {
+fn balancer_adder(epoch: Epoch) -> Result<Circuit, CoreError> {
     let _ = epoch;
     let mut c = Circuit::new();
     let a = c.input("a");
@@ -260,37 +176,9 @@ fn balancer_adder(epoch: Epoch) -> Result<Circuit, SimError> {
     Ok(c)
 }
 
-/// The 4:1 counting network (paper Fig. 6d): input buffers feeding a
-/// balancer tree.
-fn counting_network(epoch: Epoch) -> Result<Circuit, SimError> {
-    let _ = epoch;
-    const WIDTH: usize = 4;
-    let mut c = Circuit::new();
-    let mut lanes = Vec::with_capacity(WIDTH);
-    for i in 0..WIDTH {
-        let input = c.input(format!("a{i}"));
-        let b = c.add(Buffer::new(format!("in{i}"), Time::ZERO));
-        c.connect_input(input, b.input(0), Time::ZERO)?;
-        lanes.push(b.output(0));
-    }
-    let top = balancer_tree(&mut c, lanes, "bal")?;
-    let _ = c.probe(top, "top");
-    Ok(c)
-}
-
-/// A standalone PNM (paper Fig. 9a or 9b) programmed with `word`.
-fn pnm(epoch: Epoch, variant: PnmVariant, word: u64) -> Result<Circuit, SimError> {
-    let mut c = Circuit::new();
-    let clk = c.input("clk");
-    let (clk_sink, out) = pnm_chain(&mut c, "", epoch, word, variant)?;
-    c.connect_input(clk, clk_sink, Time::ZERO)?;
-    let _ = c.probe(out, "out");
-    Ok(c)
-}
-
 /// The B2RC ripple counter chain (paper §4.4.1): TFF stages with
 /// per-stage readout probes.
-fn b2rc(epoch: Epoch) -> Result<Circuit, SimError> {
+fn b2rc(epoch: Epoch) -> Result<Circuit, CoreError> {
     let mut c = Circuit::new();
     let clk = c.input("clk");
     let mut prev = None;
@@ -306,45 +194,10 @@ fn b2rc(epoch: Epoch) -> Result<Circuit, SimError> {
     Ok(c)
 }
 
-/// The processing element's MAC pipeline (paper §5.2, Fig. 13):
-/// multiplier NDRO → balancer adder → RL integrator.
-fn processing_element(epoch: Epoch) -> Result<Circuit, SimError> {
-    let mut c = Circuit::new();
-    let in_e = c.input("E");
-    let in_rl = c.input("in1");
-    let in_a = c.input("in2");
-    let in_b = c.input("in3");
-    let in_epoch_end = c.input("epoch_end");
-    let ndro = c.add(Ndro::new("mult"));
-    let bal = c.add(Balancer::new("add"));
-    let integ = c.add(StreamToRlIntegrator::new("integ", epoch));
-    c.connect_input(in_e, ndro.input(Ndro::IN_S), Time::ZERO)?;
-    c.connect_input(in_rl, ndro.input(Ndro::IN_R), Time::ZERO)?;
-    c.connect_input(in_a, ndro.input(Ndro::IN_CLK), Time::ZERO)?;
-    c.connect(
-        ndro.output(Ndro::OUT_Q),
-        bal.input(Balancer::IN_A),
-        Time::ZERO,
-    )?;
-    c.connect_input(in_b, bal.input(Balancer::IN_B), Time::ZERO)?;
-    c.connect(
-        bal.output(Balancer::OUT_Y1),
-        integ.input(StreamToRlIntegrator::IN),
-        Time::ZERO,
-    )?;
-    c.connect_input(
-        in_epoch_end,
-        integ.input(StreamToRlIntegrator::IN_EPOCH),
-        Time::ZERO,
-    )?;
-    let _ = c.probe(integ.output(StreamToRlIntegrator::OUT), "out");
-    Ok(c)
-}
-
 /// The monolithic 4-lane DPU (paper §5.3, Fig. 15): shared epoch marker
 /// and slot clock distributed through splitter trees, one bipolar
 /// multiplier per lane, balancer counting tree on top.
-fn dpu_monolithic(epoch: Epoch) -> Result<Circuit, SimError> {
+fn dpu_monolithic(epoch: Epoch) -> Result<Circuit, CoreError> {
     const LANES: usize = 4;
     let mut c = Circuit::new();
     let in_e = c.input("E");
@@ -364,7 +217,7 @@ fn dpu_monolithic(epoch: Epoch) -> Result<Circuit, SimError> {
     }
     distribute(&mut c, in_e, &e_sinks, "e")?;
     distribute(&mut c, in_clk, &clk_sinks, "clk")?;
-    let top = balancer_tree(&mut c, lane_outs, "bal")?;
+    let top = CountingNetwork::build_tree(&mut c, lane_outs, "bal")?;
     let _ = c.probe(top, "top");
     Ok(c)
 }
@@ -373,9 +226,10 @@ fn dpu_monolithic(epoch: Epoch) -> Result<Circuit, SimError> {
 /// netlist: a PNM coefficient generator per tap feeding the stream
 /// operand of a per-tap bipolar multiplier gated by the delayed RL
 /// sample, all products accumulated by a balancer counting tree.
-fn structural_fir(epoch: Epoch) -> Result<Circuit, SimError> {
+fn structural_fir(epoch: Epoch) -> Result<Circuit, CoreError> {
     // Representative 4-bit coefficient words, one per tap.
     const WORDS: [u64; 4] = [3, 9, 6, 12];
+    let pnm = PulseNumberMultiplier::new(epoch);
     let mut c = Circuit::new();
     let pnm_clk = c.input("pnm_clk");
     let in_e = c.input("E");
@@ -385,13 +239,7 @@ fn structural_fir(epoch: Epoch) -> Result<Circuit, SimError> {
     let mut clk_sinks = Vec::new();
     let mut lane_outs = Vec::new();
     for (k, &word) in WORDS.iter().enumerate() {
-        let (clk_sink, coeff) = pnm_chain(
-            &mut c,
-            &format!("tap{k}."),
-            epoch,
-            word,
-            PnmVariant::Uniform,
-        )?;
+        let (clk_sink, coeff) = pnm.build(&mut c, &format!("tap{k}."), word)?;
         pnm_sinks.push(clk_sink);
         let ports = BipolarMultiplierPorts::build(&mut c, &format!("mult{k}"), epoch)?;
         c.connect(coeff, ports.in_a, Time::ZERO)?;
@@ -404,9 +252,14 @@ fn structural_fir(epoch: Epoch) -> Result<Circuit, SimError> {
     distribute(&mut c, pnm_clk, &pnm_sinks, "pnm")?;
     distribute(&mut c, in_e, &e_sinks, "e")?;
     distribute(&mut c, in_clk, &clk_sinks, "clk")?;
-    let top = balancer_tree(&mut c, lane_outs, "acc")?;
+    let top = CountingNetwork::build_tree(&mut c, lane_outs, "acc")?;
     let _ = c.probe(top, "top");
     Ok(c)
+}
+
+/// A block's own circuit, without its io.
+fn block<P>(built: Result<(Circuit, P), CoreError>) -> Result<Circuit, CoreError> {
+    built.map(|(circuit, _)| circuit)
 }
 
 /// Packages a circuit with the uniform analysis envelope: inputs pulse
@@ -486,7 +339,7 @@ pub fn shipped_netlists() -> Vec<BuiltNetlist> {
     let pnm_epoch =
         Epoch::with_slot(4, usfq_cells::catalog::t_tff2().scale(4)).expect("4-bit PNM epoch");
     let fir_epoch = pnm_epoch;
-    let build = |name, summary, epoch, circuit: Result<Circuit, SimError>| {
+    let build = |name, summary, epoch, circuit: Result<Circuit, CoreError>| {
         package(
             name,
             summary,
@@ -499,13 +352,13 @@ pub fn shipped_netlists() -> Vec<BuiltNetlist> {
             "unipolar-multiplier",
             "RL-gated unipolar multiplier (Fig. 3c left)",
             e5,
-            unipolar_multiplier(e5),
+            block(UnipolarMultiplier::new(e5).circuit()),
         ),
         build(
             "bipolar-multiplier",
             "two-NDRO bipolar multiplier with clocked inverter (Fig. 3c right)",
             e5,
-            bipolar_multiplier(e5),
+            block(BipolarMultiplier::new(e5).circuit()),
         ),
         build(
             "merger-adder",
@@ -523,19 +376,19 @@ pub fn shipped_netlists() -> Vec<BuiltNetlist> {
             "counting-network",
             "4:1 balancer counting network (Fig. 6d)",
             bff4,
-            counting_network(bff4),
+            CountingNetwork::new(bff4, 4).and_then(|net| block(net.circuit())),
         ),
         build(
             "pnm-legacy",
             "pulse-number multiplier, TFF chain (Fig. 9a)",
             pnm_epoch,
-            pnm(pnm_epoch, PnmVariant::Legacy, 0b0101),
+            legacy_pnm(pnm_epoch, 0b0101),
         ),
         build(
             "pnm-uniform",
             "pulse-number multiplier, TFF2 chain (Fig. 9b)",
             pnm_epoch,
-            pnm(pnm_epoch, PnmVariant::Uniform, 0b0101),
+            block(PulseNumberMultiplier::new(pnm_epoch).circuit(0b0101)),
         ),
         build(
             "b2rc",
@@ -547,7 +400,7 @@ pub fn shipped_netlists() -> Vec<BuiltNetlist> {
             "processing-element",
             "PE MAC pipeline: multiplier, balancer, integrator (Fig. 13)",
             bff4,
-            processing_element(bff4),
+            block(ProcessingElement::new(bff4).circuit()),
         ),
         build(
             "dpu-monolithic",

@@ -1074,12 +1074,18 @@ impl Simulator {
     /// equivalent to `m` individual deliveries. Jittered trains use
     /// their worst-case envelope bounds for (a) and (c), so an
     /// absorbed prefix is safe for *every* materialization of the
-    /// envelope. If the sanitizer cannot prove the prefix
-    /// violation-free, the cell declines ([`BurstStep::PulseByPulse`]),
-    /// the envelope alone exceeds the bound, or a jittered train meets
-    /// a feedback cycle (whose lookahead is only sound for nominal
-    /// delays), only the head pulse is delivered through the ordinary
-    /// exact path.
+    /// envelope. Only the head pulse is delivered, through the ordinary
+    /// exact path, when
+    ///
+    /// - the safe prefix is a single pulse: trains that interleave with
+    ///   others half a slot apart, as the accelerators' clock and data
+    ///   trains do, would otherwise pay a closed-form step and a
+    ///   re-queue for every pulse;
+    /// - the sanitizer cannot prove the prefix violation-free;
+    /// - the cell declines ([`BurstStep::PulseByPulse`]);
+    /// - the envelope alone exceeds the bound; or
+    /// - a jittered train meets a feedback cycle, whose lookahead is
+    ///   only sound for nominal delays.
     ///
     /// When the consumed train's single emission lands on a
     /// single-wire net and its head would be the very next event
@@ -1153,7 +1159,10 @@ impl Simulator {
                 m >= 1 || !burst.is_exact(),
                 "exact burst head must be consumable"
             );
-            let mut atomic = m > 0 && !cyclic_jitter_bail;
+            // A one-pulse prefix goes down the exact head path: a
+            // closed-form step buys nothing for one pulse, and the
+            // re-queue of the remainder costs more than the pulse.
+            let mut atomic = m > 1 && !cyclic_jitter_bail;
             if atomic {
                 if let Some(s) = &self.sanitizer {
                     if !s.can_coalesce(ci, port as usize, &burst.prefix(m)) {
@@ -1789,10 +1798,10 @@ impl Simulator {
     ///
     /// Everything is cleared *in place* — queue, probe recordings, and
     /// activity counters keep their allocations — so resetting between
-    /// trials of a sweep is allocation-free. Wire-delay jitter, if
-    /// enabled, is *not* re-seeded; call
-    /// [`Simulator::enable_wire_jitter`] again for a reproducible
-    /// per-trial jitter stream.
+    /// trials of a sweep is allocation-free. Wire-delay jitter settings
+    /// are kept, and since every draw is a pure function of seed, wire
+    /// and emission time, a reset simulator repeats a fresh one's
+    /// jitter exactly.
     pub fn reset(&mut self) {
         for model in &mut self.circuit.models {
             model.reset();

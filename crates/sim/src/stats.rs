@@ -30,7 +30,8 @@ pub enum StatKind {
 /// coverage shows up in CI before it shows up as wall-clock.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoalesceStats {
-    /// Closed-form `step_burst` absorptions that consumed a prefix.
+    /// Closed-form `step_burst` absorptions of two or more pulses (a
+    /// one-pulse prefix takes the exact head path instead).
     pub hits: u64,
     /// Pulses absorbed by those closed-form steps.
     pub pulses: u64,

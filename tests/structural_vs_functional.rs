@@ -86,7 +86,7 @@ fn pe_mac_agrees() {
     for_all(48, |rng| {
         let [a, b, c] = [(); 3].map(|()| rng.gen_range(0.0..=1.0));
         let epoch = Epoch::with_slot(5, catalog::t_bff()).unwrap();
-        let pe = ProcessingElement::new(epoch);
+        let mut pe = ProcessingElement::new(epoch);
         let s = pe.mac(a, b, c).unwrap();
         let f = pe.mac_functional(a, b, c).unwrap();
         assert!(
