@@ -1,12 +1,13 @@
 //! Self-timed kernel benchmark snapshot for the CI perf-regression gate.
 //!
 //! Runs the engine's kernel workloads with plain `std::time::Instant`
-//! timing and writes one machine-readable JSON snapshot. It runs
-//! identically in CI, on a developer laptop, and offline, so
-//! `BENCH_kernel.json` baselines are always regenerable with
+//! timing and writes one machine-readable JSON snapshot to the path
+//! given with `--out`. It runs identically in CI, on a developer
+//! laptop, and offline:
 //!
 //! ```text
-//! ./scripts/bench_snapshot.sh
+//! OUT=/tmp/bench.json ./scripts/bench_snapshot.sh
+//! ./scripts/bench_pair.sh <base-rev> /tmp/pair   # base vs head, interleaved
 //! ```
 //!
 //! Snapshot schema (`schema_version` 4):
@@ -42,9 +43,9 @@
 //! refuse unlike-for-unlike comparisons of everything else.
 //!
 //! Keys are stable identifiers the `scripts/bench_compare.py` gate
-//! matches between baseline and fresh snapshots; renaming one is a
-//! baseline-breaking change and should update `BENCH_kernel.json` in
-//! the same commit.
+//! matches between base and head snapshots; a key the base records
+//! and the head does not fails the gate, so renaming a kernel fails
+//! it once, in the change that renames it.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -155,10 +156,10 @@ fn event_times(n: usize, seed: u64) -> Vec<u64> {
 }
 
 fn main() {
-    let out_path = std::env::args()
-        .skip_while(|a| a != "--out")
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_kernel.json".to_string());
+    let Some(out_path) = std::env::args().skip_while(|a| a != "--out").nth(1) else {
+        eprintln!("usage: benchkernel --out <snapshot.json>");
+        std::process::exit(2);
+    };
     let commit = std::env::var("USFQ_COMMIT").unwrap_or_else(|_| "unknown".to_string());
     let threads = Runner::from_env().threads();
     let env = SimConfig::from_env();
@@ -223,7 +224,7 @@ fn main() {
     }
 
     // The historical kernel group, under the default scheduler —
-    // continuity with the pre-wheel BENCH_kernel.json trajectory.
+    // continuity with the pre-wheel kernel trajectory.
     for (name, stages) in [
         ("kernel/delay_chain/128", 128usize),
         ("kernel/delay_chain/1024", 1024),

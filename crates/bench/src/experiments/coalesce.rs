@@ -8,7 +8,7 @@
 //! cycle under jitter, a sanitizer veto, or a cell declining the
 //! closed form.
 //!
-//! The same counters ride along in `BENCH_kernel.json` (the
+//! The same counters ride along in every `benchkernel` snapshot (the
 //! `coalesce` provenance block) so a CI timing shift can be
 //! attributed to a coalescing-behavior change without a bisect.
 
@@ -23,7 +23,7 @@ use crate::render;
 /// One kernel's coalescing telemetry.
 #[derive(Debug, Clone)]
 pub struct CoalescePoint {
-    /// Kernel identifier (matches the `BENCH_kernel.json` key suffix).
+    /// Kernel identifier (matches the `benchkernel` snapshot key suffix).
     pub kernel: String,
     /// Whole trains consumed in closed form.
     pub hits: u64,

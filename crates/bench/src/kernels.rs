@@ -3,8 +3,8 @@
 //! One definition of each kernel, shared by two consumers so they
 //! can never drift apart:
 //!
-//! * the self-timed [`benchkernel`](../bin/benchkernel.rs) binary that
-//!   writes `BENCH_kernel.json` for the CI perf-regression gate, and
+//! * the self-timed [`benchkernel`](../bin/benchkernel.rs) binary whose
+//!   snapshots the CI perf-regression gate compares, and
 //! * the engine configuration cube ([`usfq_sim::check::check_cube`]),
 //!   whose suites (`tests/{sched,burst,shard}_differential.rs`,
 //!   `tests/parallel_determinism.rs`) run every workload under every

@@ -6,7 +6,7 @@
 //! a [`Burst`] carries the whole train as one closed-form object that
 //! delay elements, splitters, toggles and gating cells can transform
 //! exactly, so the per-hop cost becomes `O(1)` on the closed subgraph
-//! (plus `O(count)` arithmetic only where a probe records the train).
+//! (plus `O(count)` arithmetic only where a probe's times are read).
 //!
 //! # Exactness
 //!

@@ -197,13 +197,29 @@ pub struct Fingerprint {
 impl Fingerprint {
     /// Captures a finished run of `sim`, whose `run` returned
     /// `summary`, recording `probes` in the given order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a probe's count, read before its times, disagrees
+    /// with the number of times it then returns.
     pub fn capture(sim: &ShardedSimulator, summary: RunSummary, probes: &[ProbeId]) -> Fingerprint {
         let activity = sim.activity();
         Fingerprint {
             summary,
             probe_times: probes
                 .iter()
-                .map(|&p| sim.probe_times(p).to_vec())
+                .map(|&p| {
+                    let count = sim.probe_count(p);
+                    let times = sim.probe_times(p);
+                    assert_eq!(
+                        count,
+                        times.len(),
+                        "probe {} counts {count} pulses but reads {} times",
+                        p.index(),
+                        times.len()
+                    );
+                    times.to_vec()
+                })
                 .collect(),
             handled: activity.handled.clone(),
             emitted: activity.emitted.clone(),

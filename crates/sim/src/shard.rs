@@ -455,7 +455,7 @@ fn worker_loop(
                 let summary = sim.run_until(deadline)?;
                 // Forward every egress port's new emission times.
                 for (port, offset) in shared.plan.egress[idx].iter().zip(offsets.iter_mut()) {
-                    let recorded = sim.probe_times(port.probe);
+                    let recorded = sim.flushed_probe_times(port.probe);
                     if recorded.len() == *offset {
                         continue;
                     }
@@ -719,13 +719,8 @@ impl ShardedSimulator {
     ///
     /// Panics if `probe` belongs to a different circuit.
     pub fn probe_times(&self, probe: ProbeId) -> &[Time] {
-        match &self.inner {
-            Inner::Single(sim) => sim.probe_times(probe),
-            Inner::Multi(m) => {
-                let (s, local) = m.plan.probe_map[probe.index()];
-                m.workers[s as usize].probe_times(local)
-            }
-        }
+        let (sim, local) = self.probe_home(probe);
+        sim.probe_times(local)
     }
 
     /// Number of pulses a probe recorded.
@@ -734,7 +729,19 @@ impl ShardedSimulator {
     ///
     /// Panics if `probe` belongs to a different circuit.
     pub fn probe_count(&self, probe: ProbeId) -> usize {
-        self.probe_times(probe).len()
+        let (sim, local) = self.probe_home(probe);
+        sim.probe_count(local)
+    }
+
+    /// The simulator that records `probe`, and the probe's id there.
+    fn probe_home(&self, probe: ProbeId) -> (&Simulator, ProbeId) {
+        match &self.inner {
+            Inner::Single(sim) => (sim, probe),
+            Inner::Multi(m) => {
+                let (s, local) = m.plan.probe_map[probe.index()];
+                (&m.workers[s as usize], local)
+            }
+        }
     }
 
     /// Switching-activity report, indexed by original component id.
@@ -805,7 +812,7 @@ impl ShardedSimulator {
                 for offsets in &mut m.offsets {
                     offsets.fill(0);
                 }
-                m.merged = ActivityReport::with_components(m.plan.num_comps);
+                m.merged.reset();
                 m.end_time = Time::ZERO;
             }
         }
@@ -861,9 +868,10 @@ impl Multi {
     }
 
     /// Deterministic merge of per-shard activity into original
-    /// component indices.
+    /// component indices, in place over the previous merge.
     fn merge_activity(&mut self) {
-        let mut merged = ActivityReport::with_components(self.plan.num_comps);
+        let merged = &mut self.merged;
+        merged.reset();
         for (s, w) in self.workers.iter().enumerate() {
             let local = w.activity();
             for (li, &orig) in self.plan.owned[s].iter().enumerate() {
@@ -876,7 +884,6 @@ impl Multi {
             merged.peak_pending = merged.peak_pending.max(local.peak_pending);
             merged.coalesce.merge(&local.coalesce);
         }
-        self.merged = merged;
     }
 }
 
@@ -884,6 +891,7 @@ impl Multi {
 mod tests {
     use super::*;
     use crate::component::Buffer;
+    use crate::config::Jitter;
 
     /// The default engine configuration at `shards` shards, whatever
     /// the environment says.
@@ -900,6 +908,12 @@ mod tests {
     /// Two parallel buffer chains with a positive-delay crosslink: the
     /// canonical 2-shard partition target.
     fn two_chains() -> (Circuit, Vec<InputId>, Vec<ProbeId>) {
+        two_chains_crossing(Time::from_ps(15.0))
+    }
+
+    /// [`two_chains`] whose crosslink, the only cut wire, has delay
+    /// `cross`, which is then the lookahead.
+    fn two_chains_crossing(cross: Time) -> (Circuit, Vec<InputId>, Vec<ProbeId>) {
         let mut c = Circuit::new();
         let in_a = c.input("a");
         let in_b = c.input("b");
@@ -922,8 +936,7 @@ mod tests {
         let a = chain(&mut c, in_a, "a");
         let b = chain(&mut c, in_b, "b");
         // Crosslink: a2 also feeds b3 with a slow wire (the only cut).
-        c.connect(a[2].output(0), b[3].input(0), Time::from_ps(15.0))
-            .unwrap();
+        c.connect(a[2].output(0), b[3].input(0), cross).unwrap();
         let pa = c.probe(a[5].output(0), "enda");
         let pb = c.probe(b[5].output(0), "endb");
         (c, vec![in_a, in_b], vec![pa, pb])
@@ -1027,6 +1040,72 @@ mod tests {
         for &p in &probes {
             assert_eq!(seq.probe_times(p), par.probe_times(p));
         }
+    }
+
+    /// A train that a shard records lazily at a cut wire's egress
+    /// probe crosses the cut intact. The trains span several lookahead
+    /// windows with several pulses in each, so the source shard absorbs
+    /// them in closed form one window at a time and every window
+    /// forwards the train recorded since the last. Exact trains must
+    /// match the sequential run; jittered ones the same shard count
+    /// with pulse delivery, since partitioning renumbers the wires the
+    /// draws are keyed by.
+    #[test]
+    fn lazily_recorded_trains_cross_the_cut_window_by_window() {
+        let (c, inputs, probes) = two_chains_crossing(Time::from_ps(100.0));
+        let run = |shards: usize, burst: bool, jitter: Option<Jitter>| {
+            let mut sim = ShardedSimulator::with_config(
+                c.clone(),
+                &SimConfig {
+                    burst,
+                    shards,
+                    jitter,
+                    ..SimConfig::reference()
+                },
+            );
+            assert_eq!(sim.num_shards(), shards);
+            for &input in &inputs {
+                sim.schedule_burst(input, Burst::uniform(Time::ZERO, Time::from_ps(30.0), 12))
+                    .unwrap();
+            }
+            sim.run().unwrap();
+            let times: Vec<Vec<Time>> = probes
+                .iter()
+                .map(|&p| {
+                    assert_eq!(sim.probe_count(p), sim.probe_times(p).len());
+                    sim.probe_times(p).to_vec()
+                })
+                .collect();
+            (times, sim.activity().coalesce.hits)
+        };
+        let (exact, hits) = run(2, true, None);
+        assert!(hits > 0, "the chains must absorb trains in closed form");
+        assert_eq!(exact, run(1, true, None).0);
+        let jitter = Some(Jitter {
+            sigma: Time::from_ps(1.0),
+            seed: 9,
+        });
+        let (jittered, hits) = run(2, true, jitter);
+        assert!(hits > 0, "jittered chains must absorb trains too");
+        assert_eq!(jittered, run(2, false, jitter).0);
+        assert_ne!(jittered, exact, "jitter must move the times");
+    }
+
+    /// The merged activity report is updated in place: neither a run
+    /// nor a reset reallocates it.
+    #[test]
+    fn merged_activity_keeps_its_allocation() {
+        let (c, inputs, _) = two_chains();
+        let mut par = sharded(c, 2);
+        let ptr = par.activity().handled.as_ptr();
+        drive(&mut par, &inputs);
+        assert_eq!(par.activity().handled.as_ptr(), ptr);
+        assert!(par.activity().total_handled() > 0);
+        par.reset();
+        assert_eq!(par.activity().handled.as_ptr(), ptr);
+        assert_eq!(par.activity().total_handled(), 0);
+        drive(&mut par, &inputs);
+        assert_eq!(par.activity().handled.as_ptr(), ptr);
     }
 
     #[test]

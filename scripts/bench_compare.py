@@ -1,32 +1,30 @@
 #!/usr/bin/env python3
-"""Compare a fresh benchmark snapshot against the committed baseline.
+"""Compare base and head kernel snapshots: the CI perf gate.
 
-CI perf-regression gate for the `benchkernel` snapshots produced by
-scripts/bench_snapshot.sh:
+Gates the `benchkernel` snapshots that scripts/bench_pair.sh takes of
+a base commit and the head, interleaved on one machine:
 
-    python3 scripts/bench_compare.py BENCH_kernel.json /tmp/after.json
+    python3 scripts/bench_compare.py BASE.json... -- HEAD.json...
 
-For every benchmark key present in BOTH files, compares min_ns when
-both snapshots record it (the noise-robust estimator: on a shared
-runner interference only ever adds time, so the fastest sample tracks
-the true cost), falling back to median_ns for older snapshots. A
-kernel more than FAIL_PCT slower than baseline fails the gate; one
-more than WARN_PCT slower prints a warning. The medians are reported
-alongside — in the log and the step-summary table — purely as
+Each side may hold several snapshots. Per kernel a side's figure is the
+least min_ns over its snapshots (the noise-robust estimator: on a
+shared runner interference only ever adds time, so the fastest sample
+tracks the true cost). A kernel more than FAIL_PCT slower than the
+base fails the gate; one more than WARN_PCT slower prints a warning.
+The median of each side's median_ns is reported alongside, purely as
 context: a min that moved while the median held still is usually
 runner noise, a min and median that moved together is a real shift.
 The gate itself only ever fires on min_ns.
 
-Key-set drift is asymmetric: NEW keys in the current snapshot are fine
-(a fresh kernel lands before the baseline is regenerated), but keys
-that exist in the baseline and vanish from the current run fail the
-gate — silently dropping a kernel is how regressions hide. A renamed
-or retired kernel must update BENCH_kernel.json in the same commit.
+Key-set drift is asymmetric: NEW keys on the head side are fine (a
+fresh kernel has no base to compare with), but keys that the base
+records and the head does not fail the gate — silently dropping a
+kernel is how regressions hide.
 
 Provenance must be like-for-like: the threads, sched, and shards
-settings recorded in each snapshot must agree, or every per-key delta
-is comparing different machines' worth of work and the gate is
-meaningless. A mismatch is a hard failure, not a note. (The
+settings recorded in every snapshot, on both sides, must agree, or
+every per-key delta is comparing different machines' worth of work and
+the gate is meaningless. A mismatch is a hard failure, not a note. (The
 `kernel/shard/*` keys pin their shard count in the key itself and are
 immune to the `shards` default; the top-level field gates everything
 else, which runs under the default `USFQ_SHARDS`.)
@@ -45,6 +43,7 @@ is readable from the run's Summary tab without opening the log.
 
 import json
 import os
+import statistics
 import sys
 
 
@@ -99,25 +98,59 @@ def write_step_summary(rows, failures, warnings):
         f.write("\n".join(lines) + "\n")
 
 
-def main():
-    if len(sys.argv) != 3:
-        sys.exit(f"usage: {sys.argv[0]} <baseline.json> <current.json>")
-    base_path, cur_path = sys.argv[1], sys.argv[2]
-    base_snap, base = load(base_path)
-    cur_snap, cur = load(cur_path)
+def split_sides(args):
+    """(base paths, head paths) from `BASE... -- HEAD...`."""
+    cut = args.index("--") if "--" in args else 0
+    base, head = args[:cut], args[cut + 1 :]
+    if not base or not head:
+        sys.exit(f"usage: {sys.argv[0]} BASE.json... -- HEAD.json...")
+    return base, head
 
-    for label, snap in (("baseline", base_snap), ("current", cur_snap)):
-        print(
-            f"{label}: commit={snap.get('commit', '?')} "
-            f"threads={snap.get('threads', '?')} sched={snap.get('sched', '?')} "
-            f"shards={snap.get('shards', 1)}"
-        )
+
+def combine(paths):
+    """One side's snapshots as (snapshots, {key: (least, median median)}).
+
+    `least` is the least min_ns over the snapshots that record the key;
+    the median of their median_ns is display context only.
+    """
+    snaps = [load(path) for path in paths]
+    keys = sorted({key for _, benches in snaps for key in benches})
+    combined = {}
+    for path, (_, benches) in zip(paths, snaps):
+        for key, entry in benches.items():
+            if not entry.get("min_ns"):
+                sys.exit(f"{path}: {key} records no min_ns")
+    for key in keys:
+        entries = [benches[key] for _, benches in snaps if key in benches]
+        least = min(e["min_ns"] for e in entries)
+        medians = [e["median_ns"] for e in entries if e.get("median_ns")]
+        combined[key] = (least, statistics.median(medians) if medians else None)
+    return [snap for snap, _ in snaps], combined
+
+
+def main():
+    base_paths, head_paths = split_sides(sys.argv[1:])
+    base_snaps, base = combine(base_paths)
+    cur_snaps, cur = combine(head_paths)
+
+    for label, paths, snaps in (
+        ("base", base_paths, base_snaps),
+        ("head", head_paths, cur_snaps),
+    ):
+        for path, snap in zip(paths, snaps):
+            print(
+                f"{label}: {path} commit={snap.get('commit', '?')} "
+                f"threads={snap.get('threads', '?')} sched={snap.get('sched', '?')} "
+                f"shards={snap.get('shards', 1)}"
+            )
     provenance_failures = []
     for field, default in (("threads", None), ("sched", None), ("shards", 1)):
-        before, after = base_snap.get(field, default), cur_snap.get(field, default)
-        if before != after:
+        seen = sorted(
+            {str(snap.get(field, default)) for snap in base_snaps + cur_snaps}
+        )
+        if len(seen) > 1:
             provenance_failures.append(
-                f"provenance mismatch: {field}={before} (baseline) vs {after} (current)"
+                f"provenance mismatch: {field} takes values {', '.join(seen)}"
             )
     for line in provenance_failures:
         print(f"FAIL {line}")
@@ -126,31 +159,21 @@ def main():
     only_base = sorted(set(base) - set(cur))
     only_cur = sorted(set(cur) - set(base))
     for key in only_base:
-        print(f"FAIL missing from current (baseline-only): {key}")
-        rows.append(
-            ("fail", f"{key} (missing from current)", None, None, None, None, None)
-        )
+        print(f"FAIL missing from head (base-only): {key}")
+        rows.append(("fail", f"{key} (missing from head)", None, None, None, None, None))
     for key in only_cur:
-        print(f"  ok new benchmark (not in baseline): {key}")
+        print(f"  ok new benchmark (not in base): {key}")
         rows.append(("new", key, None, None, None, None, None))
 
     failures = provenance_failures + [f"missing: {key}" for key in only_base]
     warnings = []
     for key in sorted(set(base) & set(cur)):
-        if "min_ns" in base[key] and "min_ns" in cur[key]:
-            before, after = base[key]["min_ns"], cur[key]["min_ns"]
-        else:
-            before = base[key].get("median_ns")
-            after = cur[key].get("median_ns")
-        if not before or after is None:
-            continue
-        med_before = base[key].get("median_ns")
-        med_after = cur[key].get("median_ns")
+        (before, med_before), (after, med_after) = base[key], cur[key]
         delta_pct = 100.0 * (after - before) / before
         med_s = ""
         if med_before and med_after is not None:
             med_delta = 100.0 * (med_after - med_before) / med_before
-            med_s = f" [median {med_before} -> {med_after} ({med_delta:+.1f}%)]"
+            med_s = f" [median {med_before:.0f} -> {med_after:.0f} ({med_delta:+.1f}%)]"
         line = f"{key}: {before} -> {after} ns ({delta_pct:+.1f}%)"
         if delta_pct > FAIL_PCT:
             failures.append(line)
@@ -167,7 +190,7 @@ def main():
 
     print(
         f"\n{len(failures)} hard failure(s) (regression over {FAIL_PCT:.0f}%, "
-        f"missing baseline key, or provenance mismatch), "
+        f"missing base key, or provenance mismatch), "
         f"{len(warnings)} warning(s) over {WARN_PCT:.0f}%"
     )
     write_step_summary(rows, failures, warnings)
