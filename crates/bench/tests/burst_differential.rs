@@ -1,8 +1,7 @@
 //! The `burst == pulse` slice of the engine configuration cube
 //! ([`usfq_sim::check`]): coalesced delivery must reproduce the
-//! pulse-level reference, up to the fields [`Fingerprint::normalized`]
-//! documents for the burst axis (queue high-water mark, violation
-//! order, the end time of trailing absorbed pulses).
+//! pulse-level reference exactly — probe times, activity, event count,
+//! end time and violations.
 //!
 //! The catalogue cubes check every cell on a 4-thread runner against
 //! references on the test thread. The directed tests after them pin
@@ -32,8 +31,7 @@ fn delivery(on: bool) -> SimConfig {
 
 /// Loose pulses and uniform trains through every shipped netlist, at
 /// one shard: every burst-on cell of the cube (heap and wheel,
-/// sanitizer off and on) against the heap burst reference, and that
-/// against the pulse-level one.
+/// sanitizer off and on) against the pulse-level reference.
 #[test]
 fn full_catalogue_burst_equals_pulse() {
     let catalogue = shipped_netlists();
@@ -48,9 +46,8 @@ fn full_catalogue_burst_equals_pulse() {
 /// Uniform trains through every shipped netlist under 2 ps and 4 ps
 /// wire jitter, at 1 and 2 shards: wide enough that some envelopes
 /// clear their windows and coalesce while others fall back per cell.
-/// Jittered cells compare with the references at the same jitter and
-/// shard count, because partitioning renumbers wires and so changes
-/// the draw stream; each stimulus seed draws its own jitter stream.
+/// Every cell compares with the sequential pulse-level run at the same
+/// jitter; each stimulus seed draws its own jitter stream.
 #[test]
 fn jittered_catalogue_burst_equals_pulse_across_shards() {
     let catalogue = shipped_netlists();
@@ -185,7 +182,7 @@ fn envelope_exceeding_a_window_falls_back_per_cell_not_per_run() {
 /// dense enough that every conservative lookahead window cuts them:
 /// each round the upstream shard emits a *prefix* of a train and the
 /// remainder crosses the boundary in later rounds. Sharded output
-/// agrees with sequential at the same delivery mode, end time included.
+/// equals the sequential pulse-level run, end time included.
 #[test]
 fn bursts_straddling_a_shard_boundary_match_sequential() {
     let mut c = Circuit::new();
@@ -230,13 +227,13 @@ fn bursts_straddling_a_shard_boundary_match_sequential() {
             Burst::uniform(Time::from_fs(13_000), Time::from_ps(11.0), 24),
         ),
     ];
+    let seq_cfg = delivery(false);
+    let (seq, _) = run_trains(c.clone(), &trains, &[probe], &seq_cfg);
     for burst in [false, true] {
-        let seq_cfg = delivery(burst);
-        let (seq, _) = run_trains(c.clone(), &trains, &[probe], &seq_cfg);
         for shards in [2, 3] {
             let cfg = SimConfig {
                 shards,
-                ..seq_cfg.clone()
+                ..delivery(burst)
             };
             let (sharded, sim) = run_trains(c.clone(), &trains, &[probe], &cfg);
             assert_eq!(sim.num_shards(), shards, "the chains split");

@@ -1,8 +1,8 @@
 //! The thread axis of the engine configuration cube
-//! ([`usfq_sim::check`]): the sweep runner's results are identical —
-//! bit for bit, nothing normalized — to the sequential loop at any
-//! thread count, on the real Fig. 19 fault sweep and on engine-backed
-//! catalogue sweeps in random cells.
+//! ([`usfq_sim::check`]): the sweep runner's results are identical,
+//! bit for bit, to the sequential loop at any thread count, on the
+//! real Fig. 19 fault sweep and on engine-backed catalogue sweeps in
+//! random cells.
 
 use usfq_bench::experiments::fig19::{snr_sweep_stats_on, SnrStats};
 use usfq_bench::kernels::{catalogue_trial, jitter_ps, StimulusKind};

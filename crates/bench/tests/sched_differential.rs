@@ -1,10 +1,10 @@
 //! The `wheel == heap` slice of the engine configuration cube
 //! ([`usfq_sim::check`]): the calendar-wheel scheduler must reproduce
-//! the reference binary heap bit for bit — nothing is normalized on
-//! the scheduler axis — sanitizer on and off, fresh and reused.
+//! the reference binary heap bit for bit, sanitizer on and off, fresh
+//! and reused.
 //!
 //! The random property at the end samples the whole cube: any netlist,
-//! stimulus, seed and cell against its reference chain.
+//! stimulus, seed and cell against its reference.
 
 use usfq_bench::kernels::{
     assert_parallel_catalogue_sweep, catalogue_config, catalogue_probes, catalogue_trial,
@@ -86,7 +86,7 @@ fn reset_reuse_matches_fresh_under_both_schedulers() {
 }
 
 /// Random netlist × stimulus kind × seed × cell, against the cell's
-/// reference chain. The nightly workflow raises `PROPTEST_CASES`.
+/// reference. The nightly workflow raises `PROPTEST_CASES`.
 #[test]
 fn random_trials_fingerprints_match() {
     let catalogue = shipped_netlists();

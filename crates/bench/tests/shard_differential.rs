@@ -1,12 +1,8 @@
 //! The `shard(N) == sequential` slice of the engine configuration cube
 //! ([`usfq_sim::check`]): partitioned conservative-parallel runs must
-//! reproduce the sequential engine, up to the two fields
-//! [`Fingerprint::normalized`] documents for the shard axis (each
-//! shard's own queue high-water mark, and the merged violations'
-//! sorted order) — across schedulers, sanitizer on/off, burst delivery
-//! on/off, catalogue netlists and generated fabrics alike.
-//!
-//! [`Fingerprint::normalized`]: usfq_sim::Fingerprint::normalized
+//! reproduce the sequential engine exactly, merged violations and
+//! jittered runs included — across schedulers, sanitizer on/off, burst
+//! delivery on/off, catalogue netlists and generated fabrics alike.
 
 use usfq_bench::kernels::{catalogue_workloads, fabric_workload, jitter_ps, StimulusKind};
 use usfq_core::netlists::shipped_netlists;
@@ -53,8 +49,9 @@ fn runner_sweep_of_sharded_sims_is_deterministic() {
     check_cube(&workloads, &[cell]);
 }
 
-/// Random fabric shapes, seeds and cells at up to 5 shards, against
-/// the cell's reference chain. The nightly workflow raises `PROPTEST_CASES`.
+/// Random fabric shapes, seeds and cells at up to 5 shards, jitter
+/// included, against the sequential pulse-level reference. The nightly
+/// workflow raises `PROPTEST_CASES`.
 #[test]
 fn random_fabrics_shard_deterministically() {
     let jitters = [None, Some(jitter_ps(2.0)), Some(jitter_ps(4.0))];

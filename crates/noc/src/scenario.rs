@@ -3,8 +3,8 @@
 //! summarize latency / throughput / area.
 //!
 //! A run's output is a [`usfq_sim::Fingerprint`]; outcomes from any
-//! point of the engine configuration cube agree after
-//! [`Fingerprint::normalized`](usfq_sim::Fingerprint::normalized).
+//! point of the engine configuration cube under the same jitter are
+//! equal, except that only a sanitized run records violations.
 
 use usfq_sim::{Fingerprint, ShardedSimulator, SimConfig, SimError, Time};
 

@@ -22,15 +22,13 @@
 //! it; a *cell* is one full [`SimConfig`] from [`cube`]: scheduler ×
 //! delivery × sanitizer × shard count × wire jitter. [`check_cube`]
 //! runs every workload under every cell and compares each run's
-//! [`Fingerprint`] with its [`reference_for`] cell's, after
-//! [`Fingerprint::normalized`], the one documented divergence rule.
-//! A reference is sequential and heap-scheduled but keeps its cell's
-//! delivery and sanitizer, so every cell is compared exactly (end time
-//! and violations included) with the sequential run at the same
-//! delivery mode. Each burst reference is in turn compared with the
-//! pulse-level one and each sanitized reference with the unsanitized
-//! one, which covers the delivery and sanitizer axes. Every cell sets
-//! every field, so no check depends on the environment.
+//! [`Fingerprint`] by `==` with its [`reference_for`] cell's: the
+//! sequential, heap-scheduled, pulse-level run under the cell's
+//! sanitizer and jitter. Each sanitized reference is in turn compared
+//! with the unsanitized one, leaving out the violations it records:
+//! the sanitizer axis is the only one on which a field may differ.
+//! Every cell sets every field, so no check depends on the
+//! environment.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::OnceLock;
@@ -139,50 +137,23 @@ pub fn random_cell(
 }
 
 /// The cell `cell` is checked against: [`SimConfig::reference`] with
-/// the cell's delivery, sanitizer and jitter, and — because jitter
-/// draws are keyed by shard-local wire index — a jittered cell's own
-/// shard count.
+/// the cell's sanitizer and jitter.
 pub fn reference_for(cell: &SimConfig) -> SimConfig {
     SimConfig {
-        burst: cell.burst,
-        shards: if cell.jitter.is_some() {
-            cell.shards
-        } else {
-            1
-        },
         jitter: cell.jitter,
         sanitizer: cell.sanitizer.clone(),
         ..SimConfig::reference()
     }
 }
 
-/// The references a reference is in turn checked against: itself with
-/// the sanitizer off, and itself with pulse-level delivery. Followed
-/// transitively, every reference reaches the bare pulse-level one.
-fn parents(reference: &SimConfig) -> Vec<SimConfig> {
-    let mut parents = Vec::new();
-    if reference.sanitizer.is_some() {
-        parents.push(SimConfig {
-            sanitizer: None,
-            ..reference.clone()
-        });
-    }
-    if reference.burst {
-        parents.push(SimConfig {
-            burst: false,
-            ..reference.clone()
-        });
-    }
-    parents
-}
-
-/// Asserts that `subject`, a run under `cell`, agrees with `reference`,
-/// a run under `reference_cfg`, by [`Fingerprint::normalized`].
+/// Asserts that `subject`, a run under `cell`, equals `reference`, a
+/// run of the same stimulus under `reference_cfg`. When the two ran
+/// different sanitizers, the violations are left out.
 ///
 /// # Panics
 ///
 /// When the runs disagree, naming `what` and the cell, or when the two
-/// configurations are not comparable at all.
+/// configurations differ in jitter, which changes what is simulated.
 pub fn assert_agree(
     what: &str,
     reference: &Fingerprint,
@@ -190,22 +161,30 @@ pub fn assert_agree(
     subject: &Fingerprint,
     cell: &SimConfig,
 ) {
-    let norm = |fp: &Fingerprint| {
-        fp.normalized(reference_cfg, cell)
-            .expect("a cell is comparable with its reference")
-    };
     assert_eq!(
-        norm(subject),
-        norm(reference),
-        "{what} diverged under {cell:?}"
+        reference_cfg.jitter, cell.jitter,
+        "runs under different jitter are not comparable"
     );
+    if reference_cfg.sanitizer == cell.sanitizer {
+        assert_eq!(subject, reference, "{what} diverged under {cell:?}");
+    } else {
+        let unsanitized = |fp: &Fingerprint| Fingerprint {
+            violations: Vec::new(),
+            ..fp.clone()
+        };
+        assert_eq!(
+            unsanitized(subject),
+            unsanitized(reference),
+            "{what} diverged under {cell:?}"
+        );
+    }
 }
 
 /// Runs every workload under every cell and checks each run against
-/// its [`reference_for`] cell, and each reference against its
-/// unsanitized and pulse-level counterparts. The cells run on a
-/// 4-thread [`Runner`] and each workload's references on the calling
-/// thread, so the thread axis is covered too.
+/// its [`reference_for`] cell, and each sanitized reference against
+/// the unsanitized one. The cells run on a 4-thread [`Runner`] and
+/// each workload's references on the calling thread, so the thread
+/// axis is covered too.
 ///
 /// # Panics
 ///
@@ -216,12 +195,19 @@ pub fn check_cube(workloads: &[Workload], cells: &[SimConfig]) {
         .flat_map(|w| cells.iter().map(move |c| (w, c)))
         .collect();
     let subjects = Runner::with_threads(4).map(&jobs, |_, (w, c)| (w.run)(c));
+    // Each distinct reference, and the unsanitized twin of each
+    // sanitized one.
     let mut reference_cfgs: Vec<SimConfig> = Vec::new();
-    let mut pending: Vec<SimConfig> = cells.iter().map(reference_for).collect();
-    while let Some(r) = pending.pop() {
-        if !reference_cfgs.contains(&r) {
-            pending.extend(parents(&r));
-            reference_cfgs.push(r);
+    for cell in cells {
+        let r = reference_for(cell);
+        let bare = SimConfig {
+            sanitizer: None,
+            ..r.clone()
+        };
+        for r in [bare, r] {
+            if !reference_cfgs.contains(&r) {
+                reference_cfgs.push(r);
+            }
         }
     }
     let index = |r: &SimConfig| {
@@ -234,9 +220,13 @@ pub fn check_cube(workloads: &[Workload], cells: &[SimConfig]) {
         let references: Vec<Fingerprint> =
             reference_cfgs.iter().map(|r| (workload.run)(r)).collect();
         for (r, reference) in reference_cfgs.iter().zip(&references) {
-            for parent in parents(r) {
-                let expected = &references[index(&parent)];
-                assert_agree(&workload.name, expected, &parent, reference, r);
+            if r.sanitizer.is_some() {
+                let bare = SimConfig {
+                    sanitizer: None,
+                    ..r.clone()
+                };
+                let expected = &references[index(&bare)];
+                assert_agree(&workload.name, expected, &bare, reference, r);
             }
         }
         for (cell, subject) in cells.iter().zip(subjects) {
@@ -277,7 +267,6 @@ mod tests {
             handled: Vec::new(),
             emitted: Vec::new(),
             anomalies: Vec::new(),
-            peak_pending: 0,
             violations: Vec::new(),
         }
     }
@@ -291,11 +280,12 @@ mod tests {
         );
     }
 
-    /// A run that ends at `shards` fs with bursts on and at 0 without:
-    /// the burst axis may move the end time, the shard axis may not.
+    /// A run that ends at `shards` fs with bursts on and at 1 fs
+    /// without, so only sharded burst runs differ from the reference.
     fn sharded_burst_end_time(cfg: &SimConfig) -> Fingerprint {
         let mut fp = sched_dependent(&SimConfig::reference());
-        fp.summary.end_time = crate::time::Time::from_fs(u64::from(cfg.burst) * cfg.shards as u64);
+        let fs = if cfg.burst { cfg.shards as u64 } else { 1 };
+        fp.summary.end_time = crate::time::Time::from_fs(fs);
         fp
     }
 
@@ -311,24 +301,44 @@ mod tests {
         );
     }
 
+    /// A sanitized run that records two violations, in an order set by
+    /// the delivery mode: only the sanitizer axis may leave them out.
+    fn delivery_ordered_violations(cfg: &SimConfig) -> Fingerprint {
+        let mut fp = sched_dependent(&SimConfig::reference());
+        if cfg.sanitizer.is_some() {
+            fp.violations = vec!["a".into(), "b".into()];
+            if cfg.burst {
+                fp.violations.reverse();
+            }
+        }
+        fp
+    }
+
     #[test]
-    fn a_reference_keeps_the_delivery_sanitizer_and_a_jittered_shard_count() {
+    #[should_panic(expected = "violation order diverged under")]
+    fn check_cube_compares_violation_order_across_delivery() {
+        check_cube(
+            &[Workload::new(
+                "violation order",
+                delivery_ordered_violations,
+            )],
+            &cube(&[1], &[None]),
+        );
+    }
+
+    #[test]
+    fn a_reference_keeps_only_the_sanitizer_and_the_jitter() {
         let jitter = Some(Jitter {
             sigma: crate::time::Time::from_fs(2000),
             seed: 1,
         });
         for cell in cube(&[1, 3], &[None, jitter]) {
-            let r = reference_for(&cell);
-            assert_eq!(r.sched, Sched::Heap, "{cell:?}");
-            assert_eq!(r.burst, cell.burst, "{cell:?}");
-            assert_eq!(r.sanitizer, cell.sanitizer, "{cell:?}");
-            assert_eq!(r.jitter, cell.jitter, "{cell:?}");
-            let shards = if cell.jitter.is_some() {
-                cell.shards
-            } else {
-                1
+            let want = SimConfig {
+                jitter: cell.jitter,
+                sanitizer: cell.sanitizer.clone(),
+                ..SimConfig::reference()
             };
-            assert_eq!(r.shards, shards, "{cell:?}");
+            assert_eq!(reference_for(&cell), want, "{cell:?}");
         }
     }
 }

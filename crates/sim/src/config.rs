@@ -5,9 +5,9 @@
 //! [`Simulator::with_config`](crate::Simulator::with_config) or
 //! [`ShardedSimulator::with_config`]. The engine's interchangeable
 //! paths — heap or wheel scheduler, pulse or burst delivery, one or N
-//! shards, sanitizer on or off — must give the same answer, and
-//! [`Fingerprint::normalized`] is the one place that says which fields
-//! of a run may legitimately differ between two configurations.
+//! shards, sanitizer on or off — must give the same answer: two runs
+//! of one stimulus under the same jitter have equal [`Fingerprint`]s,
+//! except that a run without the sanitizer records no violations.
 
 use std::sync::OnceLock;
 
@@ -65,10 +65,10 @@ pub struct Jitter {
 ///
 /// `USFQ_WIRE_JITTER` perturbs every simulator built from the
 /// environment, so tests that assert exact pulse times of a default
-/// simulator (block, cell and engine unit tests) fail under it, as does
-/// any comparison of a sharded run with a sequential one, because
-/// sharded draws are keyed by shard-local wire index. The suites that
-/// must hold under it are the configuration-cube suites
+/// simulator (block, cell and engine unit tests) fail under it. Jitter
+/// draws are keyed by the source circuit's wires, so a jittered sharded
+/// run still equals the sequential one. The suites that must hold
+/// under it are the configuration-cube suites
 /// ([`check_cube`](crate::check::check_cube) and its callers:
 /// `crates/bench/tests/{sched,burst,shard}_differential.rs`,
 /// `parallel_determinism.rs`, `crates/noc/tests/differential.rs` and
@@ -173,10 +173,13 @@ fn parse_jitter(raw: &str) -> Option<Jitter> {
 }
 
 /// Everything observable about one finished run: the output two
-/// configurations of the engine must agree on.
+/// configurations of the engine must agree on. Queue metrics such as
+/// [`ActivityReport::peak_pending`](crate::ActivityReport::peak_pending)
+/// describe how a run was computed, not what it computed, and are not
+/// part of it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fingerprint {
-    /// Events processed and the time of the last one.
+    /// Events processed and the clock when the run stopped.
     pub summary: RunSummary,
     /// Recorded pulse times, one list per probe in the order asked for.
     pub probe_times: Vec<Vec<Time>>,
@@ -187,10 +190,9 @@ pub struct Fingerprint {
     /// Anomaly tallies, rendered as `(StatKind debug name, count)` in
     /// `StatKind` order.
     pub anomalies: Vec<(String, u64)>,
-    /// Event-queue high-water mark, in pulses.
-    pub peak_pending: u64,
-    /// Rendered sanitizer violations in detection order (a sharded
-    /// run's merge is sorted); empty when the sanitizer is off.
+    /// Rendered sanitizer violations, in the order of
+    /// [`SanitizerReport::violations`](crate::SanitizerReport::violations);
+    /// empty when the sanitizer is off.
     pub violations: Vec<String>,
 }
 
@@ -228,46 +230,8 @@ impl Fingerprint {
                 .iter()
                 .map(|(kind, &count)| (format!("{kind:?}"), count))
                 .collect(),
-            peak_pending: activity.peak_pending,
             violations: sim.sanitizer_violations(),
         }
-    }
-
-    /// The one divergence rule: this fingerprint of a run under `a`,
-    /// with every field cleared that may legitimately differ from a run
-    /// of the same stimulus under `b`. Two runs agree when their
-    /// normalized fingerprints are equal. Returns `None` when runs
-    /// under `a` and `b` are not comparable at all.
-    ///
-    /// - Scheduler and thread count: nothing is normalized.
-    /// - Shard count: `peak_pending` (each shard has its own queue; the
-    ///   merge takes the maximum) and violation order (the merge is
-    ///   sorted).
-    /// - Burst delivery on vs off: the same two, plus the end time. An
-    ///   atomic burst holds one queue slot where the pulse engine holds
-    ///   one per pulse, reports a window's violations in one batch, and
-    ///   never advances the clock to a trailing pulse it absorbs
-    ///   without emission.
-    /// - Sanitizer on vs off: the violations.
-    /// - Jitter: runs with different jitter are not comparable, and
-    ///   jittered runs only at the same shard count, because
-    ///   partitioning renumbers wires and so changes the draw stream.
-    pub fn normalized(&self, a: &SimConfig, b: &SimConfig) -> Option<Fingerprint> {
-        if a.jitter != b.jitter || (a.jitter.is_some() && a.shards != b.shards) {
-            return None;
-        }
-        let mut fp = self.clone();
-        if a.burst != b.burst || a.shards != b.shards {
-            fp.peak_pending = 0;
-            fp.violations.sort_unstable();
-        }
-        if a.burst != b.burst {
-            fp.summary.end_time = Time::ZERO;
-        }
-        if a.sanitizer != b.sanitizer {
-            fp.violations.clear();
-        }
-        Some(fp)
     }
 }
 
@@ -338,67 +302,5 @@ mod tests {
             (r.sched, r.burst, r.shards, r.jitter, r.sanitizer),
             (Sched::Heap, false, 1, None, None)
         );
-    }
-
-    #[test]
-    fn normalization_follows_the_divergence_rule() {
-        let fp = Fingerprint {
-            summary: RunSummary {
-                events: 9,
-                end_time: Time::from_ps(3.0),
-            },
-            probe_times: vec![vec![Time::from_ps(1.0)]],
-            handled: vec![3],
-            emitted: vec![2],
-            anomalies: vec![("IgnoredPulse".into(), 1)],
-            peak_pending: 4,
-            violations: vec!["b".into(), "a".into()],
-        };
-        let r = SimConfig::reference();
-        let wheel = SimConfig {
-            sched: Sched::Wheel,
-            ..r.clone()
-        };
-        assert_eq!(fp.normalized(&r, &wheel), Some(fp.clone()));
-
-        let shards = SimConfig {
-            shards: 2,
-            ..r.clone()
-        };
-        let n = fp.normalized(&r, &shards).unwrap();
-        assert_eq!((n.peak_pending, n.summary), (0, fp.summary));
-        assert_eq!(n.violations, ["a", "b"]);
-
-        let burst = SimConfig {
-            burst: true,
-            ..r.clone()
-        };
-        let n = fp.normalized(&burst, &r).unwrap();
-        assert_eq!((n.peak_pending, n.summary.end_time), (0, Time::ZERO));
-        assert_eq!(n.summary.events, 9);
-
-        let sanitized = SimConfig {
-            sanitizer: Some(SanitizerConfig::default()),
-            ..r
-        };
-        let n = fp.normalized(&r, &sanitized).unwrap();
-        assert!(n.violations.is_empty());
-        assert_eq!(n.peak_pending, 4);
-
-        let jittered = SimConfig {
-            jitter: Some(jitter(2000, 1)),
-            ..r.clone()
-        };
-        assert_eq!(fp.normalized(&r, &jittered), None);
-        let jittered_shards = SimConfig {
-            shards: 2,
-            ..jittered.clone()
-        };
-        assert_eq!(fp.normalized(&jittered, &jittered_shards), None);
-        let jittered_burst = SimConfig {
-            burst: true,
-            ..jittered.clone()
-        };
-        assert!(fp.normalized(&jittered, &jittered_burst).is_some());
     }
 }

@@ -48,11 +48,11 @@ enum EventKind {
 }
 
 /// One jittered hop in a coalesced train's provenance trail: the wire
-/// crossed (flat net-table index), its nominal delay, the nominal
-/// train as it was emitted onto that wire, and the affine map from the
-/// slab train's current index space into that emission's index space
-/// (slab pulse `i` crossed this hop as emission pulse
-/// `off + i · stride`).
+/// crossed (its jitter key, see [`Simulator::key_jitter_by`]), its
+/// nominal delay, the nominal train as it was emitted onto that wire,
+/// and the affine map from the slab train's current index space into
+/// that emission's index space (slab pulse `i` crossed this hop as
+/// emission pulse `off + i · stride`).
 ///
 /// The trail is the lazy-materialization recipe for exact jittered
 /// arrival times: fold the hops in order, keying each draw by the
@@ -268,18 +268,6 @@ impl Queue {
         }
     }
 
-    #[inline]
-    fn pop(&mut self) -> Option<Event> {
-        let ev = match &mut self.imp {
-            QueueImpl::Heap(h) => h.pop().map(|Reverse(ev)| ev),
-            QueueImpl::Wheel(w) => w.pop().map(|(time, seq, kind)| Event { time, seq, kind }),
-        };
-        if ev.is_some() {
-            self.len -= 1;
-        }
-        ev
-    }
-
     /// Pops the earliest event only if it is due at `deadline`. One
     /// fused call instead of the peek-compare-pop sequence, so the
     /// wheel walks its cursor once per event instead of twice.
@@ -322,7 +310,10 @@ impl Queue {
 pub struct RunSummary {
     /// Number of events processed.
     pub events: u64,
-    /// Time of the final event, or [`Time::ZERO`] if nothing ran.
+    /// The simulation clock when the run stopped: the time of the
+    /// latest processed pulse or timer, or [`Time::ZERO`] if nothing
+    /// has run. Pulses absorbed by a closed-form burst step count as
+    /// processed, so the clock does not depend on the delivery mode.
     pub end_time: Time,
 }
 
@@ -361,9 +352,10 @@ impl JitterModel {
     }
 
     /// The integer arrival perturbation for a pulse emitted at `t_fs`
-    /// crossing `wire` (its flat net-table index) with nominal
-    /// propagation `delay_fs`. Negative jitter is clamped to the wire
-    /// delay so the pulse never arrives before its emission instant.
+    /// crossing `wire` (its flat index in the source circuit) with
+    /// nominal propagation `delay_fs`. Negative jitter is clamped to the
+    /// wire delay so the pulse never arrives before its emission
+    /// instant.
     /// Shared by the pulse path (`fan_out`) and the lazy burst
     /// materialization so both apply bit-identical arithmetic.
     ///
@@ -467,8 +459,8 @@ fn trail_offset_fs(jitter: &JitterModel, trail: &[TrailHop], i: u64) -> i128 {
 }
 
 /// The exact (fully materialized) arrival of pulse `k` of emission `b`
-/// after crossing jittered wire `flat` with the given `delay`: the
-/// exact emission time (nominal + trail fold at `b`'s source index)
+/// after crossing the jittered wire keyed `key` with the given `delay`:
+/// the exact emission time (nominal + trail fold at `b`'s source index)
 /// plus the wire delay plus this wire's own jitter draw. `None` on
 /// femtosecond-clock overflow, mirroring the pulse engine's
 /// `TimeOverflow` behaviour on the same pulse.
@@ -477,7 +469,7 @@ fn exact_arrival(
     parent_trail: &[TrailHop],
     b: &Burst,
     k: u64,
-    flat: u32,
+    key: u32,
     delay: Time,
 ) -> Option<Time> {
     let (off, step) = b.src_map();
@@ -485,7 +477,7 @@ fn exact_arrival(
     let emit_fs = u64::try_from(i128::from(b.time_at(k).as_fs()) + acc)
         .expect("jittered burst time overflow");
     let nominal = Time::from_fs(emit_fs).checked_add(delay)?;
-    let d = jm.delta_fs(flat, emit_fs, delay.as_fs());
+    let d = jm.delta_fs(key, emit_fs, delay.as_fs());
     if d >= 0 {
         nominal.checked_add(Time::from_fs(d.unsigned_abs()))
     } else {
@@ -640,6 +632,10 @@ pub struct Simulator {
     events_processed: u64,
     ctx: Ctx,
     jitter: Option<JitterModel>,
+    /// The source circuit's flat index of each wire, for a shard's
+    /// simulator (see [`Simulator::key_jitter_by`]); `None` keys jitter
+    /// draws by this circuit's own flat index.
+    jitter_keys: Option<Arc<[u32]>>,
     sanitizer: Option<SanitizerState>,
     /// Slab of in-flight coalesced trains, addressed by
     /// [`EventKind::BurstDeliver::slot`]; freed slots are recycled.
@@ -649,12 +645,6 @@ pub struct Simulator {
     /// times of a jittered train expanded per wire); kept on the
     /// simulator so steady-state expansion allocates nothing.
     trail_times: Vec<Time>,
-    /// In-use slab slots (`bursts.len() - free_bursts.len()`). At the
-    /// top of the event loop every live slot has exactly one queued
-    /// [`EventKind::BurstDeliver`], so `live_bursts == 0` proves the
-    /// queue is pure pulses — and pulse dispatch never creates bursts,
-    /// so it stays that way for the rest of the run.
-    live_bursts: u32,
     /// Pending *pulses* (a burst weighs its pulse count) and the
     /// high-water mark feeding [`ActivityReport::peak_pending`] — so
     /// pulse-mode runs report exactly what the old queue-length
@@ -944,11 +934,11 @@ impl Simulator {
             events_processed: 0,
             ctx: Ctx::default(),
             jitter: config.jitter.map(|j| JitterModel::new(j.sigma, j.seed)),
+            jitter_keys: None,
             sanitizer,
             bursts: Vec::new(),
             free_bursts: Vec::new(),
             trail_times: Vec::new(),
-            live_bursts: 0,
             pending_weight: 0,
             peak_weight: 0,
             burst_enabled: config.burst,
@@ -985,6 +975,15 @@ impl Simulator {
     /// Disables wire-delay jitter.
     pub fn disable_wire_jitter(&mut self) {
         self.jitter = None;
+    }
+
+    /// Keys the jitter draws on flat wire `flat` by `keys[flat]`: a
+    /// shard's sub-circuit numbers its wires afresh, and keying by the
+    /// source circuit's index makes it draw what the sequential run
+    /// draws.
+    pub(crate) fn key_jitter_by(&mut self, keys: Arc<[u32]>) {
+        debug_assert_eq!(keys.len(), self.nets.num_wires());
+        self.jitter_keys = Some(keys);
     }
 
     /// Enables the runtime pulse [`sanitizer`](crate::sanitizer): every
@@ -1117,17 +1116,6 @@ impl Simulator {
     /// Returns [`SimError::EventLimitExceeded`] if the safety valve trips.
     pub fn run_until(&mut self, deadline: Time) -> Result<RunSummary, SimError> {
         let mut events = 0u64;
-        // Drain coalesced trains first (no-op for pulse-only runs).
-        // Pulse-level dispatch never *creates* a burst (only
-        // `schedule_burst` and a closed-form burst step do, and the
-        // latter is reachable solely from `run_mixed`), so once the
-        // slab drains the pulse-only loop below is safe for the rest of
-        // the run. Keeping the mixed loop out of line leaves this
-        // function with a single loop — it compiles to the exact
-        // pre-burst hot path, with no per-event discriminant test.
-        if self.live_bursts != 0 {
-            events = self.run_mixed(deadline)?;
-        }
         // The limit check gates the *loop*, not each event: a due
         // event is only ever consumed while `events_processed` is
         // strictly below the limit, so at most `event_limit`
@@ -1137,8 +1125,15 @@ impl Simulator {
             let Some(ev) = self.queue.pop_due(deadline) else {
                 break;
             };
+            if let EventKind::BurstDeliver { comp, port, slot } = ev.kind {
+                events += self.deliver_burst(ev, comp, port, slot, deadline)?;
+                continue;
+            }
             self.pending_weight -= 1;
-            self.now = ev.time;
+            // A closed-form window may have advanced the clock past
+            // the pulses it emitted downstream; those arrive later in
+            // the loop and must not move it back.
+            self.now = self.now.max(ev.time);
             events += 1;
             self.events_processed += 1;
             self.dispatch(ev)?;
@@ -1157,36 +1152,6 @@ impl Simulator {
             events,
             end_time: self.now,
         })
-    }
-
-    /// Mixed-mode event loop: identical to the pulse-only loop in
-    /// [`Simulator::run_until`] plus one discriminant test per event,
-    /// and only entered while at least one coalesced train is in
-    /// flight. Returns the number of pulses processed (coalesced
-    /// pulses each count once, exactly as if delivered individually).
-    #[inline(never)]
-    fn run_mixed(&mut self, deadline: Time) -> Result<u64, SimError> {
-        let mut events = 0u64;
-        while self.live_bursts != 0 {
-            let Some(ev) = self.queue.peek() else { break };
-            if ev.time > deadline {
-                break;
-            }
-            if self.events_processed >= self.event_limit {
-                return Err(self.event_limit_error(ev));
-            }
-            self.queue.pop();
-            if let EventKind::BurstDeliver { comp, port, slot } = ev.kind {
-                events += self.deliver_burst(ev, comp, port, slot, deadline)?;
-                continue;
-            }
-            self.pending_weight -= 1;
-            self.now = ev.time;
-            events += 1;
-            self.events_processed += 1;
-            self.dispatch_outlined(ev)?;
-        }
-        Ok(events)
     }
 
     /// The feedback lookahead of component `ci` ([`Time::MAX`] when it
@@ -1242,9 +1207,9 @@ impl Simulator {
     /// loop iteration without a queue round-trip, so a feedback-free
     /// pipeline evaluates a whole epoch symbolically in one call.
     ///
-    /// Kept out of line so the pulse-level dispatch loop in
-    /// [`Simulator::run_until`] stays as tight as it was before bursts
-    /// existed; one call per *train* amortises to nothing.
+    /// Kept out of line so the event loop in [`Simulator::run_until`]
+    /// pays one discriminant test per pulse for it; one call per
+    /// *train* amortises to nothing.
     #[cold]
     #[inline(never)]
     fn deliver_burst(
@@ -1342,7 +1307,7 @@ impl Simulator {
                         let jm = self.jitter.expect("trailed bursts only exist under jitter");
                         jittered_time_at(&jm, &trail, &burst, m - 1)
                     };
-                    self.now = exact_last;
+                    self.now = self.now.max(exact_last);
                     self.events_processed += m;
                     self.activity.handled[ci] += m;
                     if let Some(s) = &mut self.sanitizer {
@@ -1369,7 +1334,7 @@ impl Simulator {
                 // Exact fallback: the head pulse alone, through the
                 // same path a pulse-level event would take. `ev.time`
                 // is the head's exact (already materialized) arrival.
-                self.now = ev.time;
+                self.now = self.now.max(ev.time);
                 self.events_processed += 1;
                 self.dispatch_outlined(Event {
                     time: ev.time,
@@ -1407,7 +1372,6 @@ impl Simulator {
                 self.activity.coalesce.lazy_splits += 1;
             } else {
                 self.free_bursts.push(slot);
-                self.live_bursts -= 1;
             }
             // Chase: when the whole train was absorbed and its single
             // emission would be the very next event anyway, deliver it
@@ -1429,15 +1393,13 @@ impl Simulator {
                     .queue
                     .peek()
                     .map_or(true, |next| (dev.time, dev.seq) < (next.time, next.seq));
-            if !chase {
+            if !chase || self.events_processed >= self.event_limit {
                 // Weight was already accounted when the event was
-                // deferred, so this bypasses `push_weighted`.
+                // deferred, so this bypasses `push_weighted`. Out of
+                // budget, the run loop finds the event due and reports
+                // it.
                 self.queue.push(dev);
                 return Ok(total);
-            }
-            if self.events_processed >= self.event_limit {
-                self.queue.push(dev);
-                return Err(self.event_limit_error(dev));
             }
             self.activity.coalesce.chases += 1;
             ev = dev;
@@ -1569,9 +1531,13 @@ impl Simulator {
                 }
                 continue;
             };
+            let key = self
+                .jitter_keys
+                .as_deref()
+                .map_or(flat, |k| k[flat as usize]);
             if bd.count() == 1 {
                 // Single pulse: materialize the exact arrival directly.
-                let arrival = exact_arrival(&jm, parent_trail, &b, 0, flat, wire.delay)
+                let arrival = exact_arrival(&jm, parent_trail, &b, 0, key, wire.delay)
                     .ok_or_else(|| overflow(&self.circuit))?;
                 self.push_weighted(
                     Event {
@@ -1608,7 +1574,7 @@ impl Simulator {
                     let nominal = Time::from_fs(emit_fs)
                         .checked_add(wire.delay)
                         .ok_or_else(|| overflow(&self.circuit))?;
-                    let d = jm.delta_fs(flat, emit_fs, wire.delay.as_fs());
+                    let d = jm.delta_fs(key, emit_fs, wire.delay.as_fs());
                     let arrival = if d >= 0 {
                         nominal
                             .checked_add(Time::from_fs(d.unsigned_abs()))
@@ -1645,7 +1611,7 @@ impl Simulator {
                 });
             }
             trail.push(TrailHop {
-                wire: flat,
+                wire: key,
                 delay: wire.delay,
                 burst: b.with_src_identity(),
                 off: 0,
@@ -1685,7 +1651,6 @@ impl Simulator {
     }
 
     fn alloc_burst(&mut self, burst: Burst, stride: u64, trail: Vec<TrailHop>) -> u32 {
-        self.live_bursts += 1;
         if let Some(slot) = self.free_bursts.pop() {
             self.bursts[slot as usize] = BurstRec {
                 burst,
@@ -1825,7 +1790,11 @@ impl Simulator {
                 .ok_or_else(|| overflow(&self.circuit))?;
             if let Some(jm) = &jitter {
                 let flat = wires_start + idx as u32;
-                let d = jm.delta_fs(flat, t.as_fs(), wire.delay.as_fs());
+                let key = self
+                    .jitter_keys
+                    .as_deref()
+                    .map_or(flat, |k| k[flat as usize]);
+                let d = jm.delta_fs(key, t.as_fs(), wire.delay.as_fs());
                 arrival = if d >= 0 {
                     arrival
                         .checked_add(Time::from_fs(d.unsigned_abs()))
@@ -1920,7 +1889,9 @@ impl Simulator {
         &self.activity
     }
 
-    /// Current simulation time (time of the last processed event).
+    /// Current simulation time: the time of the latest processed pulse
+    /// or timer, coalesced pulses included. It never decreases between
+    /// [`Simulator::run_until`] calls.
     pub fn now(&self) -> Time {
         self.now
     }
@@ -1956,7 +1927,6 @@ impl Simulator {
         self.events_processed = 0;
         self.bursts.clear();
         self.free_bursts.clear();
-        self.live_bursts = 0;
         self.pending_weight = 0;
         self.peak_weight = 0;
         if let Some(sanitizer) = &mut self.sanitizer {
@@ -2543,6 +2513,103 @@ mod tests {
 
         assert_eq!(fast.probe_times(p), slow.probe_times(p2));
         assert_eq!(fast.activity().handled, slow.activity().handled);
+    }
+
+    /// A toggle divider: every second pulse passes, after 1 ps, so a
+    /// train with an odd count ends on a pulse that emits nothing.
+    #[derive(Clone, Default)]
+    struct Divider {
+        high: bool,
+    }
+    impl Component for Divider {
+        fn name(&self) -> &'static str {
+            "div"
+        }
+        fn num_inputs(&self) -> usize {
+            1
+        }
+        fn num_outputs(&self) -> usize {
+            1
+        }
+        fn jj_count(&self) -> u32 {
+            4
+        }
+        fn on_pulse(&mut self, _port: usize, _now: Time, ctx: &mut Ctx) {
+            if self.high {
+                ctx.emit(0, Time::from_ps(1.0));
+            }
+            self.high = !self.high;
+        }
+        fn step_burst(&mut self, _port: usize, burst: &Burst, ctx: &mut Ctx) -> BurstStep {
+            let off = u64::from(!self.high);
+            ctx.emit_burst(0, burst.decimate(off, 2).delayed(Time::from_ps(1.0)));
+            self.high ^= burst.count() % 2 == 1;
+            BurstStep::Consumed
+        }
+        fn reset(&mut self) {
+            self.high = false;
+        }
+    }
+
+    /// A burst run ends when a pulse run does. The divider absorbs a
+    /// 9-pulse train in closed form and emits 4 pulses; the last one
+    /// reaches `b` at 75 ps, before the divider's own last, silent
+    /// pulse at 83 ps, but is processed after it. The clock stays at
+    /// 83 ps: whole or split by `run_until` at any deadline, it reads
+    /// what the pulse run reads and never moves back.
+    #[test]
+    fn a_burst_run_ends_when_a_pulse_run_does() {
+        let mut c = Circuit::new();
+        let input = c.input("in");
+        let a = c.add(Buffer::new("a", Time::from_ps(1.0)));
+        let div = c.add(Divider::default());
+        let b = c.add(Buffer::new("b", Time::from_ps(1.0)));
+        c.connect_input(input, a.input(0), Time::from_ps(1.0))
+            .unwrap();
+        c.connect(a.output(0), div.input(0), Time::from_ps(1.0))
+            .unwrap();
+        c.connect(div.output(0), b.input(0), Time::from_ps(1.0))
+            .unwrap();
+        let p = c.probe(b.output(0), "out");
+        let train = Burst::uniform(Time::ZERO, Time::from_ps(10.0), 9);
+        // The clock after each split at `step`, then after the whole
+        // run, with the run's summary.
+        let run = |burst: bool, step: Option<Time>| {
+            let mut sim = sim_with(c.clone(), Sched::Heap, burst);
+            sim.schedule_burst(input, train).unwrap();
+            let mut clocks = Vec::new();
+            let mut events = 0;
+            if let Some(step) = step {
+                for k in 1..=12 {
+                    events += sim.run_until(step * k).unwrap().events;
+                    clocks.push(sim.now());
+                }
+            }
+            let summary = sim.run().unwrap();
+            events += summary.events;
+            clocks.push(sim.now());
+            assert_eq!(summary.end_time, sim.now());
+            let div = div.id().index();
+            assert_eq!(
+                (sim.activity().handled[div], sim.activity().emitted[div]),
+                (9, 4)
+            );
+            assert_eq!(sim.probe_count(p), 4);
+            if burst && step.is_none() {
+                assert!(sim.activity().coalesce.hits > 0);
+            }
+            (events, clocks)
+        };
+        let (events, clocks) = run(false, None);
+        // The divider's last pulse arrives at 80 + 3 ps.
+        assert_eq!(clocks, [Time::from_ps(83.0)]);
+        assert_eq!(run(true, None), (events, clocks));
+        for step_ps in [3.0, 7.0, 20.0] {
+            let step = Some(Time::from_ps(step_ps));
+            let (events, clocks) = run(false, step);
+            assert!(clocks.windows(2).all(|w| w[0] <= w[1]), "{clocks:?}");
+            assert_eq!(run(true, step), (events, clocks), "step {step_ps} ps");
+        }
     }
 
     /// Deadline splitting: only the prefix at or before the deadline is

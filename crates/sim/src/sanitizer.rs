@@ -45,8 +45,9 @@ pub struct SanitizerConfig {
     /// If set, any pulse delivered after this instant is an
     /// [`ViolationKind::AfterEpochEnd`] violation.
     pub epoch_end: Option<Time>,
-    /// Maximum number of violations stored verbatim; the rest only
-    /// increment [`suppressed`](SanitizerReport::suppressed).
+    /// Maximum number of violations stored verbatim, the first in
+    /// `(time, component index, port)` order; the rest only increment
+    /// [`suppressed`](SanitizerReport::suppressed).
     pub violation_cap: usize,
 }
 
@@ -124,6 +125,8 @@ pub struct Violation {
     pub port: usize,
     /// Arrival time of the offending pulse.
     pub time: Time,
+    /// Index of the component in the sanitized circuit.
+    comp: u32,
 }
 
 impl std::fmt::Display for Violation {
@@ -139,10 +142,38 @@ impl std::fmt::Display for Violation {
     }
 }
 
+/// The order violations are stored and merged in: time, then the
+/// component's index in the whole circuit (`comp`), then port.
+fn order_key(v: &Violation, comp: u32) -> (Time, u32, usize) {
+    (v.time, comp, v.port)
+}
+
+/// The violations one sanitizer over a whole circuit would keep, from
+/// the stored violations of each of its shards, each shard with the
+/// circuit's index of every one of its components.
+pub(crate) fn merge_violations<'a>(
+    shards: impl Iterator<Item = (&'a [Violation], &'a [u32])>,
+    cap: usize,
+) -> Vec<&'a Violation> {
+    let mut all: Vec<_> = shards
+        .flat_map(|(violations, global)| {
+            violations
+                .iter()
+                .map(move |v| (order_key(v, global[v.comp as usize]), v))
+        })
+        .collect();
+    // A stable sort: equal keys name one component, so they come from
+    // one shard, in its order.
+    all.sort_by_key(|&(key, _)| key);
+    all.truncate(cap);
+    all.into_iter().map(|(_, v)| v).collect()
+}
+
 /// Read-only view of everything the sanitizer recorded in a run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SanitizerReport<'a> {
-    /// Stored violations, in delivery order.
+    /// Stored violations in `(time, component index, port)` order, equal
+    /// keys in detection order, whatever the delivery mode or shard count.
     pub violations: &'a [Violation],
     /// Violations beyond the cap that were counted but not stored.
     pub suppressed: u64,
@@ -217,6 +248,7 @@ pub(crate) struct SanitizerState {
     arrivals: Vec<Option<Time>>,
     /// Data pulses delivered to port 0 of counting cells.
     data_count: Vec<u64>,
+    /// Stored violations, sorted (see [`SanitizerReport::violations`]).
     violations: Vec<Violation>,
     suppressed: u64,
 }
@@ -263,6 +295,7 @@ impl SanitizerState {
         if let Some(end) = self.config.epoch_end {
             if now > end {
                 self.record(
+                    comp,
                     name,
                     port,
                     now,
@@ -327,7 +360,7 @@ impl SanitizerState {
             }
         }
         for kind in found {
-            self.record(name, port, now, kind);
+            self.record(comp, name, port, now, kind);
         }
 
         // Counting capacity applies to the conventional port-0 data
@@ -338,6 +371,7 @@ impl SanitizerState {
                 let count = self.data_count[comp];
                 if count > cap {
                     self.record(
+                        comp,
                         name,
                         port,
                         now,
@@ -466,17 +500,28 @@ impl SanitizerState {
         self.mark_arrival(cell, port, exact_last, true);
     }
 
-    fn record(&mut self, name: &str, port: usize, time: Time, kind: ViolationKind) {
-        if self.violations.len() >= self.config.violation_cap {
-            self.suppressed += 1;
-            return;
-        }
-        self.violations.push(Violation {
+    /// Stores a violation after every stored one whose [`order_key`]
+    /// is not greater, and keeps the first `violation_cap`. Detection
+    /// runs in time order, so that is nearly always the end.
+    fn record(&mut self, comp: usize, name: &str, port: usize, time: Time, kind: ViolationKind) {
+        let v = Violation {
             kind,
             component: name.to_string(),
             port,
             time,
-        });
+            comp: comp as u32,
+        };
+        let key = order_key(&v, v.comp);
+        let at = self
+            .violations
+            .iter()
+            .rposition(|s| order_key(s, s.comp) <= key)
+            .map_or(0, |i| i + 1);
+        self.violations.insert(at, v);
+        if self.violations.len() > self.config.violation_cap {
+            self.violations.pop();
+            self.suppressed += 1;
+        }
     }
 
     pub(crate) fn report(&self) -> SanitizerReport<'_> {
@@ -717,6 +762,7 @@ mod tests {
             component: "mrg".into(),
             port: 1,
             time: Time::from_ps(3.0),
+            comp: 0,
         };
         assert_eq!(v.to_string(), "collision at `mrg` port 1 (3.0 ps)");
     }

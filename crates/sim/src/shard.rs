@@ -34,18 +34,15 @@
 //!
 //! Sharded execution is deterministic: the same circuit, stimulus, and
 //! shard count produce byte-identical results on every run, at any
-//! machine load. Against the sequential engine, all probe recordings
-//! and activity counters are byte-identical whenever same-femtosecond
-//! pulse collisions do not straddle a shard boundary — the normal case,
-//! pinned across the whole netlist catalogue and the generated fabrics
-//! by the engine configuration cube ([`check_cube`](crate::check::check_cube),
-//! run by `crates/bench/tests/shard_differential.rs`).
-//! The known, documented divergences are those of
-//! [`Fingerprint::normalized`](crate::Fingerprint::normalized):
-//! `peak_pending` (each shard tracks its own queue high-water mark) and
-//! sanitizer violation *order* (merged sorted; see
-//! [`ShardedSimulator::sanitizer_violations`]). The event safety valve
-//! is enforced per shard rather than globally.
+//! machine load. Against the sequential engine, the whole
+//! [`Fingerprint`](crate::Fingerprint), jittered or not, is
+//! byte-identical whenever same-femtosecond pulse collisions do not
+//! straddle a shard boundary — the normal case, pinned across the
+//! netlist catalogue and the generated fabrics by the engine
+//! configuration cube ([`check_cube`](crate::check::check_cube)).
+//! Only the queue metric [`ActivityReport::peak_pending`] differs (the
+//! largest shard's). The event safety valve is enforced per shard
+//! rather than globally.
 //!
 //! One shard (the default) bypasses all of this: the
 //! [`ShardedSimulator`] then holds a single ordinary [`Simulator`] and
@@ -54,19 +51,24 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 
 use crate::burst::Burst;
 use crate::circuit::{Circuit, CompHandle, InputId, ProbeId, ProbeSource};
 use crate::config::SimConfig;
 use crate::engine::{RunSummary, Simulator};
 use crate::error::SimError;
+use crate::sanitizer::merge_violations;
 use crate::stats::ActivityReport;
 use crate::time::Time;
 
 /// Planner scratch: one egress record per cut net —
 /// `(source component index, output port, [(dest shard, ingress input)])`.
 type EgressRecord = (usize, usize, Vec<(u32, InputId)>);
+
+/// One shard's sub-circuit and the jitter key of each of its wires
+/// (see [`Simulator::key_jitter_by`]).
+type SubCircuit = (Circuit, Arc<[u32]>);
 
 /// One shard's inbox slot: pulse trains posted to an ingress input
 /// during the current exchange window.
@@ -141,7 +143,7 @@ impl Plan {
     /// sub-circuits. Returns `None` when sharding is not applicable:
     /// `want <= 1`, fewer than two zero-delay-contracted groups, or a
     /// degenerate partition that leaves everything in one shard.
-    fn build(circuit: &Circuit, want: usize) -> Option<(Plan, Vec<Circuit>)> {
+    fn build(circuit: &Circuit, want: usize) -> Option<(Plan, Vec<SubCircuit>)> {
         let n = circuit.num_components();
         if want <= 1 || n < 2 {
             return None;
@@ -244,11 +246,17 @@ impl Plan {
         // 5. Wires, preserving per-net order (it fixes fan-out seq
         // allocation). Cut wires become egress-probe / ingress-input
         // pairs; the wire delay rides on the ingress side.
+        // `keys[s]` collects the source circuit's flat wire index
+        // (input nets, then outputs) of shard `s`'s wires in its own
+        // flat order: original inputs, ingress inputs, outputs.
         let mut egress_raw: Vec<Vec<EgressRecord>> = vec![Vec::new(); s_used];
         let mut egress_index: HashMap<(usize, usize), usize> = HashMap::new();
         let mut input_used: Vec<Vec<bool>> = vec![vec![false; s_used]; circuit.num_inputs()];
+        let mut keys: Vec<[Vec<u32>; 3]> = vec![Default::default(); s_used];
+        let input_wires = circuit.input_wires().count();
         let mut cut_k = 0usize;
-        for (src, sp, dst, dp, delay) in circuit.wires() {
+        for (k, (src, sp, dst, dp, delay)) in circuit.wires().enumerate() {
+            let key = (input_wires + k) as u32;
             let ss = comp_shard[src.index()] as usize;
             let ds = comp_shard[dst.index()] as usize;
             if ss == ds {
@@ -259,7 +267,9 @@ impl Plan {
                         delay,
                     )
                     .expect("ports validated by the source circuit");
+                keys[ss][2].push(key);
             } else {
+                keys[ds][1].push(key);
                 let ingress = subs[ds].input(format!("__xwire{cut_k}"));
                 subs[ds]
                     .connect_input(ingress, handles[dst.index()].input(dp), delay)
@@ -272,12 +282,13 @@ impl Plan {
                 cut_k += 1;
             }
         }
-        for (input, dst, dp, delay) in circuit.input_wires() {
+        for (k, (input, dst, dp, delay)) in circuit.input_wires().enumerate() {
             let ds = comp_shard[dst.index()] as usize;
             subs[ds]
                 .connect_input(input, handles[dst.index()].input(dp), delay)
                 .expect("ports validated by the source circuit");
             input_used[input.index()][ds] = true;
+            keys[ds][0].push(k as u32);
         }
 
         // 6. Original probes, created in original probe-id order so the
@@ -337,6 +348,7 @@ impl Plan {
             })
             .collect();
 
+        let keys = keys.into_iter().map(|k| k.concat().into());
         Some((
             Plan {
                 shards: s_used,
@@ -349,7 +361,7 @@ impl Plan {
                 num_inputs: circuit.num_inputs(),
                 num_comps: n,
             },
-            subs,
+            subs.into_iter().zip(keys).collect(),
         ))
     }
 }
@@ -547,6 +559,8 @@ struct Multi {
     offsets: Vec<Vec<usize>>,
     merged: ActivityReport,
     end_time: Time,
+    /// The sanitizer's cap on stored violations, kept by the merge too.
+    violation_cap: usize,
 }
 
 impl ShardedSimulator {
@@ -569,11 +583,9 @@ impl ShardedSimulator {
     /// Falls back to one embedded simulator when `shards <= 1` or the
     /// circuit cannot be split.
     ///
-    /// Jitter draws are keyed by each worker's *local* flat wire index,
-    /// so a jittered sharded run is deterministic and burst/pulse
-    /// byte-identical at a fixed shard count, but does not reproduce
-    /// the sequential engine's draw stream: partitioning renumbers the
-    /// wires.
+    /// Each worker keys its jitter draws by the source circuit's flat
+    /// wire index, so a jittered sharded run draws exactly what the
+    /// sequential run draws.
     pub fn with_config(circuit: Circuit, config: &SimConfig) -> Self {
         match Plan::build(&circuit, config.shards) {
             None => ShardedSimulator {
@@ -582,7 +594,11 @@ impl ShardedSimulator {
             Some((plan, subs)) => {
                 let workers: Vec<Simulator> = subs
                     .into_iter()
-                    .map(|sub| Simulator::with_config(sub, config))
+                    .map(|(sub, keys)| {
+                        let mut sim = Simulator::with_config(sub, config);
+                        sim.key_jitter_by(keys);
+                        sim
+                    })
                     .collect();
                 let offsets = plan.egress.iter().map(|e| vec![0usize; e.len()]).collect();
                 let merged = ActivityReport::with_components(plan.num_comps);
@@ -593,6 +609,7 @@ impl ShardedSimulator {
                         offsets,
                         merged,
                         end_time: Time::ZERO,
+                        violation_cap: config.sanitizer.as_ref().map_or(0, |s| s.violation_cap),
                     })),
                 }
             }
@@ -756,27 +773,28 @@ impl ShardedSimulator {
         }
     }
 
-    /// Rendered sanitizer violations: in detection order on one shard,
-    /// merged across shards and sorted lexicographically otherwise
-    /// (cross-shard detection order is not defined). Empty when the
-    /// sanitizer is disabled.
+    /// Rendered sanitizer violations in the order and under the cap of
+    /// [`SanitizerReport::violations`](crate::SanitizerReport::violations),
+    /// keyed by original component index, so every shard count gives
+    /// the sequential list. Empty when the sanitizer is disabled.
     pub fn sanitizer_violations(&self) -> Vec<String> {
-        let rendered = |sim: &Simulator| -> Vec<String> {
-            sim.sanitizer_report()
-                .map(|r| {
-                    r.violations
-                        .iter()
-                        .map(std::string::ToString::to_string)
-                        .collect()
-                })
-                .unwrap_or_default()
-        };
         match &self.inner {
-            Inner::Single(sim) => rendered(sim),
+            Inner::Single(sim) => sim
+                .sanitizer_report()
+                .map(|r| r.violations.iter().map(ToString::to_string).collect())
+                .unwrap_or_default(),
             Inner::Multi(m) => {
-                let mut all: Vec<String> = m.workers.iter().flat_map(rendered).collect();
-                all.sort_unstable();
-                all
+                let shards = m
+                    .workers
+                    .iter()
+                    .zip(&m.plan.owned)
+                    .filter_map(|(w, owned)| {
+                        Some((w.sanitizer_report()?.violations, owned.as_slice()))
+                    });
+                merge_violations(shards, m.violation_cap)
+                    .into_iter()
+                    .map(ToString::to_string)
+                    .collect()
             }
         }
     }
@@ -890,8 +908,9 @@ impl Multi {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::component::Buffer;
-    use crate::config::Jitter;
+    use crate::component::{Buffer, Component, Ctx, Hazard, StaticMeta};
+    use crate::config::{Fingerprint, Jitter};
+    use crate::sanitizer::SanitizerConfig;
 
     /// The default engine configuration at `shards` shards, whatever
     /// the environment says.
@@ -1046,10 +1065,8 @@ mod tests {
     /// probe crosses the cut intact. The trains span several lookahead
     /// windows with several pulses in each, so the source shard absorbs
     /// them in closed form one window at a time and every window
-    /// forwards the train recorded since the last. Exact trains must
-    /// match the sequential run; jittered ones the same shard count
-    /// with pulse delivery, since partitioning renumbers the wires the
-    /// draws are keyed by.
+    /// forwards the train recorded since the last. Exact and jittered
+    /// trains alike must match the sequential pulse-level run.
     #[test]
     fn lazily_recorded_trains_cross_the_cut_window_by_window() {
         let (c, inputs, probes) = two_chains_crossing(Time::from_ps(100.0));
@@ -1080,15 +1097,180 @@ mod tests {
         };
         let (exact, hits) = run(2, true, None);
         assert!(hits > 0, "the chains must absorb trains in closed form");
-        assert_eq!(exact, run(1, true, None).0);
+        assert_eq!(exact, run(1, false, None).0);
         let jitter = Some(Jitter {
             sigma: Time::from_ps(1.0),
             seed: 9,
         });
         let (jittered, hits) = run(2, true, jitter);
         assert!(hits > 0, "jittered chains must absorb trains too");
-        assert_eq!(jittered, run(2, false, jitter).0);
+        assert_eq!(jittered, run(1, false, jitter).0);
         assert_ne!(jittered, exact, "jitter must move the times");
+    }
+
+    /// Exact and jittered trains through [`two_chains`], whose
+    /// crosslink is cut at 2 and 3 shards: every shard draws the
+    /// sequential run's jitter, so each run equals the 1-shard run.
+    #[test]
+    #[cfg_attr(miri, ignore = "burst trains are too slow under miri")]
+    fn jittered_trains_cross_a_cut_as_in_one_shard() {
+        let (c, inputs, probes) = two_chains();
+        for sigma_ps in [0.0, 1.0, 2.0] {
+            let jitter = (sigma_ps > 0.0).then(|| Jitter {
+                sigma: Time::from_ps(sigma_ps),
+                seed: 3,
+            });
+            for burst in [false, true] {
+                let run = |shards: usize| {
+                    let mut sim = ShardedSimulator::with_config(
+                        c.clone(),
+                        &SimConfig {
+                            burst,
+                            shards,
+                            jitter,
+                            ..SimConfig::reference()
+                        },
+                    );
+                    assert_eq!(sim.num_shards(), shards);
+                    for (k, &input) in inputs.iter().enumerate() {
+                        let start = Time::from_ps(k as f64);
+                        sim.schedule_burst(input, Burst::uniform(start, Time::from_ps(20.0), 10))
+                            .unwrap();
+                    }
+                    let summary = sim.run().unwrap();
+                    Fingerprint::capture(&sim, summary, &probes)
+                };
+                let sequential = run(1);
+                assert_eq!(sequential.probe_times[1].len(), 20);
+                for shards in [2, 3] {
+                    assert_eq!(
+                        run(shards),
+                        sequential,
+                        "sigma {sigma_ps} ps, burst {burst}, {shards} shards"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A cell that repeats every pulse after 1 ps and declares a 4 ps
+    /// collision window, so the sanitizer flags pulses closer than that.
+    #[derive(Clone)]
+    struct Guard(String);
+    impl Component for Guard {
+        fn name(&self) -> &str {
+            &self.0
+        }
+        fn num_inputs(&self) -> usize {
+            1
+        }
+        fn num_outputs(&self) -> usize {
+            1
+        }
+        fn jj_count(&self) -> u32 {
+            2
+        }
+        fn on_pulse(&mut self, _port: usize, _now: Time, ctx: &mut Ctx) {
+            ctx.emit(0, Time::from_ps(1.0));
+        }
+        fn static_meta(&self) -> StaticMeta {
+            StaticMeta::new("guard", Time::from_ps(1.0)).with_hazard(Hazard::Collision {
+                window: Time::from_ps(4.0),
+            })
+        }
+    }
+
+    /// Guards `g0`..`g3`, each on its own input, with `g1` feeding `g2`
+    /// over a 20 ps cut wire, under a sanitizer that keeps `cap`
+    /// violations. Each input gets a two-pulse train that collides at
+    /// its guard; `g1`'s train is scheduled before `g0`'s, so their
+    /// collisions at 5 ps are detected in the opposite of component
+    /// order. Returns the fingerprint of a run at `shards` shards.
+    fn guarded_run(shards: usize, burst: bool, cap: usize) -> Fingerprint {
+        let mut c = Circuit::new();
+        let mut guards = Vec::new();
+        let mut inputs = Vec::new();
+        for k in 0..4 {
+            let g = c.add(Guard(format!("g{k}")));
+            let input = c.input(format!("in{k}"));
+            c.connect_input(input, g.input(0), Time::from_ps(1.0))
+                .unwrap();
+            guards.push(g);
+            inputs.push(input);
+        }
+        c.connect(guards[1].output(0), guards[2].input(0), Time::from_ps(20.0))
+            .unwrap();
+        let mut sim = ShardedSimulator::with_config(
+            c,
+            &SimConfig {
+                burst,
+                shards,
+                sanitizer: Some(SanitizerConfig {
+                    violation_cap: cap,
+                    ..SanitizerConfig::default()
+                }),
+                ..SimConfig::reference()
+            },
+        );
+        assert_eq!(sim.num_shards(), shards);
+        // (guard, first pulse, period) in scheduling order.
+        for (g, start, period) in [(2, 0.0, 2.0), (1, 1.0, 3.0), (0, 2.0, 2.0), (3, 4.0, 3.0)] {
+            let train = Burst::uniform(Time::from_ps(start), Time::from_ps(period), 2);
+            sim.schedule_burst(inputs[g], train).unwrap();
+        }
+        let summary = sim.run().unwrap();
+        Fingerprint::capture(&sim, summary, &[])
+    }
+
+    /// Violations recorded in two and three shards merge into the
+    /// sequential list: `(time, component, port)` order, which is
+    /// neither their detection order nor the order of their strings.
+    #[test]
+    fn violations_merge_in_one_order_at_any_shard_count() {
+        let collision = |g: usize, ps: f64| format!("collision at `g{g}` port 0 ({ps:.1} ps)");
+        let want = [
+            collision(2, 3.0),
+            collision(0, 5.0),
+            collision(1, 5.0),
+            collision(3, 8.0),
+            collision(2, 26.0),
+        ];
+        let mut strings = want.clone();
+        strings.sort_unstable();
+        assert_ne!(strings, want);
+        for burst in [false, true] {
+            let sequential = guarded_run(1, burst, 256);
+            assert_eq!(sequential.violations, want, "burst {burst}");
+            for shards in [2, 3] {
+                assert_eq!(
+                    guarded_run(shards, burst, 256),
+                    sequential,
+                    "burst {burst}, {shards} shards"
+                );
+            }
+        }
+    }
+
+    /// A sharded run keeps the sequential run's first `violation_cap`
+    /// violations, not each shard's: a cap that splits the equal-time
+    /// pair keeps its lower component.
+    #[test]
+    fn a_sharded_run_keeps_the_first_violation_cap_violations() {
+        for cap in [0, 2, 3] {
+            for burst in [false, true] {
+                let sequential = guarded_run(1, burst, cap);
+                assert_eq!(sequential.violations.len(), cap);
+                for shards in [2, 3] {
+                    assert_eq!(
+                        guarded_run(shards, burst, cap),
+                        sequential,
+                        "cap {cap}, burst {burst}, {shards} shards"
+                    );
+                }
+            }
+        }
+        let kept = guarded_run(1, false, 2).violations;
+        assert_eq!(kept[1], "collision at `g0` port 0 (5.0 ps)");
     }
 
     /// The merged activity report is updated in place: neither a run

@@ -88,9 +88,11 @@ pub struct ActivityReport {
     /// Anomaly tallies across the whole circuit.
     pub anomalies: BTreeMap<StatKind, u64>,
     /// High-water mark of the event queue across the run — how many
-    /// pulses were in flight at the busiest instant. Scheduler-
-    /// independent (both queue implementations count identically), so
-    /// it doubles as a determinism cross-check in differential tests.
+    /// pulses were in flight at the busiest instant. Both schedulers
+    /// count it identically, but it is a queue metric, not behaviour:
+    /// it depends on the delivery mode and, for a sharded run (the
+    /// largest shard's), on the shard count, so it is not part of a
+    /// [`Fingerprint`](crate::Fingerprint).
     pub peak_pending: u64,
     /// Burst-coalescing observability counters (see [`CoalesceStats`]).
     /// Excluded from differential fingerprints: the pulse engine
