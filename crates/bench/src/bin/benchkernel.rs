@@ -58,9 +58,15 @@ use usfq_bench::kernels::{
     drive_burst_stream_jittered, drive_counting_feedback, drive_delay_chain, fabric,
     fabric_stimulus, StimulusKind, BURST_STREAM_JITTER_SIGMA_PS, JITTER_SEED,
 };
+use usfq_cells::catalog::t_bff;
+use usfq_core::accel::{DotProductUnit, ProcessingElement, StructuralFir};
 use usfq_core::netlists::shipped_netlists;
+use usfq_core::Rig;
+use usfq_dsp::design::lowpass;
+use usfq_dsp::signal::paper_test_signal;
+use usfq_encoding::Epoch;
 use usfq_lint::{fix_to_fixpoint, slack_report, FixOptions, LintConfig};
-use usfq_sim::rng::xorshift64;
+use usfq_sim::rng::{xorshift64, SplitMix64};
 use usfq_sim::{
     CalendarWheel, CoalesceStats, Runner, SanitizerConfig, Sched, ShardedSimulator, SimConfig,
     Simulator, Time,
@@ -339,6 +345,78 @@ fn main() {
             "kernel/burst_stream/counting_feedback",
             sim.activity().coalesce,
         ));
+    }
+    // The accelerator group: the `accel_pipeline` workload's three ops
+    // at its shapes (a 4-tap 5-bit structural FIR, a PE and an 8-lane
+    // monolithic dot product at the 5-bit balancer epoch), each on
+    // circuits built once and rerun per op under the environment's
+    // configuration. Their clock and data trains interleave half a
+    // slot apart, so most train pulses are due one at a time and the
+    // event loop delivers them as heads. Each `coalesce` entry sums one
+    // fresh instance's rigs over the first `ACCEL_OPS` ops.
+    {
+        const ACCEL_OPS: usize = 64;
+        let epoch = Epoch::with_slot(5, t_bff()).expect("5-bit balancer epoch");
+        let signal = paper_test_signal(32_000.0, ACCEL_OPS);
+        let fir = || StructuralFir::new(&lowpass(4, 2_000.0, 32_000.0), 5).expect("4-tap FIR");
+        let mut rng = SplitMix64::new(0xACCE1);
+        let macs: Vec<[f64; 3]> = (0..ACCEL_OPS)
+            .map(|_| [(); 3].map(|()| rng.gen_range(0.0..=1.0)))
+            .collect();
+        let mut vector = || [(); 8].map(|()| rng.gen_range(-1.0..=1.0));
+        let dots: Vec<([f64; 8], [f64; 8])> =
+            (0..ACCEL_OPS).map(|_| (vector(), vector())).collect();
+
+        let (mut f, mut k) = (fir(), 0);
+        results.push(Measurement::run_batched(
+            "kernel/accel/fir_push",
+            SAMPLES,
+            16,
+            || {
+                f.push(signal[k % ACCEL_OPS]).expect("FIR push");
+                k += 1;
+            },
+        ));
+        let (mut pe, mut k) = (ProcessingElement::new(epoch), 0);
+        results.push(Measurement::run_batched(
+            "kernel/accel/pe_mac",
+            SAMPLES,
+            256,
+            || {
+                let [a, b, c] = macs[k % ACCEL_OPS];
+                pe.mac(a, b, c).expect("PE MAC");
+                k += 1;
+            },
+        ));
+        let (mut dpu, mut k) = (DotProductUnit::new(epoch, 8).expect("8 lanes"), 0);
+        results.push(Measurement::run_batched(
+            "kernel/accel/dpu8_dot",
+            SAMPLES,
+            16,
+            || {
+                let (x, y) = &dots[k % ACCEL_OPS];
+                dpu.dot_monolithic(x, y).expect("dot product");
+                k += 1;
+            },
+        ));
+
+        let mut f = fir();
+        for &x in &signal {
+            f.push(x).expect("FIR push");
+        }
+        coalesce.push(("kernel/accel/fir_push", f.coalesce()));
+        let pe = ProcessingElement::new(epoch);
+        let mut rig = Rig::new(pe.circuit().expect("PE circuit"));
+        for &[a, b, c] in &macs {
+            pe.mac_on(&mut rig, a, b, c).expect("PE MAC");
+        }
+        coalesce.push(("kernel/accel/pe_mac", rig.coalesce()));
+        let dpu = DotProductUnit::new(epoch, 8).expect("8 lanes");
+        let mut rig = Rig::new(dpu.circuit().expect("DPU circuit"));
+        for (x, y) in &dots {
+            dpu.dot_on(&mut rig, x, y).expect("dot product");
+        }
+        coalesce.push(("kernel/accel/dpu8_dot", rig.coalesce()));
     }
     {
         let (proto, input, probe) = delay_chain(128);

@@ -22,6 +22,7 @@
 //! circuit build.
 
 use usfq_encoding::{Epoch, PulseStream, RlValue};
+use usfq_sim::CoalesceStats;
 
 use crate::blocks::{
     BipolarIo, BipolarMultiplier, CountingIo, CountingNetwork, MemoryBank, PnmIo,
@@ -146,6 +147,20 @@ impl StructuralFir {
         }
         let top = self.net.accumulate_on(&mut rigs.tree, &products)?;
         Ok(top.value_bipolar() * lanes as f64 * self.gain)
+    }
+
+    /// The burst-coalescing counters of every sample simulated so far,
+    /// summed over the datapath's rigs.
+    pub fn coalesce(&self) -> CoalesceStats {
+        let mut total = CoalesceStats::default();
+        if let Some(rigs) = &self.rigs {
+            for rig in &rigs.pnms {
+                total.merge(&rig.coalesce());
+            }
+            total.merge(&rigs.mult.coalesce());
+            total.merge(&rigs.tree.coalesce());
+        }
+        total
     }
 
     /// Filters a whole signal, resetting the delay line first.

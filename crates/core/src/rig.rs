@@ -15,7 +15,8 @@
 //! the accelerators build theirs on first use and rerun them per sample.
 
 use usfq_sim::{
-    Circuit, Fingerprint, ProbeId, RunSummary, ShardedSimulator, SimConfig, SimError, Time,
+    Circuit, CoalesceStats, Fingerprint, ProbeId, RunSummary, ShardedSimulator, SimConfig,
+    SimError, Time,
 };
 
 /// A block's circuit built once, with its simulator and its io: the
@@ -26,6 +27,8 @@ pub struct Rig<P> {
     /// Whether the simulator has been driven since it was built.
     used: bool,
     last: RunSummary,
+    /// Burst-coalescing counters summed over every finished run.
+    coalesce: CoalesceStats,
 }
 
 impl<P> Rig<P> {
@@ -52,6 +55,7 @@ impl<P> Rig<P> {
                 events: 0,
                 end_time: Time::ZERO,
             },
+            coalesce: CoalesceStats::default(),
         }
     }
 
@@ -83,7 +87,14 @@ impl<P> Rig<P> {
         self.used = true;
         schedule(&mut self.sim, &self.io)?;
         self.last = self.sim.run()?;
+        self.coalesce.merge(&self.sim.activity().coalesce);
         Ok(self.last)
+    }
+
+    /// The burst-coalescing counters of every finished run since the
+    /// rig was built, summed; [`Rig::sim`] holds the last run's alone.
+    pub fn coalesce(&self) -> CoalesceStats {
+        self.coalesce
     }
 
     /// The last run's fingerprint, recording `probes` in the order

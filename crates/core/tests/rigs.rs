@@ -104,8 +104,7 @@ fn pnm(word: u64) -> Block<usfq_core::blocks::PnmIo, ()> {
     }
 }
 
-fn multiplier() -> Block<usfq_core::blocks::BipolarIo, (u64, u64)> {
-    let e = epoch();
+fn multiplier(e: Epoch) -> Block<usfq_core::blocks::BipolarIo, (u64, u64)> {
     let mult = BipolarMultiplier::new(e);
     Block {
         name: "bipolar multiplier".into(),
@@ -119,8 +118,7 @@ fn multiplier() -> Block<usfq_core::blocks::BipolarIo, (u64, u64)> {
     }
 }
 
-fn tree() -> Block<usfq_core::blocks::CountingIo, [u64; 4]> {
-    let e = epoch();
+fn tree(e: Epoch) -> Block<usfq_core::blocks::CountingIo, [u64; 4]> {
     let net = CountingNetwork::new(e, 4).unwrap();
     Block {
         name: "4:1 counting tree".into(),
@@ -189,7 +187,7 @@ fn reused_rig_equals_fresh_simulator_in_every_cell() {
         seed: 7,
     });
     let cells = cube(&[1, 2], &[None, jitter]);
-    let (multiplier, tree, pe, dpu) = (multiplier(), tree(), pe(), dpu());
+    let (multiplier, tree, pe, dpu) = (multiplier(epoch()), tree(epoch()), pe(), dpu());
     for_all(6, |rng| {
         let pnm = pnm(rng.gen_range(0u64..32));
         let workloads = vec![
@@ -203,15 +201,44 @@ fn reused_rig_equals_fresh_simulator_in_every_cell() {
     });
 }
 
-/// Burst delivery of the multiplier, the 4:1 tree and the PNM never
-/// spends a closed-form step on a single pulse, and reaches the
-/// pulse-level answer.
+/// Burst delivery of every block never spends a closed-form step on a
+/// single pulse, and reaches the pulse-level answer.
 #[test]
 fn no_closed_form_step_absorbs_a_single_pulse() {
-    let (multiplier, tree) = (multiplier(), tree());
+    let (multiplier, tree, pe, dpu) = (multiplier(epoch()), tree(epoch()), pe(), dpu());
     for_all(16, |rng| {
         pnm(rng.gen_range(0u64..32)).assert_no_one_pulse_steps(&());
         multiplier.assert_no_one_pulse_steps(&multiplier_operands(rng));
         tree.assert_no_one_pulse_steps(&tree_operands(rng));
+        pe.assert_no_one_pulse_steps(&pe_operands(rng));
+        dpu.assert_no_one_pulse_steps(&dpu_operands(rng));
     });
+}
+
+/// Burst delivery decides every train the same way, whichever path
+/// delivers an interleaved train's head: each block's closed-form
+/// steps, absorbed pulses and lazy splits (hits / pulses / splits) and
+/// its queue's high-water mark are pinned for fixed operands. The PNM,
+/// the multiplier and the tree run at the structural FIR's epoch, the
+/// PE and the DPU at the balancer epoch.
+#[test]
+fn burst_decisions_are_pinned() {
+    fn assert_pinned<P, O: Sync>(block: &Block<P, O>, operands: &O, want: [u64; 4]) {
+        let burst = SimConfig {
+            burst: true,
+            ..SimConfig::reference()
+        };
+        let (rig, _) = block.run_fresh(&burst, operands);
+        let activity = rig.sim().activity();
+        let c = activity.coalesce;
+        let got = [c.hits, c.pulses, c.lazy_splits, activity.peak_pending];
+        assert_eq!(got, want, "{}: hits, pulses, splits, peak", block.name);
+    }
+    let fir = pnm_epoch();
+    assert_pinned(&pnm(21), &(), [1, 32, 30, 32]);
+    assert_pinned(&multiplier(fir), &(21, 13), [10, 20, 41, 57]);
+    assert_pinned(&tree(fir), &[9, 17, 25, 16], [6, 12, 60, 67]);
+    assert_pinned(&pe(), &[0.3, 0.6, 0.45], [3, 6, 29, 36]);
+    let dot = ([0.5, -0.25, 0.75, -1.0], [0.25, 0.5, -0.5, 1.0]);
+    assert_pinned(&dpu(), &dot, [0, 0, 185, 206]);
 }

@@ -98,6 +98,10 @@ struct Event {
     kind: EventKind,
 }
 
+/// A train's head pulse, as an [`EventKind::Deliver`] for the event
+/// loop to dispatch, and the rest of the train to re-queue after it.
+type Head = (Event, Option<Event>);
+
 // The queues copy events around constantly; payload growth is directly
 // visible in hot-loop throughput. Burst payloads live in the slab
 // precisely so this stays one 32-byte half-cache-line.
@@ -208,11 +212,13 @@ impl NetTable {
     }
 }
 
-/// The selectable event queue: the calendar wheel by default, with the
-/// reference binary heap kept for differential testing
-/// ([`Sched::Heap`], env `USFQ_SCHED=heap`). Both pop in strictly
-/// ascending `(time, seq)` order, so the choice never changes a result
-/// byte — only the cost of ordering.
+/// The selectable event queue: the binary heap or the calendar wheel.
+/// [`Sched::Auto`] picks the heap below
+/// [`AUTO_WHEEL_MIN_WIRES`](crate::sched::AUTO_WHEEL_MIN_WIRES) fan-out
+/// wires, which covers every accelerator rig and every gated benchmark
+/// workload, and the wheel above; `USFQ_SCHED` forces either. Both pop
+/// in strictly ascending `(time, seq)` order, so the choice never
+/// changes a result byte — only the cost of ordering.
 #[derive(Debug)]
 enum QueueImpl {
     Heap(BinaryHeap<Reverse<Event>>),
@@ -1031,8 +1037,12 @@ impl Simulator {
             return Err(SimError::UnknownId(format!("input {}", input.0)));
         }
         // Fan the stimulus out exactly like a component emission.
-        self.fan_out(NetSource::Input(input.0), t)?;
-        Ok(())
+        self.fan_out(NetSource::Input(input.0), t, |circuit| {
+            SimError::TimeOverflow {
+                component: circuit.topo.inputs[input.0].name.clone(),
+                time: t,
+            }
+        })
     }
 
     /// Schedules one pulse per time in `times` on `input`.
@@ -1087,7 +1097,7 @@ impl Simulator {
                 let t = burst
                     .checked_time_at(k)
                     .ok_or_else(|| overflow(&self.circuit))?;
-                self.fan_out(NetSource::Input(input.0), t)?;
+                self.schedule_input(input, t)?;
             }
             return Ok(());
         }
@@ -1115,29 +1125,13 @@ impl Simulator {
     ///
     /// Returns [`SimError::EventLimitExceeded`] if the safety valve trips.
     pub fn run_until(&mut self, deadline: Time) -> Result<RunSummary, SimError> {
-        let mut events = 0u64;
-        // The limit check gates the *loop*, not each event: a due
-        // event is only ever consumed while `events_processed` is
-        // strictly below the limit, so at most `event_limit`
-        // dispatches happen and the clock never advances past the
-        // last permitted one — identical to checking before each pop.
-        while self.events_processed < self.event_limit {
-            let Some(ev) = self.queue.pop_due(deadline) else {
-                break;
-            };
-            if let EventKind::BurstDeliver { comp, port, slot } = ev.kind {
-                events += self.deliver_burst(ev, comp, port, slot, deadline)?;
-                continue;
-            }
-            self.pending_weight -= 1;
-            // A closed-form window may have advanced the clock past
-            // the pulses it emitted downstream; those arrive later in
-            // the loop and must not move it back.
-            self.now = self.now.max(ev.time);
-            events += 1;
-            self.events_processed += 1;
-            self.dispatch(ev)?;
-        }
+        let start = self.events_processed;
+        // One context serves the whole run: taken here, lent to every
+        // dispatch, and handed back on every exit, errors included.
+        let mut ctx = std::mem::take(&mut self.ctx);
+        let drained = self.drain(deadline, &mut ctx);
+        self.ctx = ctx;
+        drained?;
         if self.events_processed >= self.event_limit {
             // Out of budget: if a due event is still pending, that is
             // exactly the event the pre-check used to trip on.
@@ -1149,9 +1143,88 @@ impl Simulator {
         }
         self.activity.peak_pending = self.activity.peak_pending.max(self.peak_weight);
         Ok(RunSummary {
-            events,
+            events: self.events_processed - start,
             end_time: self.now,
         })
+    }
+
+    /// The event loop of [`Simulator::run_until`], with the run's
+    /// context: drains the due events. It is the only caller of
+    /// [`Simulator::dispatch`], so the inliner folds the pulse path
+    /// into the loop; a train's head comes back here to take it.
+    fn drain(&mut self, deadline: Time, ctx: &mut Ctx) -> Result<(), SimError> {
+        // The limit check gates the *loop*, not each event: a due
+        // event is only ever consumed while `events_processed` is
+        // strictly below the limit, so at most `event_limit`
+        // dispatches happen and the clock never advances past the
+        // last permitted one — identical to checking before each pop.
+        while self.events_processed < self.event_limit {
+            let Some(mut ev) = self.queue.pop_due(deadline) else {
+                break;
+            };
+            let mut rest = None;
+            if let EventKind::BurstDeliver { .. } = ev.kind {
+                let head = match self.split_head(ev) {
+                    Some(head) => Some(head),
+                    None => self.deliver_burst(ev, deadline, ctx)?,
+                };
+                let Some(head) = head else {
+                    continue;
+                };
+                (ev, rest) = head;
+            }
+            self.pending_weight -= 1;
+            // A closed-form window may have advanced the clock past
+            // the pulses it emitted downstream; those arrive later in
+            // the loop and must not move it back.
+            self.now = self.now.max(ev.time);
+            self.events_processed += 1;
+            self.dispatch(ev, ctx)?;
+            if let Some(rest) = rest {
+                // The rest's pulses never left `pending_weight`.
+                self.queue.push(rest);
+                self.activity.coalesce.lazy_splits += 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// The head of an interleaved train. When the second pulse of the
+    /// popped exact train `ev` does not sort before the next queued
+    /// event, only its head is due: the one-pulse prefix that
+    /// [`Simulator::deliver_burst`] would cut, found without its slab
+    /// trail take, lookahead fetch and binary searches. Advances the
+    /// train's slab record past the head and returns the head with the
+    /// rest's queue event, keyed by the second pulse's `(time, seq)`.
+    /// `None` leaves the train to `deliver_burst`: jittered and
+    /// enveloped trains, last pulses, and prefixes of two or more.
+    fn split_head(&mut self, ev: Event) -> Option<Head> {
+        let EventKind::BurstDeliver { comp, port, slot } = ev.kind else {
+            return None;
+        };
+        if self.jitter.is_some() {
+            return None;
+        }
+        let next = self.queue.peek()?;
+        let rec = &mut self.bursts[slot as usize];
+        let b = rec.burst;
+        if b.count() < 2 || !b.is_exact() {
+            return None;
+        }
+        let rest = Event {
+            time: b.time_at(1),
+            seq: ev.seq + rec.stride,
+            kind: ev.kind,
+        };
+        if (rest.time, rest.seq) < (next.time, next.seq) {
+            return None;
+        }
+        rec.burst = b.suffix(1).with_src_identity();
+        let head = Event {
+            kind: EventKind::Deliver { comp, port },
+            ..ev
+        };
+        Some((head, Some(rest)))
     }
 
     /// The feedback lookahead of component `ci` ([`Time::MAX`] when it
@@ -1188,13 +1261,11 @@ impl Simulator {
     /// equivalent to `m` individual deliveries. Jittered trains use
     /// their worst-case envelope bounds for (a) and (c), so an
     /// absorbed prefix is safe for *every* materialization of the
-    /// envelope. Only the head pulse is delivered, through the ordinary
-    /// exact path, when
+    /// envelope. Only the head pulse is delivered, and returned to the
+    /// event loop to take the exact pulse path, when
     ///
-    /// - the safe prefix is a single pulse: trains that interleave with
-    ///   others half a slot apart, as the accelerators' clock and data
-    ///   trains do, would otherwise pay a closed-form step and a
-    ///   re-queue for every pulse;
+    /// - the safe prefix is a single pulse: a closed-form step buys
+    ///   nothing for one pulse;
     /// - the sanitizer cannot prove the prefix violation-free;
     /// - the cell declines ([`BurstStep::PulseByPulse`]);
     /// - the envelope alone exceeds the bound; or
@@ -1207,29 +1278,29 @@ impl Simulator {
     /// loop iteration without a queue round-trip, so a feedback-free
     /// pipeline evaluates a whole epoch symbolically in one call.
     ///
-    /// Kept out of line so the event loop in [`Simulator::run_until`]
-    /// pays one discriminant test per pulse for it; one call per
-    /// *train* amortises to nothing.
+    /// Trains that interleave with others half a slot apart, as the
+    /// accelerators' clock and data trains do, have their heads cut
+    /// by the queue bound (c) on every pulse; the event loop splits
+    /// those itself ([`Simulator::split_head`]) and never calls this.
+    /// What is left is kept out of line, so the loop pays one
+    /// discriminant test per pulse for it.
     #[cold]
     #[inline(never)]
     fn deliver_burst(
         &mut self,
         ev: Event,
-        comp: u32,
-        port: u32,
-        slot: u32,
         deadline: Time,
-    ) -> Result<u64, SimError> {
+        ctx: &mut Ctx,
+    ) -> Result<Option<Head>, SimError> {
         let mut ev = ev;
-        let (mut comp, mut port, mut slot) = (comp, port, slot);
-        let mut total = 0u64;
         loop {
+            let EventKind::BurstDeliver { comp, port, slot } = ev.kind else {
+                unreachable!("deliver_burst takes coalesced trains")
+            };
             let rec = &mut self.bursts[slot as usize];
             let burst = rec.burst;
             let stride = rec.stride;
             let trail = std::mem::take(&mut rec.trail);
-            // The popped queue entry carried the whole train's weight.
-            self.pending_weight -= burst.count();
             let ci = comp as usize;
             // Cap the prefix at the feedback lookahead: pulses later
             // than `ev.time + la` could race something this very step
@@ -1273,9 +1344,6 @@ impl Simulator {
                 m >= 1 || !burst.is_exact(),
                 "exact burst head must be consumable"
             );
-            // A one-pulse prefix goes down the exact head path: a
-            // closed-form step buys nothing for one pulse, and the
-            // re-queue of the remainder costs more than the pulse.
             let mut atomic = m > 1 && !cyclic_jitter_bail;
             if atomic {
                 if let Some(s) = &self.sanitizer {
@@ -1290,9 +1358,8 @@ impl Simulator {
             let mut deferred = None;
             if atomic {
                 let prefix = burst.prefix(m);
-                let mut ctx = std::mem::take(&mut self.ctx);
                 ctx.clear();
-                let step = self.circuit.models[ci].step_burst(port as usize, &prefix, &mut ctx);
+                let step = self.circuit.models[ci].step_burst(port as usize, &prefix, ctx);
                 if step == BurstStep::Consumed {
                     debug_assert!(
                         ctx.emissions.is_empty() && ctx.timers.is_empty() && ctx.stats.is_empty(),
@@ -1307,6 +1374,9 @@ impl Simulator {
                         let jm = self.jitter.expect("trailed bursts only exist under jitter");
                         jittered_time_at(&jm, &trail, &burst, m - 1)
                     };
+                    // The absorbed pulses leave the queue's weight; the
+                    // rest's stay.
+                    self.pending_weight -= m;
                     self.now = self.now.max(exact_last);
                     self.events_processed += m;
                     self.activity.handled[ci] += m;
@@ -1324,26 +1394,12 @@ impl Simulator {
                 } else {
                     self.activity.coalesce.bail_cell += 1;
                 }
-                self.ctx = ctx;
             } else if cyclic_jitter_bail {
                 self.activity.coalesce.bail_feedback += 1;
             } else if m == 0 {
                 self.activity.coalesce.bail_jitter += 1;
             }
-            if !handled_atomically {
-                // Exact fallback: the head pulse alone, through the
-                // same path a pulse-level event would take. `ev.time`
-                // is the head's exact (already materialized) arrival.
-                self.now = self.now.max(ev.time);
-                self.events_processed += 1;
-                self.dispatch_outlined(Event {
-                    time: ev.time,
-                    seq: ev.seq,
-                    kind: EventKind::Deliver { comp, port },
-                })?;
-            }
-            total += consumed;
-            if consumed < burst.count() {
+            let rest = if consumed < burst.count() {
                 let rest = burst.suffix(consumed).with_src_identity();
                 // Shift the trail's index maps into the suffix's index
                 // space so hop emission indices stay aligned.
@@ -1357,35 +1413,37 @@ impl Simulator {
                     let jm = self.jitter.expect("trailed bursts only exist under jitter");
                     jittered_time_at(&jm, &trail, &rest, 0)
                 };
-                let weight = rest.count();
                 let rec = &mut self.bursts[slot as usize];
                 rec.burst = rest;
                 rec.trail = trail;
-                self.push_weighted(
-                    Event {
-                        time,
-                        seq: ev.seq + consumed * stride,
-                        kind: EventKind::BurstDeliver { comp, port, slot },
-                    },
-                    weight,
-                );
-                self.activity.coalesce.lazy_splits += 1;
+                Some(Event {
+                    time,
+                    seq: ev.seq + consumed * stride,
+                    kind: EventKind::BurstDeliver { comp, port, slot },
+                })
             } else {
                 self.free_bursts.push(slot);
+                None
+            };
+            if !handled_atomically {
+                // Exact fallback: the head pulse alone, through the
+                // same path a pulse-level event takes. `ev.time` is the
+                // head's exact (already materialized) arrival.
+                let head = Event {
+                    kind: EventKind::Deliver { comp, port },
+                    ..ev
+                };
+                return Ok(Some((head, rest)));
+            }
+            if let Some(rest) = rest {
+                self.queue.push(rest);
+                self.activity.coalesce.lazy_splits += 1;
             }
             // Chase: when the whole train was absorbed and its single
             // emission would be the very next event anyway, deliver it
             // here instead of a queue round-trip.
             let Some(dev) = deferred else {
-                return Ok(total);
-            };
-            let EventKind::BurstDeliver {
-                comp: dc,
-                port: dp,
-                slot: ds,
-            } = dev.kind
-            else {
-                unreachable!("only coalesced trains are deferred")
+                return Ok(None);
             };
             let chase = consumed == burst.count()
                 && dev.time <= deadline
@@ -1399,11 +1457,10 @@ impl Simulator {
                 // budget, the run loop finds the event due and reports
                 // it.
                 self.queue.push(dev);
-                return Ok(total);
+                return Ok(None);
             }
             self.activity.coalesce.chases += 1;
             ev = dev;
-            (comp, port, slot) = (dc, dp, ds);
         }
     }
 
@@ -1687,23 +1744,15 @@ impl Simulator {
         }
     }
 
-    /// [`Simulator::dispatch`] for the burst-path callers. The hot
-    /// pulse loop in [`Simulator::run_until`] must stay `dispatch`'s
-    /// only direct call site so the inliner folds it into the loop;
-    /// the (per-train, amortised) burst paths go through this
-    /// out-of-line trampoline instead.
-    #[inline(never)]
-    fn dispatch_outlined(&mut self, ev: Event) -> Result<(), SimError> {
-        self.dispatch(ev)
-    }
-
-    fn dispatch(&mut self, ev: Event) -> Result<(), SimError> {
+    /// Delivers a pulse or timer to its component through the lent
+    /// context, which is cleared first (an error exit may have left
+    /// it filled), and applies what the component asked for.
+    fn dispatch(&mut self, ev: Event, ctx: &mut Ctx) -> Result<(), SimError> {
         let comp_id = match ev.kind {
             EventKind::Deliver { comp, .. } | EventKind::Timer { comp, .. } => comp,
             EventKind::BurstDeliver { .. } => unreachable!("bursts go through deliver_burst"),
         };
         let ci = comp_id as usize;
-        let mut ctx = std::mem::take(&mut self.ctx);
         ctx.clear();
         {
             let model = &mut self.circuit.models[ci];
@@ -1713,10 +1762,10 @@ impl Simulator {
                     if let Some(sanitizer) = &mut self.sanitizer {
                         sanitizer.observe(ci, model.name(), port as usize, ev.time);
                     }
-                    model.on_pulse(port as usize, ev.time, &mut ctx);
+                    model.on_pulse(port as usize, ev.time, ctx);
                 }
                 EventKind::Timer { tag, .. } => {
-                    model.on_timer(tag, ev.time, &mut ctx);
+                    model.on_timer(tag, ev.time, ctx);
                 }
                 EventKind::BurstDeliver { .. } => unreachable!("bursts go through deliver_burst"),
             }
@@ -1732,7 +1781,12 @@ impl Simulator {
                     .checked_add(delay)
                     .ok_or_else(|| overflow(&self.circuit))?;
                 self.activity.emitted[ci] += 1;
-                self.fan_out(NetSource::Output(ci, port), t_emit)?;
+                self.fan_out(NetSource::Output(ci, port), t_emit, |circuit| {
+                    SimError::TimeOverflow {
+                        component: circuit.models[ci].name().to_string(),
+                        time: t_emit,
+                    }
+                })?;
             }
             for &(tag, delay) in &ctx.timers {
                 let t = ev
@@ -1757,11 +1811,21 @@ impl Simulator {
                 "emit_burst is only valid inside step_burst"
             );
         }
-        self.ctx = ctx;
         Ok(())
     }
 
-    fn fan_out(&mut self, source: NetSource, t: Time) -> Result<(), SimError> {
+    /// Fans a pulse emitted at `t` out over the net of `source`: its
+    /// probes record it and each of its wires queues an arrival.
+    /// `overflow` builds the error for an arrival past the end of the
+    /// clock. Each caller passes a closure of its own type and so gets
+    /// its own copy of this function; the event loop's copy has that
+    /// one caller, and the inliner folds it into the loop.
+    fn fan_out(
+        &mut self,
+        source: NetSource,
+        t: Time,
+        overflow: impl Fn(&Circuit) -> SimError,
+    ) -> Result<(), SimError> {
         // One lookup in the dense net table yields contiguous wire and
         // probe slices; `nets`, `probe_data`, `seq`, `jitter`, `queue`
         // and `circuit` are disjoint fields, so no per-element
@@ -1774,13 +1838,6 @@ impl Simulator {
         // Allocate sequence numbers for the whole net in one batch.
         let first_seq = self.seq;
         self.seq += wires.len() as u64;
-        let overflow = |circuit: &Circuit| SimError::TimeOverflow {
-            component: match source {
-                NetSource::Input(i) => circuit.topo.inputs[i].name.clone(),
-                NetSource::Output(c, _) => circuit.models[c].name().to_string(),
-            },
-            time: t,
-        };
         let jitter = self.jitter;
         let wires_start = net.wires_start;
         for (idx, wire) in wires.iter().enumerate() {
@@ -2610,6 +2667,65 @@ mod tests {
             assert!(clocks.windows(2).all(|w| w[0] <= w[1]), "{clocks:?}");
             assert_eq!(run(true, step), (events, clocks), "step {step_ps} ps");
         }
+    }
+
+    /// A run that stops on an error leaves a reusable simulator. The
+    /// run's context goes back to the simulator on every exit, and an
+    /// overflowing emission leaves it filled, so it must be cleared
+    /// before its next use: after `reset`, a rerun is a fresh
+    /// simulator's, whether the last run ran out of events amid two
+    /// interleaved trains or overflowed the clock.
+    #[test]
+    fn error_exits_leave_a_reusable_simulator() {
+        use crate::{Fingerprint, ShardedSimulator};
+        let mut c = Circuit::new();
+        let (a, b) = (c.input("a"), c.input("b"));
+        let div = c.add(Divider::default());
+        let buf = c.add(Buffer::new("buf", Time::from_ps(1.0)));
+        c.connect_input(a, div.input(0), Time::from_ps(1.0))
+            .unwrap();
+        c.connect_input(b, buf.input(0), Time::from_ps(1.0))
+            .unwrap();
+        let probes = [c.probe(div.output(0), "div"), c.probe(buf.output(0), "buf")];
+        let cfg = SimConfig {
+            burst: true,
+            ..SimConfig::reference()
+        };
+        // Two trains half a period apart, so every head is due alone.
+        let schedule = |sim: &mut ShardedSimulator| {
+            let train = |start| Burst::uniform(Time::from_ps(start), Time::from_ps(10.0), 8);
+            sim.schedule_burst(a, train(0.0)).unwrap();
+            sim.schedule_burst(b, train(5.0)).unwrap();
+        };
+        let run = |sim: &mut ShardedSimulator| {
+            schedule(sim);
+            let summary = sim.run().unwrap();
+            assert!(sim.activity().coalesce.lazy_splits > 0);
+            Fingerprint::capture(sim, summary, &probes)
+        };
+        let fresh = run(&mut ShardedSimulator::with_config(c.clone(), &cfg));
+        let mut sim = ShardedSimulator::with_config(c, &cfg);
+
+        sim.set_event_limit(5);
+        schedule(&mut sim);
+        let err = sim.run().unwrap_err();
+        assert!(
+            matches!(err, SimError::EventLimitExceeded { .. }),
+            "{err:?}"
+        );
+        sim.reset();
+        sim.set_event_limit(DEFAULT_EVENT_LIMIT);
+        assert_eq!(run(&mut sim), fresh, "after {err:?}");
+
+        sim.reset();
+        schedule(&mut sim);
+        // The buffer's emission lands 0.5 ps past the clock's end.
+        sim.schedule_input(b, Time::from_fs(u64::MAX - 1_500))
+            .unwrap();
+        let err = sim.run().unwrap_err();
+        assert!(matches!(err, SimError::TimeOverflow { .. }), "{err:?}");
+        sim.reset();
+        assert_eq!(run(&mut sim), fresh, "after {err:?}");
     }
 
     /// Deadline splitting: only the prefix at or before the deadline is
