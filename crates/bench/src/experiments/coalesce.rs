@@ -5,8 +5,9 @@
 //! lazy suffix splits, chase steps (queue-bypassing single-wire
 //! hand-offs), and fall-backs to pulse-level dispatch broken down by
 //! reason: a jitter envelope exceeding a cell's window, a feedback
-//! cycle under jitter, a sanitizer veto, or a cell declining the
-//! closed form.
+//! cycle under jitter, a sanitizer attached to a train queued before
+//! it (a sanitized run is otherwise a pulse run and queues no train),
+//! or a cell declining the closed form.
 //!
 //! The same counters ride along in every `benchkernel` snapshot (the
 //! `coalesce` provenance block) so a CI timing shift can be
@@ -37,7 +38,7 @@ pub struct CoalescePoint {
     pub bail_jitter: u64,
     /// Fall-backs: feedback cycle under jitter.
     pub bail_feedback: u64,
-    /// Fall-backs: sanitizer could not prove the train clean.
+    /// Fall-backs: a sanitizer was attached.
     pub bail_sanitizer: u64,
     /// Fall-backs: cell declined the closed form.
     pub bail_cell: u64,

@@ -637,6 +637,8 @@ mod tests {
         assert_eq!(coalesce.bail_feedback, 0, "{coalesce:?}");
     }
 
+    /// Unsanitized, so the jittered trains coalesce: a sanitized run
+    /// is a pulse run.
     #[test]
     fn jittered_catalogue_trial_is_deterministic() {
         let netlist = &shipped_netlists()[0];
@@ -644,7 +646,6 @@ mod tests {
             sched: Sched::Wheel,
             burst: true,
             jitter: Some(jitter_ps(2.0)),
-            sanitizer: Some(SanitizerConfig::default()),
             ..SimConfig::reference()
         };
         let a = catalogue_trial(netlist, StimulusKind::Trains, &cfg, 1);

@@ -57,9 +57,11 @@ fn jittered_catalogue_burst_equals_pulse_across_shards() {
     );
 }
 
-/// A coalesced, wheel-scheduled, sanitized sweep fanned out over a
-/// 4-thread runner with per-thread catalogues equals the pulse-level,
-/// heap-scheduled sequential loop.
+/// A coalesced, wheel-scheduled sweep fanned out over a 4-thread
+/// runner with per-thread catalogues equals the pulse-level,
+/// heap-scheduled, sanitized sequential loop, violations aside. The
+/// sweep runs unsanitized: a sanitized run is a pulse run, and this
+/// one must coalesce.
 #[test]
 fn parallel_burst_sweep_equals_sequential_pulse_sweep() {
     let sanitized = SimConfig {
@@ -69,7 +71,7 @@ fn parallel_burst_sweep_equals_sequential_pulse_sweep() {
     let cell = SimConfig {
         sched: Sched::Wheel,
         burst: true,
-        ..sanitized.clone()
+        ..SimConfig::reference()
     };
     assert_parallel_catalogue_sweep(StimulusKind::Trains, &sanitized, &cell);
 }

@@ -11,9 +11,10 @@ use usfq_bench::kernels::{
     catalogue_workloads, drive_catalogue, fabric, fabric_stimulus, jitter_ps,
     random_catalogue_workload, run_trains, StimulusKind,
 };
+use usfq_cells::storage::{Dff, Ndro};
 use usfq_core::netlists::shipped_netlists;
-use usfq_sim::check::{check_cube, cube, for_all, random_cell};
-use usfq_sim::{Fingerprint, SanitizerConfig, Sched, ShardedSimulator, SimConfig};
+use usfq_sim::check::{check_cube, cube, for_all, random_cell, Workload};
+use usfq_sim::{Circuit, Fingerprint, SanitizerConfig, Sched, ShardedSimulator, SimConfig, Time};
 
 /// Loose pulses and uniform trains through every shipped netlist, at
 /// one shard with pulse-level delivery: heap and wheel, sanitizer off
@@ -96,4 +97,74 @@ fn random_trials_fingerprints_match() {
         let cell = random_cell(rng, 1..4, &jitters);
         check_cube(&[workload], &[cell]);
     });
+}
+
+/// Equal-time ties at the order-sensitive inputs of the storage cells.
+/// In each 50 ps slot, single pulses reach an NDRO's set and clock
+/// inputs and a DFF's set and read inputs at the same femtosecond,
+/// scheduled set-first in even slots and set-last in odd ones, so the
+/// outputs tell which way each tie went; the NDRO is reset mid-slot.
+/// All input wires have the same, zero delay: under jitter a negative
+/// draw clamps at the emission instant, so some ties survive there
+/// too. The two cells share no wire, so two shards split them.
+fn storage_cell_ties() -> Workload<'static> {
+    let mut c = Circuit::new();
+    let ndro = c.add(Ndro::new("ndro"));
+    let dff = c.add(Dff::new("dff"));
+    let ports = [
+        ("ndro_s", ndro.input(Ndro::IN_S)),
+        ("ndro_clk", ndro.input(Ndro::IN_CLK)),
+        ("ndro_r", ndro.input(Ndro::IN_R)),
+        ("dff_s", dff.input(Dff::IN_S)),
+        ("dff_r", dff.input(Dff::IN_R)),
+    ];
+    let [set, clk, reset, dff_set, read] = ports.map(|(name, port)| {
+        let input = c.input(name);
+        c.connect_input(input, port, Time::ZERO).unwrap();
+        input
+    });
+    let probes = [
+        c.probe(ndro.output(Ndro::OUT_Q), "ndro_q"),
+        c.probe(dff.output(Dff::OUT_Q), "dff_q"),
+    ];
+    Workload::new("storage-cell ties", move |cfg| {
+        let mut sim = ShardedSimulator::with_config(c.clone(), cfg);
+        assert_eq!(sim.num_shards(), cfg.shards);
+        for slot in 0..12u32 {
+            let t = Time::from_ps(50.0 * f64::from(slot));
+            for (set, sampled) in [(set, clk), (dff_set, read)] {
+                let order = if slot % 2 == 0 {
+                    [set, sampled]
+                } else {
+                    [sampled, set]
+                };
+                for input in order {
+                    sim.schedule_input(input, t).unwrap();
+                }
+            }
+            sim.schedule_input(reset, t + Time::from_ps(25.0)).unwrap();
+        }
+        let summary = sim.run().unwrap();
+        Fingerprint::capture(&sim, summary, &probes)
+    })
+}
+
+/// The storage-cell ties in every cell at 1 and 2 shards, with and
+/// without jitter, equal their reference: every path resolves an
+/// equal-time tie in scheduling order. In that order the NDRO reads
+/// set only in the set-first slots, and the DFF answers each of those
+/// reads, ignoring the five sets that find it still set.
+#[test]
+fn equal_time_ties_resolve_in_scheduling_order() {
+    let ties = storage_cell_ties();
+    let reference = (ties.run)(&SimConfig::reference());
+    for times in &reference.probe_times {
+        assert_eq!(times.len(), 6);
+        assert!(
+            times.iter().all(|t| t.as_fs() / 50_000 % 2 == 0),
+            "{times:?}"
+        );
+    }
+    assert_eq!(reference.anomalies, [("IgnoredPulse".to_string(), 5)]);
+    check_cube(&[ties], &cube(&[1, 2], &[None, Some(jitter_ps(2.0))]));
 }

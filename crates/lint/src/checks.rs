@@ -2,7 +2,7 @@
 //! cycle detection, and JJ accounting.
 
 use usfq_cells::catalog::jj_for_kind;
-use usfq_sim::graph::CircuitGraph as Graph;
+use usfq_sim::graph::{sccs, CircuitGraph as Graph};
 use usfq_sim::{Circuit, ProbeSource};
 
 use crate::diag::{Code, Diagnostic};
@@ -125,9 +125,8 @@ pub(crate) fn jj_accounting(g: &Graph, diags: &mut Vec<Diagnostic>) {
 /// arrival-window analysis cannot bound it and a real pulse could
 /// circulate forever.
 pub(crate) fn cycles(g: &Graph, allowlist: &[String], diags: &mut Vec<Diagnostic>) -> Vec<bool> {
-    let sccs = tarjan_sccs(g);
     let mut cyclic = vec![false; g.len()];
-    for scc in &sccs {
+    for scc in sccs(g.len(), |c| &g.succs[c]).iter() {
         let is_cycle = scc.len() > 1 || g.succs[scc[0]].contains(&scc[0]);
         if !is_cycle {
             continue;
@@ -153,61 +152,4 @@ pub(crate) fn cycles(g: &Graph, allowlist: &[String], diags: &mut Vec<Diagnostic
         }
     }
     cyclic
-}
-
-/// Iterative Tarjan SCC over the component graph (no recursion: shipped
-/// netlists chain hundreds of cells).
-fn tarjan_sccs(g: &Graph) -> Vec<Vec<usize>> {
-    const UNSET: usize = usize::MAX;
-    let n = g.len();
-    let mut index = vec![UNSET; n];
-    let mut lowlink = vec![UNSET; n];
-    let mut on_stack = vec![false; n];
-    let mut stack = Vec::new();
-    let mut next_index = 0;
-    let mut sccs = Vec::new();
-
-    // Explicit call frames: (node, next successor position).
-    let mut frames: Vec<(usize, usize)> = Vec::new();
-    for root in 0..n {
-        if index[root] != UNSET {
-            continue;
-        }
-        frames.push((root, 0));
-        while let Some(&mut (v, ref mut pos)) = frames.last_mut() {
-            if *pos == 0 {
-                index[v] = next_index;
-                lowlink[v] = next_index;
-                next_index += 1;
-                stack.push(v);
-                on_stack[v] = true;
-            }
-            if let Some(&w) = g.succs[v].get(*pos) {
-                *pos += 1;
-                if index[w] == UNSET {
-                    frames.push((w, 0));
-                } else if on_stack[w] {
-                    lowlink[v] = lowlink[v].min(index[w]);
-                }
-            } else {
-                frames.pop();
-                if let Some(&(parent, _)) = frames.last() {
-                    lowlink[parent] = lowlink[parent].min(lowlink[v]);
-                }
-                if lowlink[v] == index[v] {
-                    let mut scc = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack underflow");
-                        on_stack[w] = false;
-                        scc.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    sccs.push(scc);
-                }
-            }
-        }
-    }
-    sccs
 }

@@ -57,9 +57,8 @@ use crate::time::Time;
 /// jittered hop ([`Burst::widened`]) and rides unchanged through the
 /// index transforms (`delayed`/`suffix`/`prefix`/`decimate`), which act
 /// on the nominal form only. Exact jittered times are materialized
-/// lazily by the engine; cells and the sanitizer reason about the
-/// worst case ([`Burst::earliest_first`], [`Burst::latest_last`],
-/// [`Burst::env_span`]).
+/// lazily by the engine, which bounds them by the worst case
+/// ([`Burst::env_span`], [`Burst::count_latest_at_or_before`]).
 ///
 /// # Source provenance
 ///
@@ -319,26 +318,6 @@ impl Burst {
         }
     }
 
-    /// Worst-case earliest arrival of the first pulse
-    /// (`first() − env_lo`, saturating at zero).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the train is empty.
-    pub fn earliest_first(&self) -> Time {
-        Time::from_fs(self.first().as_fs().saturating_sub(self.env_lo))
-    }
-
-    /// Worst-case latest arrival of the last pulse
-    /// (`last() + env_hi`, saturating at the clock maximum).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the train is empty.
-    pub fn latest_last(&self) -> Time {
-        Time::from_fs(self.last().as_fs().saturating_add(self.env_hi))
-    }
-
     /// Number of leading pulses whose *worst-case latest* arrival
     /// (`t_k + env_hi`) is `<= deadline`. Conservative under jitter;
     /// identical to [`Burst::count_at_or_before`] for exact trains.
@@ -596,8 +575,6 @@ mod tests {
         assert_eq!((b.env_lo(), b.env_hi()), (300, 700));
         assert!(!b.is_exact());
         assert_eq!(b.env_span(), Time::from_fs(1_000));
-        assert_eq!(b.earliest_first(), Time::from_fs(10_000 - 300));
-        assert_eq!(b.latest_last(), Time::from_fs(45_000 + 700));
         for t in [
             b.delayed(Time::from_ps(2.0)),
             b.suffix(3),

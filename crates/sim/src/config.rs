@@ -85,7 +85,8 @@ pub struct SimConfig {
     pub shards: usize,
     /// Wire-delay jitter, or `None` for exact wire delays.
     pub jitter: Option<Jitter>,
-    /// Runtime pulse sanitizer, or `None` for off.
+    /// Runtime pulse sanitizer, or `None` for off. A sanitized run is
+    /// a pulse run, whatever [`SimConfig::burst`] says.
     pub sanitizer: Option<SanitizerConfig>,
 }
 

@@ -9,6 +9,7 @@ use crate::circuit::{Circuit, InputId, OutputNet, ProbeId};
 use crate::component::{BurstStep, Ctx};
 use crate::config::SimConfig;
 use crate::error::SimError;
+use crate::graph;
 use crate::rng::SplitMix64;
 use crate::sanitizer::{SanitizerConfig, SanitizerReport, SanitizerState};
 use crate::sched::{CalendarWheel, Sched, WheelStats};
@@ -388,14 +389,32 @@ impl JitterModel {
         // The clamp is ≤ 0, so one branchless `max` covers both signs.
         d.max(-(delay_fs.min(i64::MAX as u64) as i64))
     }
+
+    /// The jittered arrival of a pulse emitted at `emit` onto `wire`
+    /// with nominal propagation `delay`: emission plus delay plus the
+    /// wire's draw, or `None` past the end of the clock. The one
+    /// jittered-arrival rule of the pulse path ([`Simulator::fan_out`])
+    /// and the burst path ([`exact_arrival`] and per-wire expansion).
+    #[inline]
+    fn arrival(&self, wire: u32, emit: Time, delay: Time) -> Option<Time> {
+        let nominal = emit.checked_add(delay)?;
+        let d = self.delta_fs(wire, emit.as_fs(), delay.as_fs());
+        if d >= 0 {
+            nominal.checked_add(Time::from_fs(d.unsigned_abs()))
+        } else {
+            // `delta_fs` clamps the negative side at the wire delay, so
+            // this never passes the emission instant.
+            Some(Time::from_fs(nominal.as_fs() - d.unsigned_abs()))
+        }
+    }
 }
 
 /// Exact arrival time of slab-train pulse `i`: its nominal rational
 /// time plus the fold of the per-hop jitter draws along the trail (see
 /// [`TrailHop`]). `O(trail length)` per pulse, paid only where an
-/// exact time is observable: event keys, `now`, sanitizer commits, and
-/// lazy splits. Probes do not materialize on recording; a read of
-/// their times folds whole trains at once ([`fold_trail_times`]).
+/// exact time is observable: event keys, `now` and lazy splits. Probes
+/// do not materialize on recording; a read of their times folds whole
+/// trains at once ([`fold_trail_times`]).
 fn jittered_time_at(jitter: &JitterModel, trail: &[TrailHop], burst: &Burst, i: u64) -> Time {
     let acc = trail_offset_fs(jitter, trail, i);
     let t = burst.time_at(i).as_fs() as i128 + acc;
@@ -482,15 +501,7 @@ fn exact_arrival(
     let acc = trail_offset_fs(jm, parent_trail, off + k * step);
     let emit_fs = u64::try_from(i128::from(b.time_at(k).as_fs()) + acc)
         .expect("jittered burst time overflow");
-    let nominal = Time::from_fs(emit_fs).checked_add(delay)?;
-    let d = jm.delta_fs(key, emit_fs, delay.as_fs());
-    if d >= 0 {
-        nominal.checked_add(Time::from_fs(d.unsigned_abs()))
-    } else {
-        // `delta_fs` clamps the negative side at the wire delay, so
-        // this cannot pass the emission instant.
-        Some(Time::from_fs(nominal.as_fs() - d.unsigned_abs()))
-    }
+    jm.arrival(key, Time::from_fs(emit_fs), delay)
 }
 
 /// A train recorded at a probe and not yet expanded: the train as
@@ -682,8 +693,7 @@ const EXACT_CYCLE_SCC_LIMIT: usize = 64;
 /// (cell delays only add, so wire delay alone is a sound lower bound),
 /// or [`Time::MAX`] for components on no cycle.
 ///
-/// Strongly connected components are found with an iterative Tarjan
-/// pass (netlists reach 10⁵ cells; recursion would overflow). Inside
+/// Strongly connected components come from [`graph::sccs`]. Inside
 /// an SCC of at most [`EXACT_CYCLE_SCC_LIMIT`] nodes the exact
 /// shortest cycle through each node is computed by min-plus
 /// Floyd–Warshall; larger SCCs conservatively use the minimum
@@ -691,114 +701,44 @@ const EXACT_CYCLE_SCC_LIMIT: usize = 64;
 /// Conservatism only costs the fast path, never correctness.
 pub(crate) fn cycle_lookahead(circuit: &Circuit) -> Vec<Time> {
     let n = circuit.num_components();
-    // Flat CSR adjacency with per-edge delays, built in two counting
-    // passes — this runs once per topology on first burst delivery
-    // and must not allocate per-component edge lists.
-    let mut edges: Vec<(usize, usize, u64)> = Vec::new();
-    let mut outdeg = vec![0usize; n];
-    for (src, _, dst, _, delay) in circuit.wires() {
-        edges.push((src.index(), dst.index(), delay.as_fs()));
-        outdeg[src.index()] += 1;
+    // Flat CSR adjacency with per-edge delays, in `Circuit::wires`
+    // order — this runs once per topology on first burst delivery and
+    // must not allocate per-component edge lists.
+    let wires: Vec<(usize, usize, u64)> = circuit
+        .wires()
+        .map(|(src, _, dst, _, delay)| (src.index(), dst.index(), delay.as_fs()))
+        .collect();
+    let mut succ_start = vec![0usize; n + 1];
+    for &(src, _, _) in &wires {
+        succ_start[src + 1] += 1;
     }
-    let mut succ_start = Vec::with_capacity(n + 1);
-    let mut acc = 0usize;
-    succ_start.push(0);
-    for &c in &outdeg {
-        acc += c;
-        succ_start.push(acc);
+    for v in 0..n {
+        succ_start[v + 1] += succ_start[v];
     }
     let mut fill = succ_start.clone();
-    let mut succ = vec![(0usize, 0u64); acc];
-    for &(s, d, w) in &edges {
-        succ[fill[s]] = (d, w);
-        fill[s] += 1;
+    let mut succ = vec![0usize; wires.len()];
+    let mut delay = vec![0u64; wires.len()];
+    for &(src, dst, fs) in &wires {
+        succ[fill[src]] = dst;
+        delay[fill[src]] = fs;
+        fill[src] += 1;
     }
+    let edges = |v: usize| {
+        let range = succ_start[v]..succ_start[v + 1];
+        succ[range.clone()]
+            .iter()
+            .copied()
+            .zip(delay[range].iter().copied())
+    };
+    let sccs = graph::sccs(n, |v| &succ[succ_start[v]..succ_start[v + 1]]);
 
-    // Iterative Tarjan: scc_of[v] = component id, ids assigned in
-    // reverse topological order (unused beyond grouping here).
-    const UNVISITED: u32 = u32::MAX;
-    let mut index = vec![UNVISITED; n];
-    let mut lowlink = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut scc_of = vec![UNVISITED; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut call: Vec<(usize, usize)> = Vec::new(); // (node, next edge offset)
-    let mut next_index = 0u32;
-    let mut next_scc = 0u32;
-    for root in 0..n {
-        if index[root] != UNVISITED {
-            continue;
-        }
-        call.push((root, succ_start[root]));
-        index[root] = next_index;
-        lowlink[root] = next_index;
-        next_index += 1;
-        stack.push(root);
-        on_stack[root] = true;
-        while let Some(&mut (v, ref mut edge)) = call.last_mut() {
-            if *edge < succ_start[v + 1] {
-                let (w, _) = succ[*edge];
-                *edge += 1;
-                if index[w] == UNVISITED {
-                    index[w] = next_index;
-                    lowlink[w] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[w] = true;
-                    call.push((w, succ_start[w]));
-                } else if on_stack[w] {
-                    lowlink[v] = lowlink[v].min(index[w]);
-                }
-            } else {
-                call.pop();
-                if let Some(&(parent, _)) = call.last() {
-                    lowlink[parent] = lowlink[parent].min(lowlink[v]);
-                }
-                if lowlink[v] == index[v] {
-                    while let Some(w) = stack.pop() {
-                        on_stack[w] = false;
-                        scc_of[w] = next_scc;
-                        if w == v {
-                            break;
-                        }
-                    }
-                    next_scc += 1;
-                }
-            }
-        }
-    }
-
-    // Group members per SCC, then bound each component's shortest
-    // cycle. Single-node SCCs cycle only via self-loop edges.
-    let mut scc_size = vec![0u32; next_scc as usize];
-    for v in 0..n {
-        scc_size[scc_of[v] as usize] += 1;
-    }
-    let mut members_start = Vec::with_capacity(next_scc as usize + 1);
-    let mut acc = 0usize;
-    members_start.push(0);
-    for &c in &scc_size {
-        acc += c as usize;
-        members_start.push(acc);
-    }
-    let mut fill = members_start.clone();
-    let mut members = vec![0usize; n];
-    for (v, &s) in scc_of.iter().enumerate() {
-        members[fill[s as usize]] = v;
-        fill[s as usize] += 1;
-    }
-
+    // Bound each component's shortest cycle. Single-node SCCs cycle
+    // only via self-loop edges.
     let mut la = vec![Time::MAX; n];
-    for s in 0..next_scc as usize {
-        let group = &members[members_start[s]..members_start[s + 1]];
+    for (s, group) in sccs.iter().enumerate() {
         if group.len() == 1 {
             let v = group[0];
-            // Only a self-loop makes a single-node SCC cyclic.
-            let self_loop = succ[succ_start[v]..succ_start[v + 1]]
-                .iter()
-                .filter(|&&(w, _)| w == v)
-                .map(|&(_, d)| d)
-                .min();
+            let self_loop = edges(v).filter(|&(w, _)| w == v).map(|(_, d)| d).min();
             if let Some(d) = self_loop {
                 la[v] = Time::from_fs(d);
             }
@@ -815,7 +755,7 @@ pub(crate) fn cycle_lookahead(circuit: &Circuit) -> Vec<Time> {
             const INF: u64 = u64::MAX;
             let mut dist = vec![INF; k_n * k_n];
             for (i, &v) in group.iter().enumerate() {
-                for &(w, d) in &succ[succ_start[v]..succ_start[v + 1]] {
+                for (w, d) in edges(v) {
                     if let Some(&j) = pos.get(&w) {
                         let cell = &mut dist[i * k_n + j];
                         *cell = (*cell).min(d);
@@ -851,14 +791,13 @@ pub(crate) fn cycle_lookahead(circuit: &Circuit) -> Vec<Time> {
             }
         } else {
             // Lower bound: the lightest edge inside the SCC.
-            let mut min_edge = u64::MAX;
-            for &v in group {
-                for &(w, d) in &succ[succ_start[v]..succ_start[v + 1]] {
-                    if scc_of[w] as usize == s {
-                        min_edge = min_edge.min(d);
-                    }
-                }
-            }
+            let min_edge = group
+                .iter()
+                .flat_map(|&v| edges(v))
+                .filter(|&(w, _)| sccs.scc_of[w] == s)
+                .map(|(_, d)| d)
+                .min()
+                .unwrap_or(u64::MAX);
             for &v in group {
                 la[v] = Time::from_fs(min_edge);
             }
@@ -998,6 +937,9 @@ impl Simulator {
     /// [`Violation`](crate::sanitizer::Violation)s. The sanitizer only
     /// observes — probe recordings are bit-identical with it on or off —
     /// and costs nothing when disabled (one `Option` check per event).
+    /// A sanitized run is a pulse run: trains scheduled from here on go
+    /// in as loose pulses, and a train already queued is delivered one
+    /// pulse at a time.
     pub fn enable_sanitizer(&mut self, config: SanitizerConfig) {
         self.sanitizer = Some(SanitizerState::new(&self.circuit, config));
     }
@@ -1066,8 +1008,10 @@ impl Simulator {
     /// operations instead of `O(count · fan-out)`; the result is
     /// byte-identical either way, because each fanned-out train keeps
     /// exactly the `(time, seq)` keys the pulse-by-pulse loop would
-    /// have assigned. With bursts disabled the train is expanded to
-    /// pulse-level events up front. Wire jitter no longer forces
+    /// have assigned. With bursts disabled, or a sanitizer attached,
+    /// the train is expanded to pulse-level events up front: a
+    /// sanitized run is a pulse run, so the sanitizer judges every
+    /// pulse on its own. Wire jitter no longer forces
     /// expansion: jittered trains travel as bounded envelopes
     /// ([`Burst::widened`]) and materialize their exact per-pulse
     /// perturbations lazily through the provenance trail (see
@@ -1092,7 +1036,7 @@ impl Simulator {
             component: circuit.topo.inputs[input.0].name.clone(),
             time: burst.checked_time_at(0).unwrap_or(Time::MAX),
         };
-        if !self.burst_enabled || burst.count() == 1 {
+        if !self.burst_enabled || burst.count() == 1 || self.sanitizer.is_some() {
             for k in 0..burst.count() {
                 let t = burst
                     .checked_time_at(k)
@@ -1266,7 +1210,9 @@ impl Simulator {
     ///
     /// - the safe prefix is a single pulse: a closed-form step buys
     ///   nothing for one pulse;
-    /// - the sanitizer cannot prove the prefix violation-free;
+    /// - a sanitizer is attached: it judges pulses one at a time, and
+    ///   only a train queued before [`Simulator::enable_sanitizer`]
+    ///   gets here;
     /// - the cell declines ([`BurstStep::PulseByPulse`]);
     /// - the envelope alone exceeds the bound; or
     /// - a jittered train meets a feedback cycle, whose lookahead is
@@ -1344,15 +1290,7 @@ impl Simulator {
                 m >= 1 || !burst.is_exact(),
                 "exact burst head must be consumable"
             );
-            let mut atomic = m > 1 && !cyclic_jitter_bail;
-            if atomic {
-                if let Some(s) = &self.sanitizer {
-                    if !s.can_coalesce(ci, port as usize, &burst.prefix(m)) {
-                        atomic = false;
-                        self.activity.coalesce.bail_sanitizer += 1;
-                    }
-                }
-            }
+            let atomic = m > 1 && !cyclic_jitter_bail && self.sanitizer.is_none();
             let mut consumed = 1;
             let mut handled_atomically = false;
             let mut deferred = None;
@@ -1380,9 +1318,6 @@ impl Simulator {
                     self.now = self.now.max(exact_last);
                     self.events_processed += m;
                     self.activity.handled[ci] += m;
-                    if let Some(s) = &mut self.sanitizer {
-                        s.commit_coalesced(ci, port as usize, &prefix, exact_last);
-                    }
                     deferred = self.emit_bursts(ci, &ctx.burst_emissions, &trail)?;
                     for &(stat, n) in &ctx.stat_counts {
                         self.activity.record_anomaly_n(stat, n);
@@ -1398,6 +1333,9 @@ impl Simulator {
                 self.activity.coalesce.bail_feedback += 1;
             } else if m == 0 {
                 self.activity.coalesce.bail_jitter += 1;
+            } else if m > 1 {
+                // Only an attached sanitizer stops a step here.
+                self.activity.coalesce.bail_sanitizer += 1;
             }
             let rest = if consumed < burst.count() {
                 let rest = burst.suffix(consumed).with_src_identity();
@@ -1624,21 +1562,12 @@ impl Simulator {
                 let mut emits = std::mem::take(&mut self.trail_times);
                 emits.clear();
                 fold_trail_times(&jm, parent_trail, &b, &mut emits);
-                for (k, emit) in (0u64..).zip(&emits) {
-                    // Same arithmetic as `exact_arrival`, with the
-                    // trail fold materialized hop-major up front.
-                    let emit_fs = emit.as_fs();
-                    let nominal = Time::from_fs(emit_fs)
-                        .checked_add(wire.delay)
+                for (k, &emit) in (0u64..).zip(&emits) {
+                    // `exact_arrival` per pulse, with the trail fold
+                    // materialized hop-major up front.
+                    let arrival = jm
+                        .arrival(key, emit, wire.delay)
                         .ok_or_else(|| overflow(&self.circuit))?;
-                    let d = jm.delta_fs(key, emit_fs, wire.delay.as_fs());
-                    let arrival = if d >= 0 {
-                        nominal
-                            .checked_add(Time::from_fs(d.unsigned_abs()))
-                            .ok_or_else(|| overflow(&self.circuit))?
-                    } else {
-                        Time::from_fs(nominal.as_fs() - d.unsigned_abs())
-                    };
                     self.push_weighted(
                         Event {
                             time: arrival,
@@ -1851,16 +1780,9 @@ impl Simulator {
                     .jitter_keys
                     .as_deref()
                     .map_or(flat, |k| k[flat as usize]);
-                let d = jm.delta_fs(key, t.as_fs(), wire.delay.as_fs());
-                arrival = if d >= 0 {
-                    arrival
-                        .checked_add(Time::from_fs(d.unsigned_abs()))
-                        .ok_or_else(|| overflow(&self.circuit))?
-                } else {
-                    // `delta_fs` clamps the negative side at the wire
-                    // delay — never earlier than the emission instant.
-                    Time::from_fs(arrival.as_fs() - d.unsigned_abs())
-                };
+                arrival = jm
+                    .arrival(key, t, wire.delay)
+                    .ok_or_else(|| overflow(&self.circuit))?;
             }
             self.queue.push(Event {
                 time: arrival,
@@ -2844,5 +2766,82 @@ mod tests {
                 "rerun, sigma {sigma_ps} ps"
             );
         }
+    }
+
+    /// A sanitized run is a pulse run. A long train through a
+    /// hazard-free chain, which an unsanitized simulator absorbs in
+    /// closed form, goes in as loose pulses once a sanitizer is
+    /// configured: no closed-form step, no lazy split, and the
+    /// fingerprint of the sanitized pulse-level run.
+    #[test]
+    fn a_sanitized_run_is_a_pulse_run() {
+        use crate::stats::CoalesceStats;
+        use crate::{Fingerprint, ShardedSimulator};
+        let (c, input, p) = chain_fixture();
+        let train = Burst::uniform(Time::ZERO, Time::from_ps(10.0), 1_000);
+        let run = |burst: bool, sanitize: bool| {
+            let cfg = SimConfig {
+                burst,
+                sanitizer: sanitize.then(SanitizerConfig::default),
+                ..SimConfig::reference()
+            };
+            let mut sim = ShardedSimulator::with_config(c.clone(), &cfg);
+            sim.schedule_burst(input, train).unwrap();
+            let summary = sim.run().unwrap();
+            let coalesce = sim.activity().coalesce;
+            (Fingerprint::capture(&sim, summary, &[p]), coalesce)
+        };
+        let (_, unsanitized) = run(true, false);
+        assert!(unsanitized.hits > 0, "{unsanitized:?}");
+        let (sanitized, coalesce) = run(true, true);
+        assert_eq!(coalesce, CoalesceStats::default());
+        assert_eq!(sanitized, run(false, true).0);
+    }
+
+    /// A train queued before the sanitizer was enabled is still judged
+    /// pulse by pulse: every prefix that could have been a closed-form
+    /// step counts a sanitizer bail instead, and the run equals the
+    /// sanitized pulse-level run, down to the violations of a pulse
+    /// queued after the train that lands past the epoch end.
+    #[test]
+    fn a_train_queued_before_the_sanitizer_is_judged_pulse_by_pulse() {
+        let train = Burst::uniform(Time::ZERO, Time::from_ps(10.0), 64);
+        let sanitizer = SanitizerConfig {
+            epoch_end: Some(Time::from_ps(1_000.0)),
+            ..SanitizerConfig::default()
+        };
+        let run = |sim: &mut Simulator, input, p| {
+            sim.schedule_input(input, Time::from_ps(2_000.0)).unwrap();
+            let summary = sim.run().unwrap();
+            let violations = sim.sanitizer_report().unwrap().violations.to_vec();
+            let activity = sim.activity();
+            (
+                summary,
+                sim.probe_times(p).to_vec(),
+                activity.handled.clone(),
+                activity.emitted.clone(),
+                violations,
+            )
+        };
+        let (c, input, p) = chain_fixture();
+        let mut reference = Simulator::with_config(
+            c,
+            &SimConfig {
+                sanitizer: Some(sanitizer.clone()),
+                ..SimConfig::reference()
+            },
+        );
+        reference.schedule_burst(input, train).unwrap();
+        let want = run(&mut reference, input, p);
+        assert_eq!(want.4.len(), 2, "the late pulse reaches both buffers");
+
+        let (c, input, p) = chain_fixture();
+        let mut late = sim_with(c, Sched::Heap, true);
+        late.schedule_burst(input, train).unwrap();
+        late.enable_sanitizer(sanitizer);
+        assert_eq!(run(&mut late, input, p), want);
+        let coalesce = late.activity().coalesce;
+        assert_eq!((coalesce.hits, coalesce.pulses), (0, 0), "{coalesce:?}");
+        assert!(coalesce.bail_sanitizer > 0, "{coalesce:?}");
     }
 }

@@ -1,12 +1,13 @@
 //! Netlist view: a plain adjacency structure extracted from a
-//! [`Circuit`] through its public introspection API.
+//! [`Circuit`] through its public introspection API, and the one
+//! strongly-connected-components pass over such graphs.
 //!
-//! This is the shared substrate for every consumer that needs to walk
-//! the netlist as a graph without holding component models: the
-//! `usfq-lint` static checks and the [`shard`](crate::shard)
-//! partitioner both build on it, so the extraction logic exists in
-//! exactly one place. Nothing here touches simulation state — the view
-//! is a snapshot of the topology at extraction time.
+//! [`CircuitGraph`] is what the `usfq-lint` static checks walk: names,
+//! static metadata, drivers and successors, with no component models.
+//! Nothing in it touches simulation state — the view is a snapshot of
+//! the topology at extraction time. [`sccs`] takes plain successor
+//! lists; lint's cycle check (USFQ005) and the engine's feedback
+//! lookahead both call it.
 
 use crate::circuit::{Circuit, ProbeSource};
 use crate::component::StaticMeta;
@@ -175,6 +176,90 @@ impl CircuitGraph {
     }
 }
 
+/// The strongly connected components of a directed graph, in the
+/// order [`sccs`] completes them: reverse topological order of the
+/// condensation.
+#[derive(Debug)]
+pub struct Sccs {
+    /// `scc_of[v]`: the index of node `v`'s component.
+    pub(crate) scc_of: Vec<usize>,
+    /// Every component's members, component after component, each in
+    /// the order Tarjan's stack gave them up.
+    members: Vec<usize>,
+    /// Component `s` is `members[start[s]..start[s + 1]]`.
+    start: Vec<usize>,
+}
+
+impl Sccs {
+    /// Every component's members, in completion order.
+    pub fn iter(&self) -> impl Iterator<Item = &[usize]> + '_ {
+        self.start.windows(2).map(|w| &self.members[w[0]..w[1]])
+    }
+}
+
+/// Finds the strongly connected components of the graph on nodes
+/// `0..n` whose node `v` has the successors `succs(v)` (repeats and
+/// self-loops allowed), by one iterative Tarjan pass: netlists reach
+/// 10⁵ cells, and recursion would overflow the stack. Roots are tried
+/// in index order and successors in the order `succs` lists them, so
+/// the result is a pure function of the lists.
+pub fn sccs<'a>(n: usize, succs: impl Fn(usize) -> &'a [usize]) -> Sccs {
+    const UNVISITED: usize = usize::MAX;
+    let mut index = vec![UNVISITED; n];
+    let mut lowlink = vec![0; n];
+    let mut on_stack = vec![false; n];
+    let mut stack = Vec::new();
+    let mut next_index = 0;
+    let mut found = Sccs {
+        scc_of: vec![UNVISITED; n],
+        members: Vec::with_capacity(n),
+        start: vec![0],
+    };
+    // Explicit call frames: (node, position of its next successor).
+    let mut frames: Vec<(usize, usize)> = Vec::new();
+    for root in 0..n {
+        if index[root] != UNVISITED {
+            continue;
+        }
+        frames.push((root, 0));
+        while let Some(&mut (v, ref mut pos)) = frames.last_mut() {
+            if *pos == 0 {
+                index[v] = next_index;
+                lowlink[v] = next_index;
+                next_index += 1;
+                stack.push(v);
+                on_stack[v] = true;
+            }
+            if let Some(&w) = succs(v).get(*pos) {
+                *pos += 1;
+                if index[w] == UNVISITED {
+                    frames.push((w, 0));
+                } else if on_stack[w] {
+                    lowlink[v] = lowlink[v].min(index[w]);
+                }
+            } else {
+                frames.pop();
+                if let Some(&(parent, _)) = frames.last() {
+                    lowlink[parent] = lowlink[parent].min(lowlink[v]);
+                }
+                if lowlink[v] == index[v] {
+                    let s = found.start.len() - 1;
+                    while let Some(w) = stack.pop() {
+                        on_stack[w] = false;
+                        found.scc_of[w] = s;
+                        found.members.push(w);
+                        if w == v {
+                            break;
+                        }
+                    }
+                    found.start.push(found.members.len());
+                }
+            }
+        }
+    }
+    found
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,5 +304,18 @@ mod tests {
         c.connect_input(input, b1.input(0), Time::ZERO).unwrap();
         let g = CircuitGraph::build(&c);
         assert_eq!(g.reachable_from_inputs(), vec![true, false]);
+    }
+
+    /// A two-node loop fed by a chain, a self-loop, and an isolated
+    /// node: components complete sinks first, and a lone node is its
+    /// own component whether or not it loops.
+    #[test]
+    fn sccs_complete_in_reverse_topological_order() {
+        let succs: Vec<Vec<usize>> = vec![vec![1], vec![2, 4], vec![1, 3], vec![3], vec![], vec![]];
+        let found = sccs(succs.len(), |v| &succs[v]);
+        let groups: Vec<Vec<usize>> = found.iter().map(<[usize]>::to_vec).collect();
+        assert_eq!(groups, [vec![3], vec![4], vec![2, 1], vec![0], vec![5]]);
+        assert_eq!(found.scc_of, [3, 2, 2, 0, 1, 4]);
+        assert_eq!(sccs(0, |_| &[]).iter().count(), 0);
     }
 }

@@ -19,10 +19,12 @@
 //!   fixed delays, plus named external inputs and output probes.
 //! * A [`Simulator`] owns a circuit and an event queue. Ties in time are
 //!   broken by insertion order, making every run reproducible bit-for-bit.
-//!   The queue itself is pluggable ([`sched::Sched`]): a calendar-wheel
-//!   scheduler tuned to picosecond cell delays is the default, with the
-//!   reference binary heap selectable via `USFQ_SCHED=heap` for
-//!   differential testing.
+//!   The queue is a binary heap or a calendar wheel ([`sched::Sched`]).
+//!   The default, [`Sched::Auto`], picks the heap below
+//!   [`AUTO_WHEEL_MIN_WIRES`](sched::AUTO_WHEEL_MIN_WIRES) fan-out wires,
+//!   which covers every accelerator rig and every gated benchmark
+//!   workload, and the wheel above; `USFQ_SCHED` forces either. Both pop
+//!   events in the same order.
 //! * [`SimConfig`] is the one engine configuration (scheduler, burst
 //!   delivery, shards, wire jitter, sanitizer) every simulator is built
 //!   from, and [`Fingerprint`] the one run fingerprint two

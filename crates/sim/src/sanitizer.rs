@@ -7,7 +7,9 @@
 //! consumes. Violations are recorded as structured [`Violation`]s, never
 //! panics, and the simulation itself is *not* perturbed: the sanitizer
 //! only observes, so probe recordings with the sanitizer on are
-//! bit-identical to runs with it off.
+//! bit-identical to runs with it off. A sanitized run is a pulse run:
+//! the simulator schedules trains as loose pulses and takes no
+//! closed-form step, so every check below judges one delivered pulse.
 //!
 //! The checks mirror the static pass's abstract domains concretely:
 //!
@@ -30,7 +32,6 @@
 
 use std::sync::Arc;
 
-use crate::burst::Burst;
 use crate::circuit::Circuit;
 use crate::component::{Hazard, StaticMeta};
 use crate::time::Time;
@@ -266,30 +267,6 @@ impl SanitizerState {
         }
     }
 
-    /// One cell's facts, its hazards and its arrival slots: the last
-    /// accepted arrival, then the last arrival on each input port.
-    fn cell(&self, comp: usize) -> (CellFacts, &[Hazard], &[Option<Time>]) {
-        let cell = self.facts.cells[comp];
-        let base = cell.arrival_base as usize;
-        (
-            cell,
-            &self.facts.hazards[cell.hazards_start as usize..cell.hazards_end as usize],
-            &self.arrivals[base..=base + cell.num_inputs as usize],
-        )
-    }
-
-    /// Records an arrival at `now`: on `port`, and as the last accepted
-    /// one when `accepted`.
-    fn mark_arrival(&mut self, cell: CellFacts, port: usize, now: Time, accepted: bool) {
-        let base = cell.arrival_base as usize;
-        if accepted {
-            self.arrivals[base] = Some(now);
-        }
-        if port < cell.num_inputs as usize {
-            self.arrivals[base + 1 + port] = Some(now);
-        }
-    }
-
     /// Observes one delivered pulse. Never perturbs the simulation.
     pub(crate) fn observe(&mut self, comp: usize, name: &str, port: usize, now: Time) {
         if let Some(end) = self.config.epoch_end {
@@ -312,7 +289,12 @@ impl SanitizerState {
         // The accepted-arrival window mirrors the merger: a colliding
         // pulse is swallowed and does not extend the window.
         let mut collides = false;
-        let (cell, hazards, slots) = self.cell(comp);
+        let cell = self.facts.cells[comp];
+        let base = cell.arrival_base as usize;
+        let inputs = cell.num_inputs as usize;
+        let hazards = &self.facts.hazards[cell.hazards_start as usize..cell.hazards_end as usize];
+        // The last accepted arrival, then the last on each input port.
+        let slots = &self.arrivals[base..=base + inputs];
         for hazard in hazards {
             match *hazard {
                 Hazard::Collision { window } => {
@@ -384,120 +366,12 @@ impl SanitizerState {
             }
         }
 
-        self.mark_arrival(cell, port, now, !collides);
-    }
-
-    /// Pure pre-check for a coalesced train arriving on `(comp, port)`:
-    /// `true` iff absorbing the *whole* train provably produces zero
-    /// violations and leaves exactly the state the per-pulse
-    /// [`SanitizerState::observe`] calls would leave (so the engine may
-    /// skip them and call [`SanitizerState::commit_coalesced`] once).
-    ///
-    /// Conservative by design: any *possible* violation returns
-    /// `false`, and the engine falls back to pulse-by-pulse delivery —
-    /// where `observe` reproduces the exact violation stream. This is
-    /// how `--sanitize` keeps its observe-only guarantee in burst mode:
-    /// the checks reason about the train's closed form
-    /// ([`Burst::min_gap`] is a lower bound, never an overestimate)
-    /// instead of forcing expansion.
-    ///
-    /// Jitter envelopes are handled by worst-casing every comparison:
-    /// the head may arrive up to `env_lo` early
-    /// ([`Burst::earliest_first`]), the tail up to `env_hi` late
-    /// ([`Burst::latest_last`]), and two consecutive pulses may close
-    /// to `min_gap − env_span` of each other. If the worst case clears
-    /// a window, so does every materialization of the envelope, and
-    /// absorbing the train is provably violation-free; otherwise the
-    /// engine falls back and the per-pulse `observe` calls judge the
-    /// exact materialized times.
-    pub(crate) fn can_coalesce(&self, comp: usize, port: usize, burst: &Burst) -> bool {
-        if burst.is_empty() {
-            return true;
+        if !collides {
+            self.arrivals[base] = Some(now);
         }
-        let head = burst.earliest_first();
-        if let Some(end) = self.config.epoch_end {
-            if burst.latest_last() > end {
-                return false;
-            }
+        if port < inputs {
+            self.arrivals[base + 1 + port] = Some(now);
         }
-        let gap = burst.min_gap().saturating_sub(burst.env_span());
-        let multi = burst.count() > 1;
-        let (cell, hazards, slots) = self.cell(comp);
-        for hazard in hazards {
-            match *hazard {
-                Hazard::Collision { window } => {
-                    if window == Time::ZERO {
-                        continue;
-                    }
-                    if multi && gap < window {
-                        return false;
-                    }
-                    if let Some(prev) = slots[0] {
-                        if head.saturating_sub(prev) < window {
-                            return false;
-                        }
-                    }
-                }
-                Hazard::Transition { window } => {
-                    if multi && gap < window {
-                        return false;
-                    }
-                    if let Some(prev) = port_arrival(slots, port) {
-                        if head.saturating_sub(prev) < window {
-                            return false;
-                        }
-                    }
-                }
-                Hazard::Setup {
-                    control,
-                    sampled,
-                    window,
-                } => {
-                    if port != sampled {
-                        continue;
-                    }
-                    if let Some(ctrl) = port_arrival(slots, control) {
-                        if head.saturating_sub(ctrl) < window {
-                            return false;
-                        }
-                    }
-                }
-            }
-        }
-        if port == 0 {
-            if let Some(cap) = cell.counting_capacity {
-                if self.data_count[comp] + burst.count() > cap {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// Applies the state updates of absorbing a train that
-    /// [`SanitizerState::can_coalesce`] approved: every pulse was
-    /// accepted, so the tracked windows end at the train's last pulse
-    /// and the data count advances by the full pulse count.
-    ///
-    /// `exact_last` is the last pulse's *actual* arrival — equal to
-    /// `burst.last()` for exact trains, and the engine's materialized
-    /// (jittered) time for envelope trains — so the windows tracked
-    /// here match what the per-pulse `observe` calls would have left.
-    pub(crate) fn commit_coalesced(
-        &mut self,
-        comp: usize,
-        port: usize,
-        burst: &Burst,
-        exact_last: Time,
-    ) {
-        if burst.is_empty() {
-            return;
-        }
-        let cell = self.facts.cells[comp];
-        if port == 0 && cell.counting_capacity.is_some() {
-            self.data_count[comp] += burst.count();
-        }
-        self.mark_arrival(cell, port, exact_last, true);
     }
 
     /// Stores a violation after every stored one whose [`order_key`]

@@ -64,10 +64,13 @@
 //! rest of the stack (runner determinism, sanitizer identity,
 //! differential soundness) is built on.
 //!
-//! The reference [`BinaryHeap`](std::collections::BinaryHeap) scheduler
-//! is kept selectable — [`Sched::Heap`] in a
-//! [`SimConfig`](crate::SimConfig) or via `USFQ_SCHED` — for
-//! differential testing and benchmarking.
+//! The [`BinaryHeap`](std::collections::BinaryHeap) scheduler,
+//! [`Sched::Heap`], is the other queue, not a test fallback:
+//! [`Sched::Auto`] picks it below [`AUTO_WHEEL_MIN_WIRES`] fan-out
+//! wires, which covers every accelerator rig and every gated benchmark
+//! workload, and [`SimConfig::reference`](crate::SimConfig::reference)
+//! runs on it. [`SimConfig::sched`](crate::SimConfig::sched) or
+//! `USFQ_SCHED` forces either queue.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -107,8 +110,10 @@ const MAX_DIRECT_CREDIT: usize = 4_096;
 /// Which event queue the [`Simulator`](crate::Simulator) uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Sched {
-    /// Reference `BinaryHeap` scheduler: `O(log n)` per operation,
-    /// kept for differential testing and as a fallback.
+    /// `BinaryHeap` scheduler: `O(log n)` per operation. [`Sched::Auto`]
+    /// picks it below [`AUTO_WHEEL_MIN_WIRES`] wires, so every
+    /// accelerator rig and every gated benchmark workload runs on it,
+    /// and so does [`SimConfig::reference`](crate::SimConfig::reference).
     Heap,
     /// Calendar-queue time wheel: amortised `O(1)` per operation.
     Wheel,

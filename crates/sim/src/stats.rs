@@ -47,8 +47,9 @@ pub struct CoalesceStats {
     /// lookahead could not cover the train (or jitter made the nominal
     /// lookahead unsound).
     pub bail_feedback: u64,
-    /// Bail-outs because the sanitizer could not prove the prefix
-    /// violation-free.
+    /// Bail-outs because a sanitizer was attached: a sanitized run is a
+    /// pulse run, so this counts only prefixes of trains queued before
+    /// [`Simulator::enable_sanitizer`](crate::Simulator::enable_sanitizer).
     pub bail_sanitizer: u64,
     /// Bail-outs because the cell itself declined
     /// (`BurstStep::PulseByPulse`).
