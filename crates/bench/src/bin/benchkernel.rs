@@ -47,8 +47,6 @@
 //! and the head does not fails the gate, so renaming a kernel fails
 //! it once, in the change that renames it.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -68,8 +66,8 @@ use usfq_encoding::Epoch;
 use usfq_lint::{fix_to_fixpoint, slack_report, FixOptions, LintConfig};
 use usfq_sim::rng::{xorshift64, SplitMix64};
 use usfq_sim::{
-    CalendarWheel, CoalesceStats, Runner, SanitizerConfig, Sched, ShardedSimulator, SimConfig,
-    Simulator, Time,
+    CalendarWheel, CoalesceStats, RunHeap, Runner, SanitizerConfig, Sched, ShardedSimulator,
+    SimConfig, Simulator, Time,
 };
 
 /// One sample policy for every kernel: the gate compares `min_ns`
@@ -199,10 +197,9 @@ fn main() {
         "sched/queue_ops/heap/100000",
         SAMPLES,
         || {
-            let mut heap: BinaryHeap<Reverse<(u64, u64, u32)>> =
-                BinaryHeap::with_capacity(times.len());
+            let mut heap: RunHeap<u32> = RunHeap::new();
             for (seq, &t) in times.iter().enumerate() {
-                heap.push(Reverse((t, seq as u64, 0u32)));
+                heap.push(Time::from_fs(t), seq as u64, 0u32);
             }
             let mut drained = 0usize;
             while heap.pop().is_some() {

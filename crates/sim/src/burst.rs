@@ -32,7 +32,8 @@
 //! decimating (a toggle flip-flop keeping every 2nd pulse) scales
 //! `num`, and a perfectly uniform train is the special case `den = 1`.
 //!
-//! All internal arithmetic widens to `u128`; a result that does not fit
+//! All internal arithmetic widens to `u128` (a division drops back to
+//! 64 bits when its numerator fits); a result that does not fit
 //! the engine's femtosecond `u64` clock panics, mirroring
 //! [`Time`](crate::time::Time)'s own arithmetic. Checked variants are
 //! provided where the engine needs an error instead.
@@ -128,11 +129,11 @@ impl Burst {
     /// `phase < den`.
     fn canonicalize(&mut self) {
         if self.phase >= self.den {
-            let whole = self.phase / self.den;
+            let (whole, phase) = div_rem(self.phase as u128, self.den);
             self.base = Time::from_fs(wide_to_fs(
-                self.base.as_fs() as u128 + self.scale as u128 * whole as u128,
+                self.base.as_fs() as u128 + self.scale as u128 * whole,
             ));
-            self.phase %= self.den;
+            self.phase = phase;
         }
     }
 
@@ -167,7 +168,7 @@ impl Burst {
 
     #[inline]
     fn raw_time_at(&self, k: u64) -> u128 {
-        let q = (self.phase as u128 + k as u128 * self.num as u128) / self.den as u128;
+        let (q, _) = div_rem(self.phase as u128 + k as u128 * self.num as u128, self.den);
         self.base.as_fs() as u128 + self.scale as u128 * q
     }
 
@@ -218,14 +219,13 @@ impl Burst {
     /// Panics if `k > count` or on clock overflow.
     pub fn suffix(&self, k: u64) -> Burst {
         assert!(k <= self.count, "suffix {k} out of {}", self.count);
-        let p = self.phase as u128 + k as u128 * self.num as u128;
-        let whole = p / self.den as u128;
+        let (whole, phase) = div_rem(self.phase as u128 + k as u128 * self.num as u128, self.den);
         Burst {
             base: Time::from_fs(wide_to_fs(
                 self.base.as_fs() as u128 + self.scale as u128 * whole,
             )),
             scale: self.scale,
-            phase: (p % self.den as u128) as u64,
+            phase,
             num: self.num,
             den: self.den,
             count: self.count - k,
@@ -389,17 +389,16 @@ impl Burst {
     /// out-of-range one would); the stepper itself performs no bounds
     /// checks, callers read at most `count` times.
     pub fn stepper(&self, k0: u64, stride: u64) -> BurstStepper {
-        let p = self.phase as u128 + k0 as u128 * self.num as u128;
-        let sn = stride as u128 * self.num as u128;
-        let dq = sn / self.den as u128;
+        let (q, r) = div_rem(self.phase as u128 + k0 as u128 * self.num as u128, self.den);
+        let (dq, dr) = div_rem(stride as u128 * self.num as u128, self.den);
         BurstStepper {
-            t: wide_to_fs(self.base.as_fs() as u128 + self.scale as u128 * (p / self.den as u128)),
+            t: wide_to_fs(self.base.as_fs() as u128 + self.scale as u128 * q),
             // Saturating: only ever read when a further in-range index
             // exists, in which case `t + dt` fits by monotonicity.
             dt: u64::try_from(self.scale as u128 * dq).unwrap_or(u64::MAX),
             scale: self.scale,
-            r: (p % self.den as u128) as u64,
-            dr: (sn % self.den as u128) as u64,
+            r,
+            dr,
             den: self.den,
         }
     }
@@ -439,6 +438,17 @@ fn wide_to_fs(v: u128) -> u64 {
     u64::try_from(v).expect("burst time overflow")
 }
 
+/// `(p / den, p % den)`, in 64-bit division whenever `p` fits a `u64`:
+/// a 128-bit divide is a software routine (`__udivti3`), and the
+/// numerators of real trains rarely need the width.
+#[inline]
+fn div_rem(p: u128, den: u64) -> (u128, u64) {
+    match u64::try_from(p) {
+        Ok(p) => ((p / den) as u128, p % den),
+        Err(_) => (p / den as u128, (p % den as u128) as u64),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -452,6 +462,27 @@ mod tests {
                 u64::try_from(base as u128 + scale as u128 * q).unwrap()
             })
             .collect()
+    }
+
+    /// The 64-bit path of `div_rem` agrees with `u128` division, for
+    /// numerators on both sides of `u64::MAX`.
+    #[test]
+    fn div_rem_matches_wide_division() {
+        for_all(256, |rng| {
+            let den = match rng.gen_range(0u32..3) {
+                0 => rng.gen_range(1u64..=16),
+                1 => rng.gen_range(1u64..=u32::MAX as u64),
+                _ => rng.gen_range(1u64..=u64::MAX),
+            };
+            let p = match rng.gen_range(0u32..4) {
+                0 => rng.gen_range(0u64..=1_000) as u128,
+                1 => rng.next_u64() as u128,
+                2 => u64::MAX as u128 - 1 + rng.gen_range(0u64..4) as u128,
+                _ => rng.next_u64() as u128 * rng.next_u64() as u128 + rng.next_u64() as u128,
+            };
+            let want = (p / den as u128, (p % den as u128) as u64);
+            assert_eq!(div_rem(p, den), want, "{p} / {den}");
+        });
     }
 
     #[test]

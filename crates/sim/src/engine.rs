@@ -1,7 +1,5 @@
 //! The event-driven simulation engine.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::{Arc, OnceLock};
 
 use crate::burst::Burst;
@@ -12,7 +10,7 @@ use crate::error::SimError;
 use crate::graph;
 use crate::rng::SplitMix64;
 use crate::sanitizer::{SanitizerConfig, SanitizerReport, SanitizerState};
-use crate::sched::{CalendarWheel, Sched, WheelStats};
+use crate::sched::{CalendarWheel, RunHeap, Sched, WheelStats};
 use crate::stats::ActivityReport;
 use crate::time::Time;
 
@@ -213,16 +211,16 @@ impl NetTable {
     }
 }
 
-/// The selectable event queue: the binary heap or the calendar wheel.
-/// [`Sched::Auto`] picks the heap below
-/// [`AUTO_WHEEL_MIN_WIRES`](crate::sched::AUTO_WHEEL_MIN_WIRES) fan-out
-/// wires, which covers every accelerator rig and every gated benchmark
-/// workload, and the wheel above; `USFQ_SCHED` forces either. Both pop
-/// in strictly ascending `(time, seq)` order, so the choice never
-/// changes a result byte — only the cost of ordering.
+/// The selectable event queue: the run-fronted binary heap
+/// ([`RunHeap`]) or the calendar wheel. [`Sched::Auto`] picks the heap
+/// below [`AUTO_WHEEL_MIN_WIRES`](crate::sched::AUTO_WHEEL_MIN_WIRES)
+/// fan-out wires, which covers every accelerator rig and every gated
+/// benchmark workload, and the wheel above; `USFQ_SCHED` forces either.
+/// Both pop in strictly ascending `(time, seq)` order, so the choice
+/// never changes a result byte — only the cost of ordering.
 #[derive(Debug)]
 enum QueueImpl {
-    Heap(BinaryHeap<Reverse<Event>>),
+    Heap(RunHeap<EventKind>),
     Wheel(CalendarWheel<EventKind>),
 }
 
@@ -233,9 +231,9 @@ struct Queue {
 }
 
 impl Queue {
-    fn new(sched: Sched, capacity: usize, max_delay: Time) -> Self {
+    fn new(sched: Sched, max_delay: Time) -> Self {
         let imp = match sched {
-            Sched::Heap => QueueImpl::Heap(BinaryHeap::with_capacity(capacity)),
+            Sched::Heap => QueueImpl::Heap(RunHeap::new()),
             Sched::Wheel => QueueImpl::Wheel(CalendarWheel::for_max_delay(max_delay)),
             // `Simulator::with_config` resolves `Auto` before the queue
             // is built.
@@ -261,7 +259,7 @@ impl Queue {
     #[inline]
     fn push(&mut self, ev: Event) {
         match &mut self.imp {
-            QueueImpl::Heap(h) => h.push(Reverse(ev)),
+            QueueImpl::Heap(h) => h.push(ev.time, ev.seq, ev.kind),
             QueueImpl::Wheel(w) => w.push(ev.time, ev.seq, ev.kind),
         }
         self.len += 1;
@@ -269,10 +267,11 @@ impl Queue {
 
     #[inline]
     fn peek(&mut self) -> Option<Event> {
-        match &mut self.imp {
-            QueueImpl::Heap(h) => h.peek().map(|&Reverse(ev)| ev),
-            QueueImpl::Wheel(w) => w.peek().map(|(time, seq, &kind)| Event { time, seq, kind }),
-        }
+        let (time, seq, &kind) = match &mut self.imp {
+            QueueImpl::Heap(h) => h.peek(),
+            QueueImpl::Wheel(w) => w.peek(),
+        }?;
+        Some(Event { time, seq, kind })
     }
 
     /// Pops the earliest event only if it is due at `deadline`. One
@@ -280,23 +279,12 @@ impl Queue {
     /// wheel walks its cursor once per event instead of twice.
     #[inline]
     fn pop_due(&mut self, deadline: Time) -> Option<Event> {
-        let ev = match &mut self.imp {
-            QueueImpl::Heap(h) => match h.peek() {
-                Some(&Reverse(ev)) if ev.time <= deadline => {
-                    h.pop();
-                    Some(ev)
-                }
-                _ => None,
-            },
-            QueueImpl::Wheel(w) => {
-                w.pop_due(deadline)
-                    .map(|(time, seq, kind)| Event { time, seq, kind })
-            }
-        };
-        if ev.is_some() {
-            self.len -= 1;
-        }
-        ev
+        let (time, seq, kind) = match &mut self.imp {
+            QueueImpl::Heap(h) => h.pop_due(deadline),
+            QueueImpl::Wheel(w) => w.pop_due(deadline),
+        }?;
+        self.len -= 1;
+        Some(Event { time, seq, kind })
     }
 
     fn len(&self) -> usize {
@@ -835,12 +823,13 @@ impl Simulator {
     /// results: both schedulers drain events in identical
     /// `(time, insertion)` order.
     ///
-    /// The event queue and probe recordings are pre-sized from the
-    /// netlist's aggregate fan-out ([`Circuit::num_wires`]), so the
-    /// first run does not pay reallocation on the hot path, and
-    /// [`Simulator::reset`] keeps those allocations for the next trial.
-    /// The calendar wheel's bucket width is derived from the circuit's
-    /// maximum cell/wire delay ([`Circuit::max_delay`]).
+    /// The heap queue starts with room for 16 events in its sorted run
+    /// and allocates its heap only once more events are pending than
+    /// the run holds; each probe recording starts with room for 16
+    /// times. [`Simulator::reset`]
+    /// keeps those allocations for the next trial. The calendar wheel's
+    /// bucket width is derived from the circuit's maximum cell/wire
+    /// delay ([`Circuit::max_delay`]).
     ///
     /// The fan-out table, delay bound and cell facts come from the
     /// circuit's compiled form, built once per topology and shared by
@@ -851,9 +840,6 @@ impl Simulator {
         let num_wires = compiled.nets.num_wires();
         let max_delay = compiled.max_delay;
         let nets = compiled.nets.clone();
-        // One traversal of every wire can be in flight at once; a few
-        // epochs of slack covers pipelined stimuli without regrowth.
-        let queue_capacity = num_wires.saturating_mul(2).max(16);
         let sched = config.sched.resolve(num_wires, max_delay);
         let probe_data = (0..circuit.num_probes())
             .map(|_| ProbeRec {
@@ -862,7 +848,7 @@ impl Simulator {
             })
             .collect();
         let activity = ActivityReport::with_components(circuit.num_components());
-        let queue = Queue::new(sched, queue_capacity, max_delay);
+        let queue = Queue::new(sched, max_delay);
         let sanitizer = config
             .sanitizer
             .clone()
@@ -2371,6 +2357,56 @@ mod tests {
         assert!(times.windows(2).all(|w| w[0] < w[1]));
         let stats = sim.wheel_stats().unwrap();
         assert!(stats.migrations > 0, "{stats:?}");
+    }
+
+    /// More loose pulses than the heap queue's sorted run holds, queued
+    /// in descending and in shuffled time order (with equal-time
+    /// pairs), so the run spills into its heap inside the engine: the
+    /// heap run equals the wheel run and the pulse-level reference. The
+    /// probe sits on the first cell, so it records the order in which
+    /// the queue hands out the scheduled pulses.
+    #[test]
+    fn heap_queue_spills_past_its_run_in_order() {
+        use crate::{Fingerprint, ShardedSimulator};
+        let mut c = Circuit::new();
+        let input = c.input("in");
+        let b = c.add(Buffer::new("b", Time::from_ps(9.0)));
+        c.connect_input(input, b.input(0), Time::from_ps(1.0))
+            .unwrap();
+        let p = c.probe(b.output(0), "out");
+        let n = 150u64;
+        let descending: Vec<u64> = (0..n).rev().collect();
+        let mut shuffled: Vec<u64> = (0..n).collect();
+        let mut rng = SplitMix64::new(7);
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.gen_range(0..=i));
+        }
+        for order in [descending, shuffled] {
+            let run = |sched: Sched, burst: bool| {
+                let cfg = SimConfig {
+                    sched,
+                    burst,
+                    ..SimConfig::reference()
+                };
+                let mut sim = ShardedSimulator::with_config(c.clone(), &cfg);
+                for &k in &order {
+                    sim.schedule_input(input, Time::from_ps(7.0 * (k / 2) as f64))
+                        .unwrap();
+                }
+                let summary = sim.run().unwrap();
+                let peak = sim.activity().peak_pending;
+                (Fingerprint::capture(&sim, summary, &[p]), peak)
+            };
+            let (reference, peak) = run(Sched::Heap, false);
+            assert!(peak >= n, "peak_pending {peak}");
+            let expected: Vec<Time> = (0..n)
+                .map(|k| Time::from_ps(7.0 * (k / 2) as f64 + 10.0))
+                .collect();
+            assert_eq!(reference.probe_times, [expected]);
+            assert_eq!(run(Sched::Heap, true).0, reference);
+            assert_eq!(run(Sched::Wheel, false).0, reference);
+            assert_eq!(run(Sched::Wheel, true).0, reference);
+        }
     }
 
     fn chain_fixture() -> (Circuit, InputId, crate::ProbeId) {

@@ -102,7 +102,7 @@ pub use error::SimError;
 pub use graph::CircuitGraph;
 pub use runner::Runner;
 pub use sanitizer::{SanitizerConfig, SanitizerReport, Violation, ViolationKind};
-pub use sched::{CalendarWheel, Sched, WheelStats};
+pub use sched::{CalendarWheel, RunHeap, Sched, WheelStats};
 pub use shard::ShardedSimulator;
 pub use stats::{ActivityReport, CoalesceStats, StatKind};
 pub use time::Time;

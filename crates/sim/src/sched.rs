@@ -1,15 +1,34 @@
-//! Event schedulers: the calendar-queue time wheel and its selection.
+//! Event schedulers: a binary heap fronted by a sorted run, the
+//! calendar-queue time wheel, and the choice between them.
 //!
 //! The discrete-event kernel spends most of its cycles ordering
 //! events. SFQ workloads make that ordering unusually structured:
 //! timestamps are bounded-range femtosecond integers, per-cell delays
 //! are a handful of picoseconds (t_INV = 9 ps … t_TFF2 = 20 ps), and a
 //! U-SFQ epoch is a densely packed burst of pulses spanning
-//! `2^B · B · 20 ps`. A comparison heap pays `O(log n)` pointer-chasing
-//! per operation for a generality this regime never uses; a bucketed
-//! **calendar queue** (a.k.a. hanging timing wheel) exploits it for
-//! amortised `O(1)` scheduling.
+//! `2^B · B · 20 ps`.
 //!
+//! # The heap queue
+//!
+//! [`RunHeap`] is the queue [`Sched::Heap`] runs. On the small circuits
+//! that [`Sched::Auto`] gives it, few events are pending (a mean of 6
+//! at a push on the accelerator rigs, 18 on the catalogue netlists) and
+//! a new event is often the earliest (46 % and 17 % of pushes). So it
+//! keeps the earliest events, at most 64, in a run sorted descending:
+//! a pop is `Vec::pop`, and a push scans back from the earliest end.
+//! Every later event waits in a binary heap, and every run entry sorts
+//! before every heap entry. This is the sorted bottom list of the
+//! ladder queue (Tang, Goh & Thng, ACM TOMACS 2005) under a single heap
+//! rung. On replayed engine traffic a pop+push costs about 16 ns on the
+//! accelerator rigs and 28 ns on the catalogue, where a plain
+//! `BinaryHeap` costs 25 and 51 ns (EXPERIMENTS.md, "Run-fronted heap
+//! queue").
+//!
+//! # The calendar wheel
+//!
+//! A comparison queue pays `O(log n)` per operation once many events
+//! are pending; a bucketed **calendar queue** (a.k.a. hanging timing
+//! wheel) exploits the bounded delays for amortised `O(1)` scheduling.
 //! [`CalendarWheel`] is that queue:
 //!
 //! * **Fixed-width buckets.** Time is divided into `2^k`-femtosecond
@@ -56,7 +75,7 @@
 //!
 //! # Determinism contract
 //!
-//! The wheel pops events in strictly ascending `(time, seq)` order —
+//! Both queues pop events in strictly ascending `(time, seq)` order —
 //! byte-identical to `BinaryHeap<Reverse<(time, seq)>>` — provided
 //! `seq` values are unique, which the engine guarantees with a
 //! monotonic counter. Same-timestamp events therefore drain in FIFO
@@ -64,13 +83,12 @@
 //! rest of the stack (runner determinism, sanitizer identity,
 //! differential soundness) is built on.
 //!
-//! The [`BinaryHeap`](std::collections::BinaryHeap) scheduler,
-//! [`Sched::Heap`], is the other queue, not a test fallback:
-//! [`Sched::Auto`] picks it below [`AUTO_WHEEL_MIN_WIRES`] fan-out
-//! wires, which covers every accelerator rig and every gated benchmark
-//! workload, and [`SimConfig::reference`](crate::SimConfig::reference)
-//! runs on it. [`SimConfig::sched`](crate::SimConfig::sched) or
-//! `USFQ_SCHED` forces either queue.
+//! The heap queue is not a test fallback: [`Sched::Auto`] picks it
+//! below [`AUTO_WHEEL_MIN_WIRES`] fan-out wires, which covers every
+//! accelerator rig and every gated benchmark workload, and
+//! [`SimConfig::reference`](crate::SimConfig::reference) runs on it.
+//! [`SimConfig::sched`](crate::SimConfig::sched) or `USFQ_SCHED` forces
+//! either queue.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -78,17 +96,19 @@ use std::collections::BinaryHeap;
 use crate::time::Time;
 
 /// [`Sched::Auto`] picks the wheel only for netlists with at least
-/// this many wires. The wheel's amortised-`O(1)` ordering wins when
-/// many events are in flight per bucket window (long delay chains,
-/// wide fan-out: the 1025-wire `delay_chain/1024` kernel runs ~1.3×
-/// faster on the wheel, and the 129-wire `delay_chain/128` kernel
-/// ~1.3× as well), but on sparse queues its cursor scanning and bucket
-/// bookkeeping cost more than heap sift operations — the catalogue
-/// netlists (tens of wires, a handful of pending events) ran ~1.1–1.25×
-/// slower on the wheel, and raw sparse queue microbenchmarks up to
-/// 1.8×. The threshold sits between the two measured regimes: the
-/// largest catalogue netlist is ~100 wires, the smallest wheel-winning
-/// kernel ~130.
+/// this many wires. The threshold was set between two regimes measured
+/// against the plain binary heap: the catalogue netlists (tens of
+/// wires, a handful of pending events, largest ~100 wires) ran
+/// ~1.1–1.25× slower on the wheel, and the delay-chain kernels from
+/// 129 wires up ~1.3× faster. Against the run-fronted heap
+/// ([`RunHeap`]) the chains no longer favour the wheel (least `min_ns`
+/// of `benchkernel` snapshots under each `USFQ_SCHED`, 2 vCPUs): the
+/// 129-wire `kernel/delay_chain/128` runs 1.20× faster on the heap,
+/// `kernel/delay_chain/1024` level (1.51 vs. 1.55 ms), and
+/// `sched/engine_delay_chain_1024` 1.05–1.10× faster on the heap. The
+/// wheel still wins on a NoC torus hotspot and long pulse-level trains
+/// and loses 2.6× on the 100k-cell fabric. The value is kept until the
+/// choice between the queues is settled.
 pub const AUTO_WHEEL_MIN_WIRES: usize = 128;
 
 /// Number of buckets in a default-configured wheel (must be a power of
@@ -110,10 +130,12 @@ const MAX_DIRECT_CREDIT: usize = 4_096;
 /// Which event queue the [`Simulator`](crate::Simulator) uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Sched {
-    /// `BinaryHeap` scheduler: `O(log n)` per operation. [`Sched::Auto`]
-    /// picks it below [`AUTO_WHEEL_MIN_WIRES`] wires, so every
-    /// accelerator rig and every gated benchmark workload runs on it,
-    /// and so does [`SimConfig::reference`](crate::SimConfig::reference).
+    /// [`RunHeap`]: a binary heap fronted by a sorted run of the
+    /// earliest events, so a pop and most pushes on a small queue cost
+    /// a few comparisons and the rest `O(log n)`. [`Sched::Auto`] picks
+    /// it below [`AUTO_WHEEL_MIN_WIRES`] wires, so every accelerator
+    /// rig and every gated benchmark workload runs on it, and so does
+    /// [`SimConfig::reference`](crate::SimConfig::reference).
     Heap,
     /// Calendar-queue time wheel: amortised `O(1)` per operation.
     Wheel,
@@ -206,14 +228,19 @@ struct Entry<T> {
 }
 
 impl<T> Entry<T> {
+    /// `(t, seq)` packed into one integer that orders the same way. A
+    /// `BinaryHeap` sifts faster on one 128-bit compare than on a
+    /// `(u64, u64)` tuple's two-step compare: draining the
+    /// `sched/queue_ops` kernel's 100,000 events took 20–40 % longer
+    /// with the tuple.
     #[inline]
-    fn key(&self) -> (u64, u64) {
-        (self.t, self.seq)
+    fn key(&self) -> u128 {
+        (u128::from(self.t) << 64) | u128::from(self.seq)
     }
 }
 
-// Overflow-heap ordering: by `(t, seq)` only. `seq` is unique among
-// live entries, so ignoring the payload keeps Eq consistent with Ord.
+// Heap ordering: by `(t, seq)` only. `seq` is unique among live
+// entries, so ignoring the payload keeps Eq consistent with Ord.
 impl<T> PartialEq for Entry<T> {
     fn eq(&self, other: &Self) -> bool {
         self.key() == other.key()
@@ -688,6 +715,162 @@ impl<T> CalendarWheel<T> {
     }
 }
 
+/// Most entries [`RunHeap`]'s sorted run holds. In replayed engine
+/// traffic all of the accelerator rigs' pending events fit (at most 54)
+/// and nearly all of the catalogue's (at most 70); a run of 128 cost
+/// over twice the plain heap per operation on fabric-shaped traffic,
+/// where each push into a long run shifts more entries.
+const RUN_CAP: usize = 64;
+
+/// A binary heap fronted by a short sorted run, keyed by `(Time, seq)`
+/// and popping in strictly ascending key order — the
+/// [`Sched::Heap`] queue.
+///
+/// The earliest entries, at most 64, sit in a run sorted
+/// descending, so a pop is `Vec::pop` and a push scans back from the
+/// earliest end (or, later than the whole run, goes straight to its
+/// front); every later entry sits in a binary heap. Each run
+/// entry sorts before each heap entry, so a push that sorts after the
+/// heap's top goes straight to the heap, and a full run spills its
+/// later half into the heap at once. See the [module docs](self).
+///
+/// # Examples
+///
+/// ```
+/// use usfq_sim::sched::RunHeap;
+/// use usfq_sim::Time;
+///
+/// let mut q = RunHeap::new();
+/// q.push(Time::from_ps(9.0), 1, "late");
+/// q.push(Time::from_ps(3.0), 2, "early");
+/// q.push(Time::from_ps(9.0), 0, "late-but-first");
+/// assert_eq!(q.pop(), Some((Time::from_ps(3.0), 2, "early")));
+/// assert_eq!(q.pop(), Some((Time::from_ps(9.0), 0, "late-but-first")));
+/// assert_eq!(q.pop(), Some((Time::from_ps(9.0), 1, "late")));
+/// assert_eq!(q.pop(), None);
+/// ```
+#[derive(Debug, Clone)]
+pub struct RunHeap<T> {
+    /// The earliest entries, sorted descending: the earliest is last.
+    run: Vec<Entry<T>>,
+    /// Every later entry, min-heap by `(t, seq)`. Allocates on the
+    /// first spill.
+    heap: BinaryHeap<Reverse<Entry<T>>>,
+}
+
+impl<T> Default for RunHeap<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T> RunHeap<T> {
+    /// An empty queue. Its one allocation is room for 16 run entries
+    /// (512 bytes of engine events), grown on demand; the heap
+    /// allocates on the first spill. Reserving the whole run up front
+    /// (2 KB) cost 9–12 ns per operation in replay on traffic that
+    /// builds a fresh simulator for every handful of events.
+    pub fn new() -> Self {
+        RunHeap {
+            run: Vec::with_capacity(16),
+            heap: BinaryHeap::new(),
+        }
+    }
+
+    /// Pending entries.
+    pub fn len(&self) -> usize {
+        self.run.len() + self.heap.len()
+    }
+
+    /// Whether the queue is empty.
+    pub fn is_empty(&self) -> bool {
+        self.run.is_empty() && self.heap.is_empty()
+    }
+
+    /// Removes every entry, keeping both allocations.
+    pub fn clear(&mut self) {
+        self.run.clear();
+        self.heap.clear();
+    }
+
+    /// Whether `e` must go to the heap: it sorts after the heap's top,
+    /// so in the run it would sort after a heap entry.
+    #[inline]
+    fn after_heap_top(&self, e: &Entry<T>) -> bool {
+        self.heap
+            .peek()
+            .is_some_and(|Reverse(top)| e.key() > top.key())
+    }
+
+    /// Inserts an entry. `seq` must be unique among live entries; ties
+    /// in `time` pop in ascending `seq` order.
+    #[inline]
+    pub fn push(&mut self, time: Time, seq: u64, payload: T) {
+        let e = Entry {
+            t: time.as_fs(),
+            seq,
+            payload,
+        };
+        if self.run.len() == RUN_CAP && !self.after_heap_top(&e) {
+            self.spill();
+        }
+        if self.after_heap_top(&e) {
+            self.heap.push(Reverse(e));
+            return;
+        }
+        let key = e.key();
+        let at = match self.run.first() {
+            // Later than the whole run, as stimuli scheduled in time
+            // order are: the front, without a scan.
+            Some(latest) if key > latest.key() => 0,
+            _ => self
+                .run
+                .iter()
+                .rposition(|x| x.key() > key)
+                .map_or(0, |i| i + 1),
+        };
+        self.run.insert(at, e);
+    }
+
+    /// Moves the later half of a full run into the heap. Spilling half
+    /// at once, not one entry per push, keeps a run of descending
+    /// pushes from paying a spill on every push.
+    #[cold]
+    fn spill(&mut self) {
+        self.heap.extend(self.run.drain(..RUN_CAP / 2).map(Reverse));
+    }
+
+    /// Key of the earliest entry without removing it.
+    #[inline]
+    pub fn peek(&self) -> Option<(Time, u64, &T)> {
+        let e = match self.run.last() {
+            Some(e) => e,
+            None => &self.heap.peek()?.0,
+        };
+        Some((Time::from_fs(e.t), e.seq, &e.payload))
+    }
+
+    /// Removes and returns the earliest entry.
+    #[inline]
+    pub fn pop(&mut self) -> Option<(Time, u64, T)> {
+        let e = match self.run.pop() {
+            Some(e) => e,
+            None => self.heap.pop()?.0,
+        };
+        Some((Time::from_fs(e.t), e.seq, e.payload))
+    }
+
+    /// Removes and returns the earliest entry *if* its time is at or
+    /// before `deadline`.
+    #[inline]
+    pub fn pop_due(&mut self, deadline: Time) -> Option<(Time, u64, T)> {
+        match self.peek() {
+            Some((t, _, _)) if t <= deadline => self.pop(),
+            _ => None,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -979,6 +1162,75 @@ mod tests {
                 .collect();
             run_script(1u64 << width_exp, buckets, &script);
         });
+    }
+
+    /// The heap queue pops exactly as a plain binary heap does, for
+    /// push/pop/clear scripts with equal times, ascending and
+    /// descending bulk pushes and pending counts on both sides of the
+    /// run's capacity.
+    #[test]
+    #[cfg_attr(miri, ignore = "hundreds of property cases are too slow under miri")]
+    fn run_heap_equals_binary_heap() {
+        for_all(256, |rng| {
+            let mut q = RunHeap::new();
+            let mut reference: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+            let push_share = rng.gen_range(0.45..0.9);
+            // Small spreads make equal times common.
+            let spread = [3u64, 1_000, 1_000_000][rng.gen_range(0usize..3)];
+            let (mut clock, mut seq) = (0u64, 0u64);
+            let mut push = |q: &mut RunHeap<u64>, reference: &mut BinaryHeap<_>, t: u64| {
+                q.push(Time::from_fs(t), seq, seq);
+                reference.push(Reverse((t, seq)));
+                seq += 1;
+            };
+            for _ in 0..rng.gen_range(0usize..600) {
+                let r = rng.gen_range(0.0..1.0);
+                if r < 0.005 {
+                    q.clear();
+                    reference.clear();
+                } else if r < 0.02 {
+                    let n = rng.gen_range(1u64..150);
+                    let gap = rng.gen_range(0..spread);
+                    let ascending = rng.gen_bool(0.5);
+                    for i in 0..n {
+                        let step = if ascending { i } else { n - 1 - i };
+                        push(&mut q, &mut reference, clock + step * gap);
+                    }
+                } else if r < push_share {
+                    push(&mut q, &mut reference, clock + rng.gen_range(0..spread));
+                } else {
+                    let got = q.pop().map(|(t, s, p)| {
+                        assert_eq!(s, p, "payload travels with its key");
+                        (t.as_fs(), s)
+                    });
+                    let want = reference.pop().map(|Reverse(k)| k);
+                    assert_eq!(got, want, "pop diverged at {} pending", q.len());
+                    if let Some((t, _)) = got {
+                        clock = t;
+                    }
+                }
+                assert_eq!(q.len(), reference.len());
+                let peeked = q.peek().map(|(t, s, _)| (t.as_fs(), s));
+                assert_eq!(peeked, reference.peek().map(|&Reverse(k)| k));
+            }
+            while let Some(Reverse(want)) = reference.pop() {
+                let (t, s, _) = q.pop().expect("queue drains with the reference");
+                assert_eq!((t.as_fs(), s), want, "drain diverged");
+            }
+            assert!(q.is_empty() && q.pop().is_none());
+        });
+    }
+
+    #[test]
+    fn run_heap_spills_a_descending_bulk_in_order() {
+        let mut q = RunHeap::new();
+        for seq in (0..200u64).rev() {
+            q.push(Time::from_fs(seq / 2), seq, ());
+        }
+        assert_eq!(q.len(), 200);
+        assert!(!q.heap.is_empty(), "the run spilled");
+        let popped: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|(_, s, ())| s).collect();
+        assert_eq!(popped, (0..200).collect::<Vec<_>>());
     }
 
     /// Monotone non-decreasing pop times, FIFO per timestamp, and
