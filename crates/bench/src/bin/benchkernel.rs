@@ -18,7 +18,7 @@
 //!   "schema_version": 4,
 //!   "commit": "<git hash or \"unknown\">",   // from $USFQ_COMMIT
 //!   "threads": <resolved USFQ_THREADS>,
-//!   "sched": "auto" | "wheel" | "heap",      // default scheduler in force
+//!   "sched": "heap",                         // default scheduler in force
 //!   "shards": <resolved USFQ_SHARDS>,        // default shard count in force
 //!   "unit": "nanoseconds",
 //!   "coalesce": { "<group>/<name>": { "hits": .., "pulses": .., "lazy_splits": ..,

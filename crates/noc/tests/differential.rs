@@ -69,9 +69,9 @@ fn full_config_cube_agrees_on_routed_traffic() {
     check_cube(&workloads(&scenarios()), &cube(&[1, 2, 4], &[None]));
 }
 
-/// The environment's configuration (whatever `USFQ_SCHED`,
-/// `USFQ_BURST`, `USFQ_SHARDS` and `USFQ_WIRE_JITTER` say, defaults
-/// included) agrees with its reference: `simulate_env` forwards
+/// The environment's configuration (whatever `USFQ_BURST`,
+/// `USFQ_SHARDS` and `USFQ_WIRE_JITTER` say, defaults included)
+/// agrees with its reference: `simulate_env` forwards
 /// [`SimConfig::from_env`] unchanged.
 #[test]
 fn env_config_matches_reference() {

@@ -440,9 +440,7 @@ impl Circuit {
     }
 
     /// Total number of wired sinks across all nets (component outputs
-    /// plus external inputs) — the netlist's aggregate fan-out. One
-    /// pulse traversal occupies at most this many event-queue slots, so
-    /// [`crate::Simulator::new`] uses it to pre-size the queue.
+    /// plus external inputs) — the netlist's aggregate fan-out.
     pub fn num_wires(&self) -> usize {
         self.compiled().nets.num_wires()
     }

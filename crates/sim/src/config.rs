@@ -18,11 +18,6 @@ use crate::sched::Sched;
 use crate::shard::ShardedSimulator;
 use crate::time::Time;
 
-/// Environment variable naming the default scheduler: `heap`, `wheel`
-/// or `auto`, case-insensitive. Unset or unrecognised means
-/// [`Sched::Auto`].
-pub const SCHED_ENV: &str = "USFQ_SCHED";
-
 /// Environment variable toggling the coalesced-burst fast path:
 /// `0`, `off`, `false` or `no` (case-insensitive) disables it; anything
 /// else, or the variable being unset, leaves it on.
@@ -57,9 +52,9 @@ pub struct Jitter {
 /// One full engine configuration: everything that selects *how* a run
 /// is computed, as opposed to what is simulated.
 ///
-/// [`SimConfig::from_env`] is the only reader of the four engine
-/// variables ([`SCHED_ENV`], [`BURST_ENV`], [`SHARDS_ENV`],
-/// [`WIRE_JITTER_ENV`]); [`Simulator::new`](crate::Simulator::new) and
+/// [`SimConfig::from_env`] is the only reader of the three engine
+/// variables ([`BURST_ENV`], [`SHARDS_ENV`], [`WIRE_JITTER_ENV`]);
+/// [`Simulator::new`](crate::Simulator::new) and
 /// [`ShardedSimulator::new`] start from it. [`SimConfig::reference`] is
 /// the configuration every other one is checked against.
 ///
@@ -76,7 +71,8 @@ pub struct Jitter {
 /// configuration they run, and `tests/figures_smoke.rs`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimConfig {
-    /// Event-queue scheduler ([`Sched::Auto`] resolves per circuit).
+    /// Event-queue scheduler. No variable sets it: the heap unless a
+    /// caller names the wheel.
     pub sched: Sched,
     /// Coalesced-burst delivery on (`true`) or pulse-level (`false`).
     pub burst: bool,
@@ -92,11 +88,10 @@ pub struct SimConfig {
 
 impl Default for SimConfig {
     /// What [`SimConfig::from_env`] yields in an empty environment:
-    /// automatic scheduler, bursts on, one shard, no jitter, no
-    /// sanitizer.
+    /// heap scheduler, bursts on, one shard, no jitter, no sanitizer.
     fn default() -> Self {
         SimConfig {
-            sched: Sched::Auto,
+            sched: Sched::Heap,
             burst: true,
             shards: 1,
             jitter: None,
@@ -110,7 +105,6 @@ impl SimConfig {
     /// delivery, one shard, no jitter, no sanitizer.
     pub fn reference() -> SimConfig {
         SimConfig {
-            sched: Sched::Heap,
             burst: false,
             ..SimConfig::default()
         }
@@ -136,7 +130,7 @@ impl SimConfig {
         })
     }
 
-    /// Parses the four engine variables through `var`, which returns a
+    /// Parses the three engine variables through `var`, which returns a
     /// variable's value or `None` when it is unset.
     fn parse(var: impl Fn(&str) -> Option<String>) -> SimConfig {
         let burst_off = |v: String| {
@@ -146,16 +140,13 @@ impl SimConfig {
             )
         };
         SimConfig {
-            sched: var(SCHED_ENV)
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_default(),
             burst: !var(BURST_ENV).is_some_and(burst_off),
             shards: var(SHARDS_ENV)
                 .and_then(|v| v.trim().parse().ok())
                 .filter(|&n| n >= 1)
                 .unwrap_or(1),
             jitter: var(WIRE_JITTER_ENV).and_then(|v| parse_jitter(&v)),
-            sanitizer: None,
+            ..SimConfig::default()
         }
     }
 }
@@ -240,9 +231,9 @@ impl Fingerprint {
 mod tests {
     use super::*;
 
-    /// The `USFQ_SCHED` and `USFQ_BURST` grammars and all four
-    /// variables at once, through a pure lookup. `USFQ_SHARDS` is
-    /// tested in `shard::tests::shards_env_parsing` and
+    /// The `USFQ_BURST` grammar and all three variables at once,
+    /// through a pure lookup; no variable sets the scheduler.
+    /// `USFQ_SHARDS` is tested in `shard::tests::shards_env_parsing` and
     /// `USFQ_WIRE_JITTER` in `engine::tests::wire_jitter_env_grammar`.
     #[test]
     fn engine_variable_grammar() {
@@ -254,11 +245,7 @@ mod tests {
         let default = SimConfig::default();
         let cases: &[(&[(&str, &str)], SimConfig)] = &[
             (&[], default.clone()),
-            // USFQ_SCHED: case-insensitive names; anything else is auto.
-            (&[(SCHED_ENV, " Heap ")], edit(|c| c.sched = Sched::Heap)),
-            (&[(SCHED_ENV, "WHEEL")], edit(|c| c.sched = Sched::Wheel)),
-            (&[(SCHED_ENV, "auto")], default.clone()),
-            (&[(SCHED_ENV, "fifo")], default.clone()),
+            (&[("USFQ_SCHED", "wheel")], default.clone()),
             // USFQ_BURST: 0|off|false|no disable, anything else enables.
             (&[(BURST_ENV, "0")], edit(|c| c.burst = false)),
             (&[(BURST_ENV, " OFF ")], edit(|c| c.burst = false)),
@@ -267,10 +254,9 @@ mod tests {
             (&[(BURST_ENV, "1")], default.clone()),
             (&[(BURST_ENV, "")], default.clone()),
             (&[(BURST_ENV, "nope")], default),
-            // All four at once; the sanitizer has no variable.
+            // All three at once; the sanitizer has no variable.
             (
                 &[
-                    (SCHED_ENV, "heap"),
                     (BURST_ENV, "no"),
                     (SHARDS_ENV, "2"),
                     (WIRE_JITTER_ENV, "4000:9"),

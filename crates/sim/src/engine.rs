@@ -212,64 +212,51 @@ impl NetTable {
 }
 
 /// The selectable event queue: the run-fronted binary heap
-/// ([`RunHeap`]) or the calendar wheel. [`Sched::Auto`] picks the heap
-/// below [`AUTO_WHEEL_MIN_WIRES`](crate::sched::AUTO_WHEEL_MIN_WIRES)
-/// fan-out wires, which covers every accelerator rig and every gated
-/// benchmark workload, and the wheel above; `USFQ_SCHED` forces either.
-/// Both pop in strictly ascending `(time, seq)` order, so the choice
-/// never changes a result byte — only the cost of ordering.
+/// ([`RunHeap`], the default) or the calendar wheel, as the
+/// simulator's [`SimConfig::sched`] names. Both pop in strictly
+/// ascending `(time, seq)` order, so the choice never changes a result
+/// byte — only the cost of ordering.
 #[derive(Debug)]
-enum QueueImpl {
+enum Queue {
     Heap(RunHeap<EventKind>),
     Wheel(CalendarWheel<EventKind>),
 }
 
-#[derive(Debug)]
-struct Queue {
-    imp: QueueImpl,
-    len: usize,
-}
-
 impl Queue {
     fn new(sched: Sched, max_delay: Time) -> Self {
-        let imp = match sched {
-            Sched::Heap => QueueImpl::Heap(RunHeap::new()),
-            Sched::Wheel => QueueImpl::Wheel(CalendarWheel::for_max_delay(max_delay)),
-            // `Simulator::with_config` resolves `Auto` before the queue
-            // is built.
-            Sched::Auto => unreachable!("Sched::Auto must be resolved before queue construction"),
-        };
-        Queue { imp, len: 0 }
+        match sched {
+            Sched::Heap => Queue::Heap(RunHeap::new()),
+            Sched::Wheel => Queue::Wheel(CalendarWheel::for_max_delay(max_delay)),
+        }
     }
 
     fn sched(&self) -> Sched {
-        match self.imp {
-            QueueImpl::Heap(_) => Sched::Heap,
-            QueueImpl::Wheel(_) => Sched::Wheel,
+        match self {
+            Queue::Heap(_) => Sched::Heap,
+            Queue::Wheel(_) => Sched::Wheel,
         }
     }
 
     fn wheel_stats(&self) -> Option<WheelStats> {
-        match &self.imp {
-            QueueImpl::Heap(_) => None,
-            QueueImpl::Wheel(w) => Some(w.stats()),
+        match self {
+            Queue::Heap(_) => None,
+            Queue::Wheel(w) => Some(w.stats()),
         }
     }
 
     #[inline]
     fn push(&mut self, ev: Event) {
-        match &mut self.imp {
-            QueueImpl::Heap(h) => h.push(ev.time, ev.seq, ev.kind),
-            QueueImpl::Wheel(w) => w.push(ev.time, ev.seq, ev.kind),
+        match self {
+            Queue::Heap(h) => h.push(ev.time, ev.seq, ev.kind),
+            Queue::Wheel(w) => w.push(ev.time, ev.seq, ev.kind),
         }
-        self.len += 1;
     }
 
     #[inline]
     fn peek(&mut self) -> Option<Event> {
-        let (time, seq, &kind) = match &mut self.imp {
-            QueueImpl::Heap(h) => h.peek(),
-            QueueImpl::Wheel(w) => w.peek(),
+        let (time, seq, &kind) = match self {
+            Queue::Heap(h) => h.peek(),
+            Queue::Wheel(w) => w.peek(),
         }?;
         Some(Event { time, seq, kind })
     }
@@ -279,24 +266,25 @@ impl Queue {
     /// wheel walks its cursor once per event instead of twice.
     #[inline]
     fn pop_due(&mut self, deadline: Time) -> Option<Event> {
-        let (time, seq, kind) = match &mut self.imp {
-            QueueImpl::Heap(h) => h.pop_due(deadline),
-            QueueImpl::Wheel(w) => w.pop_due(deadline),
+        let (time, seq, kind) = match self {
+            Queue::Heap(h) => h.pop_due(deadline),
+            Queue::Wheel(w) => w.pop_due(deadline),
         }?;
-        self.len -= 1;
         Some(Event { time, seq, kind })
     }
 
     fn len(&self) -> usize {
-        self.len
+        match self {
+            Queue::Heap(h) => h.len(),
+            Queue::Wheel(w) => w.len(),
+        }
     }
 
     fn clear(&mut self) {
-        match &mut self.imp {
-            QueueImpl::Heap(h) => h.clear(),
-            QueueImpl::Wheel(w) => w.clear(),
+        match self {
+            Queue::Heap(h) => h.clear(),
+            Queue::Wheel(w) => w.clear(),
         }
-        self.len = 0;
     }
 }
 
@@ -817,9 +805,8 @@ impl Simulator {
     /// simulator is one shard, so [`SimConfig::shards`] is ignored (see
     /// [`ShardedSimulator::with_config`](crate::ShardedSimulator::with_config)).
     ///
-    /// [`Sched::Auto`] is resolved here against the netlist's size and
-    /// delay profile (see [`Sched::resolve`]); [`Simulator::sched`]
-    /// reports the resolved choice. Scheduler choice never affects
+    /// The queue is the one [`SimConfig::sched`] names, and
+    /// [`Simulator::sched`] reports it. Scheduler choice never affects
     /// results: both schedulers drain events in identical
     /// `(time, insertion)` order.
     ///
@@ -837,10 +824,8 @@ impl Simulator {
     /// mutable state.
     pub fn with_config(circuit: Circuit, config: &SimConfig) -> Self {
         let compiled = circuit.compiled();
-        let num_wires = compiled.nets.num_wires();
         let max_delay = compiled.max_delay;
         let nets = compiled.nets.clone();
-        let sched = config.sched.resolve(num_wires, max_delay);
         let probe_data = (0..circuit.num_probes())
             .map(|_| ProbeRec {
                 times: Vec::with_capacity(16),
@@ -848,7 +833,7 @@ impl Simulator {
             })
             .collect();
         let activity = ActivityReport::with_components(circuit.num_components());
-        let queue = Queue::new(sched, max_delay);
+        let queue = Queue::new(config.sched, max_delay);
         let sanitizer = config
             .sanitizer
             .clone()
@@ -2357,6 +2342,26 @@ mod tests {
         assert!(times.windows(2).all(|w| w[0] < w[1]));
         let stats = sim.wheel_stats().unwrap();
         assert!(stats.migrations > 0, "{stats:?}");
+    }
+
+    /// A 200-wire chain with real delays runs on the heap unless its
+    /// configuration names the wheel: the queue does not depend on the
+    /// netlist's size.
+    #[test]
+    fn dense_chain_runs_on_the_default_heap() {
+        let mut c = Circuit::new();
+        let input = c.input("in");
+        let mut prev = c.add(Buffer::new("b0", Time::from_ps(3.0)));
+        c.connect_input(input, prev.input(0), Time::ZERO).unwrap();
+        for i in 1..200 {
+            let b = c.add(Buffer::new(format!("b{i}"), Time::from_ps(3.0)));
+            c.connect(prev.output(0), b.input(0), Time::ZERO).unwrap();
+            prev = b;
+        }
+        assert_eq!(c.num_wires(), 200);
+        assert_eq!(Simulator::new(c.clone()).sched(), Sched::Heap);
+        let sim = Simulator::with_config(c, &SimConfig::default());
+        assert_eq!(sim.sched(), Sched::Heap);
     }
 
     /// More loose pulses than the heap queue's sorted run holds, queued

@@ -19,12 +19,8 @@
 //!   fixed delays, plus named external inputs and output probes.
 //! * A [`Simulator`] owns a circuit and an event queue. Ties in time are
 //!   broken by insertion order, making every run reproducible bit-for-bit.
-//!   The queue is a binary heap or a calendar wheel ([`sched::Sched`]).
-//!   The default, [`Sched::Auto`], picks the heap below
-//!   [`AUTO_WHEEL_MIN_WIRES`](sched::AUTO_WHEEL_MIN_WIRES) fan-out wires,
-//!   which covers every accelerator rig and every gated benchmark
-//!   workload, and the wheel above; `USFQ_SCHED` forces either. Both pop
-//!   events in the same order.
+//!   The queue is a binary heap (the default) or a calendar wheel
+//!   ([`sched::Sched`]); both pop events in the same order.
 //! * [`SimConfig`] is the one engine configuration (scheduler, burst
 //!   delivery, shards, wire jitter, sanitizer) every simulator is built
 //!   from, and [`Fingerprint`] the one run fingerprint two
@@ -94,7 +90,7 @@ pub use circuit::{
 };
 pub use component::{BurstStep, Component, Ctx, Hazard, StaticMeta};
 pub use config::{
-    Fingerprint, Jitter, SimConfig, BURST_ENV, SCHED_ENV, SHARDS_ENV, WIRE_JITTER_DEFAULT_SEED,
+    Fingerprint, Jitter, SimConfig, BURST_ENV, SHARDS_ENV, WIRE_JITTER_DEFAULT_SEED,
     WIRE_JITTER_ENV,
 };
 pub use engine::{RunSummary, Simulator};

@@ -1,5 +1,5 @@
-//! Event schedulers: a binary heap fronted by a sorted run, the
-//! calendar-queue time wheel, and the choice between them.
+//! Event schedulers: a binary heap fronted by a sorted run, and the
+//! calendar-queue time wheel.
 //!
 //! The discrete-event kernel spends most of its cycles ordering
 //! events. SFQ workloads make that ordering unusually structured:
@@ -10,10 +10,10 @@
 //!
 //! # The heap queue
 //!
-//! [`RunHeap`] is the queue [`Sched::Heap`] runs. On the small circuits
-//! that [`Sched::Auto`] gives it, few events are pending (a mean of 6
-//! at a push on the accelerator rigs, 18 on the catalogue netlists) and
-//! a new event is often the earliest (46 % and 17 % of pushes). So it
+//! [`RunHeap`] is the queue [`Sched::Heap`], the default, runs. Most
+//! runs simulate small circuits, on which few events are pending (a mean
+//! of 6 at a push on the accelerator rigs, 18 on the catalogue netlists)
+//! and a new event is often the earliest (46 % and 17 % of pushes). So it
 //! keeps the earliest events, at most 64, in a run sorted descending:
 //! a pop is `Vec::pop`, and a push scans back from the earliest end.
 //! Every later event waits in a binary heap, and every run entry sorts
@@ -83,33 +83,13 @@
 //! rest of the stack (runner determinism, sanitizer identity,
 //! differential soundness) is built on.
 //!
-//! The heap queue is not a test fallback: [`Sched::Auto`] picks it
-//! below [`AUTO_WHEEL_MIN_WIRES`] fan-out wires, which covers every
-//! accelerator rig and every gated benchmark workload, and
-//! [`SimConfig::reference`](crate::SimConfig::reference) runs on it.
-//! [`SimConfig::sched`](crate::SimConfig::sched) or `USFQ_SCHED` forces
-//! either queue.
+//! Every simulator runs on the heap queue unless its
+//! [`SimConfig::sched`](crate::SimConfig::sched) names the wheel.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::time::Time;
-
-/// [`Sched::Auto`] picks the wheel only for netlists with at least
-/// this many wires. The threshold was set between two regimes measured
-/// against the plain binary heap: the catalogue netlists (tens of
-/// wires, a handful of pending events, largest ~100 wires) ran
-/// ~1.1–1.25× slower on the wheel, and the delay-chain kernels from
-/// 129 wires up ~1.3× faster. Against the run-fronted heap
-/// ([`RunHeap`]) the chains no longer favour the wheel (least `min_ns`
-/// of `benchkernel` snapshots under each `USFQ_SCHED`, 2 vCPUs): the
-/// 129-wire `kernel/delay_chain/128` runs 1.20× faster on the heap,
-/// `kernel/delay_chain/1024` level (1.51 vs. 1.55 ms), and
-/// `sched/engine_delay_chain_1024` 1.05–1.10× faster on the heap. The
-/// wheel still wins on a NoC torus hotspot and long pulse-level trains
-/// and loses 2.6× on the 100k-cell fabric. The value is kept until the
-/// choice between the queues is settled.
-pub const AUTO_WHEEL_MIN_WIRES: usize = 128;
 
 /// Number of buckets in a default-configured wheel (must be a power of
 /// two). 256 buckets × a delay-derived width keeps the whole window
@@ -132,58 +112,11 @@ const MAX_DIRECT_CREDIT: usize = 4_096;
 pub enum Sched {
     /// [`RunHeap`]: a binary heap fronted by a sorted run of the
     /// earliest events, so a pop and most pushes on a small queue cost
-    /// a few comparisons and the rest `O(log n)`. [`Sched::Auto`] picks
-    /// it below [`AUTO_WHEEL_MIN_WIRES`] wires, so every accelerator
-    /// rig and every gated benchmark workload runs on it, and so does
-    /// [`SimConfig::reference`](crate::SimConfig::reference).
+    /// a few comparisons and the rest `O(log n)`. The default.
+    #[default]
     Heap,
     /// Calendar-queue time wheel: amortised `O(1)` per operation.
     Wheel,
-    /// Pick heap or wheel per circuit from its size and delay profile
-    /// (see [`Sched::resolve`]). The default: dense workloads get the
-    /// wheel's amortised `O(1)`, sparse ones avoid its fixed cursor
-    /// and bucket overheads.
-    #[default]
-    Auto,
-}
-
-impl Sched {
-    /// Resolves [`Sched::Auto`] for a circuit with `num_wires` total
-    /// fan-out wires and `max_delay` largest single-hop latency;
-    /// explicit choices pass through unchanged.
-    ///
-    /// `num_wires` bounds how many events can be in flight at once —
-    /// the event-density proxy — and `max_delay` sizes the wheel's
-    /// bucket window. Dense netlists (≥ [`AUTO_WHEEL_MIN_WIRES`] wires)
-    /// with a real delay profile get the wheel; everything else gets
-    /// the heap, whose per-op cost is lower when only a handful of
-    /// events are pending. Either resolution is behaviour-preserving:
-    /// both queues drain in identical `(time, seq)` order.
-    pub fn resolve(self, num_wires: usize, max_delay: Time) -> Sched {
-        match self {
-            Sched::Auto => {
-                if num_wires >= AUTO_WHEEL_MIN_WIRES && max_delay > Time::ZERO {
-                    Sched::Wheel
-                } else {
-                    Sched::Heap
-                }
-            }
-            explicit => explicit,
-        }
-    }
-}
-
-impl std::str::FromStr for Sched {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "heap" => Ok(Sched::Heap),
-            "wheel" => Ok(Sched::Wheel),
-            "auto" => Ok(Sched::Auto),
-            other => Err(format!("unknown scheduler `{other}` (heap|wheel|auto)")),
-        }
-    }
 }
 
 impl std::fmt::Display for Sched {
@@ -191,7 +124,6 @@ impl std::fmt::Display for Sched {
         f.write_str(match self {
             Sched::Heap => "heap",
             Sched::Wheel => "wheel",
-            Sched::Auto => "auto",
         })
     }
 }
@@ -1076,33 +1008,9 @@ mod tests {
 
     #[test]
     fn sched_parsing() {
-        assert_eq!("heap".parse(), Ok(Sched::Heap));
-        assert_eq!(" Wheel ".parse(), Ok(Sched::Wheel));
-        assert_eq!("AUTO".parse(), Ok(Sched::Auto));
-        assert!("quantum".parse::<Sched>().is_err());
-        assert_eq!(Sched::default(), Sched::Auto);
+        assert_eq!(Sched::default(), Sched::Heap);
         assert_eq!(Sched::Heap.to_string(), "heap");
         assert_eq!(Sched::Wheel.to_string(), "wheel");
-        assert_eq!(Sched::Auto.to_string(), "auto");
-    }
-
-    #[test]
-    fn auto_resolution_picks_by_density() {
-        let d = Time::from_ps(10.0);
-        // Sparse netlists (catalogue scale) resolve to the heap…
-        assert_eq!(Sched::Auto.resolve(10, d), Sched::Heap);
-        assert_eq!(
-            Sched::Auto.resolve(AUTO_WHEEL_MIN_WIRES - 1, d),
-            Sched::Heap
-        );
-        // …dense ones (long chains, wide fan-out) to the wheel…
-        assert_eq!(Sched::Auto.resolve(AUTO_WHEEL_MIN_WIRES, d), Sched::Wheel);
-        assert_eq!(Sched::Auto.resolve(100_000, d), Sched::Wheel);
-        // …a degenerate zero-delay profile stays on the heap…
-        assert_eq!(Sched::Auto.resolve(100_000, Time::ZERO), Sched::Heap);
-        // …and explicit choices always pass through.
-        assert_eq!(Sched::Heap.resolve(100_000, d), Sched::Heap);
-        assert_eq!(Sched::Wheel.resolve(1, Time::ZERO), Sched::Wheel);
     }
 
     /// Reference model: the wheel pops in exactly the order a binary

@@ -578,8 +578,7 @@ impl ShardedSimulator {
     }
 
     /// Partitions `circuit` into at most [`SimConfig::shards`] shards,
-    /// each worker a [`Simulator::with_config`] of its sub-circuit
-    /// ([`Sched::Auto`](crate::Sched::Auto) resolves per sub-circuit).
+    /// each worker a [`Simulator::with_config`] of its sub-circuit.
     /// Falls back to one embedded simulator when `shards <= 1` or the
     /// circuit cannot be split.
     ///
