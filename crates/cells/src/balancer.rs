@@ -125,8 +125,8 @@ impl Component for Balancer {
         ctx.emit_burst(self.next_out, out.decimate(0, 2));
         ctx.emit_burst(self.next_out ^ 1, out.decimate(1, 2));
         let count = burst.count();
-        self.last_route = self.next_out ^ usize::try_from((count - 1) & 1).expect("bit");
-        self.next_out ^= usize::try_from(count & 1).expect("bit");
+        self.last_route = self.next_out ^ usize::from(count % 2 == 0);
+        self.next_out ^= usize::from(count % 2 == 1);
         self.transition_until[port] = burst.last() + self.t_bff;
         BurstStep::Consumed
     }
@@ -489,40 +489,11 @@ mod tests {
         assert_eq!(c.total_jj(), u64::from(catalog::JJ_BALANCER));
     }
 
-    /// Every cell kind reports static meta consistent with the catalog:
-    /// the declared kind resolves to its own JJ count, and hazard windows
-    /// carry the paper's timing parameters.
+    /// Hazard windows carry the paper's timing parameters. (Each cell's
+    /// JJ count and delay range reconcile with its `spec` row in
+    /// `spec::tests::signatures_reconcile_with_cells`.)
     #[test]
     fn static_meta_reconciles_with_catalog() {
-        let cells: Vec<Box<dyn Component>> = vec![
-            Box::new(crate::interconnect::Jtl::new("j")),
-            Box::new(Splitter::new("s")),
-            Box::new(Merger::new("m")),
-            Box::new(crate::storage::Dff::new("d")),
-            Box::new(Dff2::new("d2")),
-            Box::new(crate::storage::Ndro::new("n")),
-            Box::new(crate::toggle::Tff::new("t")),
-            Box::new(crate::toggle::Tff2::new("t2")),
-            Box::new(crate::inverter::ClockedInverter::new("i")),
-            Box::new(crate::race::FirstArrival::new("fa")),
-            Box::new(crate::race::LastArrival::new("la")),
-            Box::new(crate::race::Inhibit::new("inh")),
-            Box::new(crate::switch::Demux::new("dm")),
-            Box::new(crate::switch::Mux::new("mx")),
-            Box::new(Balancer::new("b")),
-            Box::new(RoutingUnit::new("r")),
-        ];
-        for cell in &cells {
-            let meta = cell.static_meta();
-            assert_eq!(
-                catalog::jj_for_kind(meta.kind),
-                Some(cell.jj_count()),
-                "kind {} of cell {}",
-                meta.kind,
-                cell.name()
-            );
-            assert!(meta.min_delay <= meta.max_delay);
-        }
         let bal_meta = Balancer::new("b").static_meta();
         assert_eq!(
             bal_meta.hazards,

@@ -89,33 +89,6 @@ pub const JJ_PE: u32 = JJ_UNIPOLAR_MULTIPLIER + JJ_BALANCER + JJ_INTEGRATOR;
 /// binary word, 1.3× a 16-bit one).
 pub const JJ_MEMORY_CELL: u32 = 2 * JJ_INTEGRATOR + JJ_DEMUX + JJ_MUX + 25 * JJ_JTL;
 
-/// Looks up the catalog JJ count for a cell-kind string, as reported by
-/// [`usfq_sim::StaticMeta::kind`]. Returns `None` for kinds whose cost
-/// is instance-specific (e.g. `"buffer"`) or unknown to the catalog —
-/// the `usfq-lint` JJ-accounting check skips those.
-pub fn jj_for_kind(kind: &str) -> Option<u32> {
-    Some(match kind {
-        "jtl" => JJ_JTL,
-        "splitter" => JJ_SPLITTER,
-        "merger" => JJ_MERGER,
-        "dff" => JJ_DFF,
-        "dff2" => JJ_DFF2,
-        "tff" => JJ_TFF,
-        "tff2" => JJ_TFF2,
-        "ndro" => JJ_NDRO,
-        "inverter" => JJ_INVERTER,
-        "fa" => JJ_FIRST_ARRIVAL,
-        "la" => JJ_LAST_ARRIVAL,
-        "inhibit" => JJ_INHIBIT,
-        "routing-unit" => JJ_ROUTING_UNIT,
-        "balancer" => JJ_BALANCER,
-        "demux" => JJ_DEMUX,
-        "mux" => JJ_MUX,
-        "integrator" => JJ_INTEGRATOR,
-        _ => return None,
-    })
-}
-
 /// Propagation delay of a JTL stage.
 pub fn t_jtl() -> Time {
     Time::from_ps(3.0)
@@ -200,15 +173,5 @@ mod tests {
         assert_eq!(JJ_MERGER, 5); // paper Fig. 5
         assert_eq!(JJ_FIRST_ARRIVAL, 8); // paper §2.2.1
         assert_eq!(JJ_UNIPOLAR_MULTIPLIER, 14);
-    }
-
-    #[test]
-    fn kind_lookup_covers_catalog_cells() {
-        assert_eq!(jj_for_kind("merger"), Some(JJ_MERGER));
-        assert_eq!(jj_for_kind("balancer"), Some(JJ_BALANCER));
-        assert_eq!(jj_for_kind("integrator"), Some(JJ_INTEGRATOR));
-        assert_eq!(jj_for_kind("buffer"), None);
-        assert_eq!(jj_for_kind("custom"), None);
-        assert_eq!(jj_for_kind(""), None);
     }
 }

@@ -17,7 +17,10 @@
 //! Every cell carries its Josephson-junction cost from [`catalog`], which
 //! reconciles primitive counts from the public RSFQ cell libraries with
 //! the composite-area anchors the paper states (126-JJ PE, 46-JJ bipolar
-//! multiplier, 84-JJ balancer, …).
+//! multiplier, 84-JJ balancer, …). [`spec`] holds one row of facts per
+//! cell kind (port encodings, per-output pulse bounds, statefulness and
+//! the catalog JJ count), and [`spec_for`] looks a row up by kind and
+//! port counts; `usfq-lint` reads its rows.
 //!
 //! ## Example
 //!
@@ -50,19 +53,19 @@
 
 pub mod balancer;
 pub mod catalog;
-pub mod domain;
 pub mod interconnect;
 pub mod inverter;
 pub mod race;
+pub mod spec;
 pub mod storage;
 pub mod switch;
 pub mod toggle;
 
 pub use balancer::{Balancer, RoutingUnit, StructuralBalancer};
-pub use domain::{signature_for, CellSignature, PortDomain};
 pub use interconnect::{Jtl, Merger, MergerTree, Splitter};
 pub use inverter::ClockedInverter;
 pub use race::{FirstArrival, Inhibit, LastArrival};
+pub use spec::{spec_for, CellSpec, PortDomain, PulseBound};
 pub use storage::{Dff, Dff2, Ndro};
 pub use switch::{Demux, DemuxTree, Mux};
 pub use toggle::{Tff, Tff2};

@@ -126,6 +126,32 @@ pub fn fir_jj(taps: usize, bits: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::accel::StreamToRlIntegrator;
+    use crate::blocks::IntegratorBuffer;
+    use usfq_cells::spec_for;
+    use usfq_encoding::Epoch;
+    use usfq_sim::component::Buffer;
+    use usfq_sim::{Component, Time};
+
+    /// The cells defined outside `usfq-cells` resolve to catalog rows by
+    /// kind and port counts: the integrators carry the row's JJ count,
+    /// and the caller-sized `Buffer`'s row has none.
+    #[test]
+    fn integrators_and_buffer_resolve_to_catalog_rows() {
+        let epoch = Epoch::with_slot(8, catalog::t_bff()).unwrap();
+        let cells: [(Box<dyn Component>, bool); 3] = [
+            (Box::new(StreamToRlIntegrator::new("i", epoch)), true),
+            (Box::new(IntegratorBuffer::new("b", epoch)), true),
+            (Box::new(Buffer::new("j", Time::ZERO)), false),
+        ];
+        for (cell, in_catalog) in &cells {
+            let meta = cell.static_meta();
+            let spec = spec_for(meta.kind, cell.num_inputs(), cell.num_outputs())
+                .unwrap_or_else(|| panic!("no row for `{}`", cell.name()));
+            let want = in_catalog.then(|| cell.jj_count());
+            assert_eq!(spec.jj, want, "JJ count of `{}`", cell.name());
+        }
+    }
 
     #[test]
     fn multipliers_are_constant_in_bits() {

@@ -1,7 +1,7 @@
 //! Structural checks: fanout legality, connectivity, reachability,
 //! cycle detection, and JJ accounting.
 
-use usfq_cells::catalog::jj_for_kind;
+use usfq_cells::spec_for;
 use usfq_sim::graph::{sccs, CircuitGraph as Graph};
 use usfq_sim::{Circuit, ProbeSource};
 
@@ -96,11 +96,13 @@ pub(crate) fn reachability(g: &Graph, diags: &mut Vec<Diagnostic>) {
     }
 }
 
-/// USFQ009 — a component whose declared kind has a catalog entry must
-/// carry exactly the catalog JJ count, or area accounting drifts.
+/// USFQ009 — a component whose kind and port counts match a catalog
+/// row with a JJ count must carry exactly that count, or area
+/// accounting drifts.
 pub(crate) fn jj_accounting(g: &Graph, diags: &mut Vec<Diagnostic>) {
     for c in 0..g.len() {
-        if let Some(expected) = jj_for_kind(g.meta[c].kind) {
+        let spec = spec_for(g.meta[c].kind, g.drivers[c].len(), g.out_ports[c]);
+        if let Some(expected) = spec.and_then(|s| s.jj) {
             if g.jj[c] != expected {
                 diags.push(Diagnostic::new(
                     Code::JjMismatch,

@@ -29,8 +29,8 @@ pub enum Code {
     /// `USFQ008` — a probe's worst-case settling time exceeds the epoch
     /// budget.
     BudgetExceeded,
-    /// `USFQ009` — a component's JJ count disagrees with the cell
-    /// catalog entry for its kind.
+    /// `USFQ009` — a component's JJ count disagrees with the catalog
+    /// row its kind and port counts match.
     JjMismatch,
     /// `USFQ010` — timing analysis was skipped for components on or
     /// downstream of an (allowlisted) cycle.

@@ -6,15 +6,16 @@
 //! * **Encoding domain** — per output port, which encoding the wire
 //!   carries: race-logic (`Race`), pulse-stream (`Stream`), unresolved
 //!   (`Bot`), or provably mixed (`Top`). The lattice is
-//!   `Bot < {Race, Stream} < Top` with pointwise join; cell signatures
-//!   come from [`usfq_cells::domain`]. Height 2, so the forward
-//!   fixpoint needs no widening.
+//!   `Bot < {Race, Stream} < Top` with pointwise join; port domains
+//!   come from each cell's [`usfq_cells::spec`] row. Height 2, so the
+//!   forward fixpoint needs no widening.
 //! * **Pulse-count interval** — per output port, a conservative
 //!   `[0, hi]` bound on how many pulses the port can emit per epoch,
-//!   with `hi` either finite or `Unbounded`. Transfer functions follow
-//!   each cell's hazard-free semantics (a TFF halves, a merger sums, an
-//!   NDRO emits one pulse per clock read, …). Counts on feedback loops
-//!   are widened to `Unbounded` after a bounded number of updates.
+//!   with `hi` either finite or `Unbounded`. The transfer function
+//!   evaluates each output's [`PulseBound`] from the cell's row, under
+//!   hazard-free semantics (a TFF halves, a merger sums, an NDRO emits
+//!   one pulse per clock read, …). Counts on feedback loops are widened
+//!   to `Unbounded` after a bounded number of updates.
 //!
 //! The derived checks:
 //!
@@ -32,7 +33,7 @@
 //!   passthrough interconnect, into ports requiring conflicting
 //!   domains.
 
-use usfq_cells::domain::{signature_for, CellSignature, PortDomain};
+use usfq_cells::{spec_for, CellSpec, PortDomain, PulseBound};
 use usfq_sim::graph::{CircuitGraph as Graph, Driver};
 use usfq_sim::Time;
 
@@ -140,8 +141,16 @@ fn domain_name(d: PortDomain) -> &'static str {
 
 /// A passthrough cell forwards pulses without reinterpreting them:
 /// every output is declared [`PortDomain::Follow`].
-fn is_passthrough(sig: &CellSignature) -> bool {
-    !sig.outputs.is_empty() && sig.outputs.iter().all(|&d| d == PortDomain::Follow)
+fn is_passthrough(spec: &CellSpec) -> bool {
+    !spec.outputs.is_empty() && spec.outputs.iter().all(|&(d, _)| d == PortDomain::Follow)
+}
+
+/// Each component's catalog row, resolved once per pass; `None` for
+/// cells no row describes.
+fn specs(g: &Graph) -> Vec<Option<&'static CellSpec>> {
+    (0..g.len())
+        .map(|c| spec_for(g.meta[c].kind, g.drivers[c].len(), g.out_ports[c]))
+        .collect()
 }
 
 /// Runs the dataflow pass and appends findings to `diags`.
@@ -151,21 +160,18 @@ pub(crate) fn analyze(
     cfg: &LintConfig,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let n = g.len();
-    let sigs: Vec<Option<CellSignature>> = (0..n)
-        .map(|c| signature_for(g.meta[c].kind, g.drivers[c].len()))
-        .collect();
+    let specs = specs(g);
     let reachable = g.reachable_from_inputs();
 
-    let out_dom = domain_fixpoint(g, &sigs);
-    let out_cnt = count_fixpoint(g, cfg);
+    let out_dom = domain_fixpoint(g, &specs);
+    let out_cnt = count_fixpoint(g, &specs, cfg);
 
-    check_domain_mismatch(g, &sigs, &out_dom, diags);
+    check_domain_mismatch(g, &specs, &out_dom, diags);
     check_count_overflow(g, cfg, &out_cnt, diags);
     check_dead_cells(g, cfg, &reachable, &out_cnt, diags);
     check_unconsumed_outputs(g, &reachable, diags);
-    check_race_past_epoch(g, &sigs, timing, cfg, diags);
-    check_conflicting_fanout(g, &sigs, diags);
+    check_race_past_epoch(g, &specs, timing, cfg, diags);
+    check_conflicting_fanout(g, &specs, diags);
 }
 
 /// The latest worst-case arrival over every race-logic-required port:
@@ -174,13 +180,10 @@ pub(crate) fn analyze(
 /// this to extend the epoch end during timing closure, mirroring how
 /// the budget itself is extended.
 pub(crate) fn required_race_epoch_end(g: &Graph, timing: &TimingResult) -> Option<Time> {
-    let sigs: Vec<Option<CellSignature>> = (0..g.len())
-        .map(|c| signature_for(g.meta[c].kind, g.drivers[c].len()))
-        .collect();
     let mut latest = None;
-    for (c, sig) in sigs.iter().enumerate() {
+    for (c, &spec) in specs(g).iter().enumerate() {
         for port in 0..g.drivers[c].len() {
-            if required_domain(sig.as_ref(), port) != Some(PortDomain::Race) {
+            if required_domain(spec, port) != Some(PortDomain::Race) {
                 continue;
             }
             if let Some(window) = timing.port_windows[c][port] {
@@ -192,8 +195,8 @@ pub(crate) fn required_race_epoch_end(g: &Graph, timing: &TimingResult) -> Optio
 }
 
 /// The concrete domain an input port requires, if any.
-fn required_domain(sig: Option<&CellSignature>, port: usize) -> Option<PortDomain> {
-    match sig.and_then(|s| s.inputs.get(port)) {
+fn required_domain(spec: Option<&CellSpec>, port: usize) -> Option<PortDomain> {
+    match spec.and_then(|s| s.inputs.get(port)) {
         Some(&d @ (PortDomain::Race | PortDomain::Stream)) => Some(d),
         _ => None,
     }
@@ -202,12 +205,12 @@ fn required_domain(sig: Option<&CellSignature>, port: usize) -> Option<PortDomai
 /// Forward fixpoint of produced encoding domains. Only `Follow`
 /// outputs change across iterations; the lattice has height 2 and
 /// joins are monotone, so this terminates on any graph.
-fn domain_fixpoint(g: &Graph, sigs: &[Option<CellSignature>]) -> Vec<Vec<AbsDom>> {
+fn domain_fixpoint(g: &Graph, specs: &[Option<&CellSpec>]) -> Vec<Vec<AbsDom>> {
     let n = g.len();
     let mut out_dom: Vec<Vec<AbsDom>> = (0..n)
         .map(|c| {
             (0..g.out_ports[c])
-                .map(|o| match sigs[c].and_then(|s| s.outputs.get(o).copied()) {
+                .map(|o| match specs[c].map(|s| s.outputs[o].0) {
                     Some(PortDomain::Race) => AbsDom::Race,
                     Some(PortDomain::Stream) => AbsDom::Stream,
                     _ => AbsDom::Bot,
@@ -217,7 +220,7 @@ fn domain_fixpoint(g: &Graph, sigs: &[Option<CellSignature>]) -> Vec<Vec<AbsDom>
         .collect();
 
     let follows: Vec<usize> = (0..n)
-        .filter(|&c| sigs[c].as_ref().is_some_and(is_passthrough))
+        .filter(|&c| specs[c].is_some_and(is_passthrough))
         .collect();
     loop {
         let mut changed = false;
@@ -260,7 +263,7 @@ fn port_count(g: &Graph, out_cnt: &[Vec<Count>], input_cap: Count, c: usize, por
 /// Forward fixpoint of per-output pulse-count bounds, widened to
 /// `Unbounded` on components updated more than [`WIDEN_AFTER`] times
 /// (only feedback loops re-update a component).
-fn count_fixpoint(g: &Graph, cfg: &LintConfig) -> Vec<Vec<Count>> {
+fn count_fixpoint(g: &Graph, specs: &[Option<&CellSpec>], cfg: &LintConfig) -> Vec<Vec<Count>> {
     let n = g.len();
     let input_cap = match cfg.epoch_pulse_capacity {
         Some(cap) => Count::Finite(cap),
@@ -275,7 +278,7 @@ fn count_fixpoint(g: &Graph, cfg: &LintConfig) -> Vec<Vec<Count>> {
         let ports: Vec<Count> = (0..g.drivers[c].len())
             .map(|p| port_count(g, &out_cnt, input_cap, c, p))
             .collect();
-        let mut outs = transfer(g.meta[c].kind, &ports, g.out_ports[c]);
+        let mut outs = transfer(specs[c], &ports, g.out_ports[c]);
         if bumps[c] > WIDEN_AFTER {
             outs = vec![Count::Unbounded; g.out_ports[c]];
         }
@@ -293,53 +296,48 @@ fn count_fixpoint(g: &Graph, cfg: &LintConfig) -> Vec<Vec<Count>> {
     out_cnt
 }
 
-/// Per-kind count transfer under hazard-free semantics. `ports` holds
-/// the summed bound arriving at each input port.
-fn transfer(kind: &str, ports: &[Count], n_out: usize) -> Vec<Count> {
+/// Count transfer under hazard-free semantics: each output's bound is
+/// its row's [`PulseBound`] evaluated on `ports`, the summed bound
+/// arriving at each input port.
+fn transfer(spec: Option<&CellSpec>, ports: &[Count], n_out: usize) -> Vec<Count> {
     let total = ports.iter().fold(Count::ZERO, |a, &b| a.add(b));
     // No pulse ever arrives: the cell is never activated and cannot
     // emit, whatever its kind.
     if total.is_zero() {
         return vec![Count::ZERO; n_out];
     }
+    // Cells no row describes: conservatively unbounded.
+    let Some(spec) = spec else {
+        return vec![Count::Unbounded; n_out];
+    };
     let p = |i: usize| ports.get(i).copied().unwrap_or(Count::ZERO);
-    match (kind, ports.len()) {
-        ("jtl" | "buffer" | "splitter", 1) => vec![p(0); n_out],
-        ("merger" | "mux", 2) => vec![total; n_out],
-        ("demux", 2) => vec![p(0); n_out],
-        ("dff", 2) => vec![p(1)],
-        ("dff2", 3) => vec![p(1), p(2)],
-        ("ndro", 3) => vec![p(2)],
-        ("tff", 1) => vec![p(0).halve_down()],
-        ("tff2", 1) => vec![p(0).halve_up(), p(0).halve_down()],
-        // Emits at most one complement pulse per clock pulse.
-        ("inverter", 2) => vec![p(1)],
-        // One winner per race; a reset re-arms for one more.
-        ("fa", 3) => vec![p(0).add(p(1)).min(Count::Finite(1).add(p(2)))],
-        ("la", 3) => vec![p(0).min(p(1)).min(Count::Finite(1).add(p(2)))],
-        ("inhibit", 3) => vec![p(0).min(Count::Finite(1).add(p(2)))],
-        // Each output carries at most half the arriving pulses,
-        // rounded up (the balancer splits evenly).
-        ("balancer" | "routing-unit", 2) => vec![total.halve_up(); n_out],
-        // One race pulse per epoch marker.
-        ("integrator", 2) => vec![p(1)],
-        ("integrator", 1) => vec![p(0)],
-        // Unknown cell kinds: conservatively unbounded.
-        _ => vec![Count::Unbounded; n_out],
-    }
+    let one_more = Count::Finite(1).add(p(2));
+    spec.outputs
+        .iter()
+        .map(|&(_, rule)| match rule {
+            PulseBound::Port(i) => p(i),
+            PulseBound::Sum => total,
+            PulseBound::HalfDown => p(0).halve_down(),
+            PulseBound::HalfUp => p(0).halve_up(),
+            PulseBound::HalfSum => total.halve_up(),
+            PulseBound::FaMin => p(0).add(p(1)).min(one_more),
+            PulseBound::LaMin => p(0).min(p(1)).min(one_more),
+            PulseBound::InhibitMin => p(0).min(one_more),
+        })
+        .collect()
 }
 
 /// `USFQ011` — concrete produced domain disagrees with the concrete
 /// required domain at a consumer port.
 fn check_domain_mismatch(
     g: &Graph,
-    sigs: &[Option<CellSignature>],
+    specs: &[Option<&CellSpec>],
     out_dom: &[Vec<AbsDom>],
     diags: &mut Vec<Diagnostic>,
 ) {
-    for (c, sig) in sigs.iter().enumerate() {
+    for (c, &spec) in specs.iter().enumerate() {
         for port in 0..g.drivers[c].len() {
-            let Some(required) = required_domain(sig.as_ref(), port) else {
+            let Some(required) = required_domain(spec, port) else {
                 continue;
             };
             for d in &g.drivers[c][port] {
@@ -496,7 +494,7 @@ fn check_unconsumed_outputs(g: &Graph, reachable: &[bool], diags: &mut Vec<Diagn
 /// represented inside the epoch.
 fn check_race_past_epoch(
     g: &Graph,
-    sigs: &[Option<CellSignature>],
+    specs: &[Option<&CellSpec>],
     timing: &TimingResult,
     cfg: &LintConfig,
     diags: &mut Vec<Diagnostic>,
@@ -504,9 +502,9 @@ fn check_race_past_epoch(
     let Some(epoch_end) = cfg.rl_epoch_end else {
         return;
     };
-    for (c, sig) in sigs.iter().enumerate() {
+    for (c, &spec) in specs.iter().enumerate() {
         for port in 0..g.drivers[c].len() {
-            if required_domain(sig.as_ref(), port) != Some(PortDomain::Race) {
+            if required_domain(spec, port) != Some(PortDomain::Race) {
                 continue;
             }
             let Some(window) = timing.port_windows[c][port] else {
@@ -533,11 +531,7 @@ fn check_race_past_epoch(
 /// `USFQ016` — a stateful cell's output reaches, through passthrough
 /// interconnect, input ports requiring *both* concrete domains: its
 /// internal state couples consumers that disagree on the encoding.
-fn check_conflicting_fanout(
-    g: &Graph,
-    sigs: &[Option<CellSignature>],
-    diags: &mut Vec<Diagnostic>,
-) {
+fn check_conflicting_fanout(g: &Graph, specs: &[Option<&CellSpec>], diags: &mut Vec<Diagnostic>) {
     // Invert `drivers` into a per-output consumer list.
     let mut consumers: Vec<Vec<Vec<(usize, usize)>>> = (0..g.len())
         .map(|c| vec![Vec::new(); g.out_ports[c]])
@@ -553,8 +547,8 @@ fn check_conflicting_fanout(
     }
 
     for c in 0..g.len() {
-        let Some(sig) = sigs[c] else { continue };
-        if !sig.stateful {
+        let Some(spec) = specs[c] else { continue };
+        if !spec.stateful {
             continue;
         }
         for o in 0..g.out_ports[c] {
@@ -563,12 +557,12 @@ fn check_conflicting_fanout(
             let mut visited = vec![(c, o)];
             while let Some((src, sp)) = stack.pop() {
                 for &(dst, dport) in &consumers[src][sp] {
-                    match required_domain(sigs[dst].as_ref(), dport) {
+                    match required_domain(specs[dst], dport) {
                         Some(PortDomain::Race) => wants_race = true,
                         Some(PortDomain::Stream) => wants_stream = true,
                         _ => {}
                     }
-                    if sigs[dst].as_ref().is_some_and(is_passthrough) {
+                    if specs[dst].is_some_and(is_passthrough) {
                         for next_out in 0..g.out_ports[dst] {
                             if !visited.contains(&(dst, next_out)) {
                                 visited.push((dst, next_out));

@@ -3,7 +3,7 @@
 
 use usfq_cells::{Balancer, Dff, FirstArrival, Jtl, Merger, Ndro, Splitter, Tff};
 use usfq_lint::{lint, lint_netlist, probe_windows, Code, LintConfig, Severity};
-use usfq_sim::component::{Component, Ctx, StaticMeta};
+use usfq_sim::component::{Buffer, Component, Ctx, StaticMeta};
 use usfq_sim::{Circuit, Time};
 
 fn ps(v: f64) -> Time {
@@ -291,6 +291,52 @@ fn usfq009_fires_on_jj_catalog_mismatch() {
         .find(|d| d.code == Code::JjMismatch)
         .unwrap();
     assert!(diag.message.contains("99"));
+}
+
+/// A cell that borrows the `tff` kind string but declares two outputs,
+/// so its kind and port counts match no catalog row.
+#[derive(Clone)]
+struct TwoOutputTff;
+
+impl Component for TwoOutputTff {
+    fn name(&self) -> &'static str {
+        "odd_tff"
+    }
+    fn num_inputs(&self) -> usize {
+        1
+    }
+    fn num_outputs(&self) -> usize {
+        2
+    }
+    fn jj_count(&self) -> u32 {
+        99
+    }
+    fn on_pulse(&mut self, _port: usize, _now: Time, ctx: &mut Ctx) {
+        ctx.emit(1, Time::ZERO);
+    }
+    fn static_meta(&self) -> StaticMeta {
+        StaticMeta::new("tff", Time::ZERO)
+    }
+}
+
+#[test]
+fn catalog_kind_with_other_port_counts_is_unknown() {
+    let mut c = Circuit::new();
+    let input = c.input("in");
+    let odd = c.add(TwoOutputTff);
+    let buf = c.add(Buffer::new("buf", ps(3.0)));
+    c.connect_input(input, odd.input(0), Time::ZERO).unwrap();
+    c.connect(odd.output(1), buf.input(0), Time::ZERO).unwrap();
+    c.probe(buf.output(0), "out");
+
+    let config = LintConfig {
+        epoch_pulse_capacity: Some(4),
+        ..LintConfig::default()
+    };
+    let report = lint(&c, "odd-tff", &config);
+    // An unknown cell gets no JJ check and no domain or count facts.
+    assert!(!report.has(Code::JjMismatch));
+    assert!(!report.has_errors(), "{}", report.render_text());
 }
 
 #[test]

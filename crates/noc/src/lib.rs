@@ -22,7 +22,7 @@
 //!   count, scheduled by [`usfq_encoding::PulseStream::schedule_from`];
 //!   decoding is counting inside a delivery window.
 //! * [`traffic`] — seeded uniform / permutation / hotspot generators.
-//! * [`plan`] — the temporal arbiter: partitions flows into rounds
+//! * [`plan`](mod@plan) — the temporal arbiter: partitions flows into rounds
 //!   (compatible crossbar settings) and sub-slots (disjoint path
 //!   resources), emits SEL toggles and flit trains, and derives the
 //!   per-flow delivery windows. Loss-free by construction.

@@ -35,7 +35,7 @@
 //! All internal arithmetic widens to `u128` (a division drops back to
 //! 64 bits when its numerator fits); a result that does not fit
 //! the engine's femtosecond `u64` clock panics, mirroring
-//! [`Time`](crate::time::Time)'s own arithmetic. Checked variants are
+//! [`Time`]'s own arithmetic. Checked variants are
 //! provided where the engine needs an error instead.
 
 use crate::time::Time;

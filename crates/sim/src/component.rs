@@ -428,8 +428,8 @@ impl Component for Buffer {
         BurstStep::Consumed
     }
     fn static_meta(&self) -> StaticMeta {
-        // The JJ count is caller-chosen, so "buffer" is deliberately
-        // absent from the catalog's kind table.
+        // The JJ count is caller-chosen, so the catalog's "buffer" row
+        // deliberately carries none.
         StaticMeta::new("buffer", self.delay)
     }
 }

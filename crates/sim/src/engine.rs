@@ -986,7 +986,7 @@ impl Simulator {
     /// expansion: jittered trains travel as bounded envelopes
     /// ([`Burst::widened`]) and materialize their exact per-pulse
     /// perturbations lazily through the provenance trail (see
-    /// [`TrailHop`]), staying byte-identical to the pulse engine.
+    /// `TrailHop`), staying byte-identical to the pulse engine.
     /// Probes on the way store the train symbolically too: counting
     /// its pulses costs nothing, and only a read of the probe's times
     /// expands it.

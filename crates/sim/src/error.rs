@@ -27,7 +27,7 @@ pub enum SimError {
     /// An output drives more than one sink without a splitter tree.
     ///
     /// SFQ pulses cannot fan out passively: every output must drive
-    /// exactly one sink, with explicit [`Splitter`] cells providing
+    /// exactly one sink, with explicit `Splitter` cells providing
     /// fanout (see `usfq_cells::interconnect`).
     FanoutViolation {
         /// Name of the offending component, or the external input name.

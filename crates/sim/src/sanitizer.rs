@@ -2,7 +2,7 @@
 //!
 //! When enabled on a [`Simulator`](crate::Simulator), every *delivered*
 //! pulse is checked against the receiving cell's declared
-//! [`StaticMeta`](crate::component::StaticMeta) — the same hazard and
+//! [`StaticMeta`] — the same hazard and
 //! counting-capacity declarations the `usfq-lint` static analyzer
 //! consumes. Violations are recorded as structured [`Violation`]s, never
 //! panics, and the simulation itself is *not* perturbed: the sanitizer
