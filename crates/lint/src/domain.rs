@@ -162,13 +162,14 @@ pub(crate) fn analyze(
 ) {
     let specs = specs(g);
     let reachable = g.reachable_from_inputs();
+    let input_cap = input_count(cfg);
 
     let out_dom = domain_fixpoint(g, &specs);
-    let out_cnt = count_fixpoint(g, &specs, cfg);
+    let out_cnt = count_fixpoint(g, &specs, input_cap);
 
     check_domain_mismatch(g, &specs, &out_dom, diags);
-    check_count_overflow(g, cfg, &out_cnt, diags);
-    check_dead_cells(g, cfg, &reachable, &out_cnt, diags);
+    check_count_overflow(g, input_cap, &out_cnt, diags);
+    check_dead_cells(g, input_cap, &reachable, &out_cnt, diags);
     check_unconsumed_outputs(g, &reachable, diags);
     check_race_past_epoch(g, &specs, timing, cfg, diags);
     check_conflicting_fanout(g, &specs, diags);
@@ -248,6 +249,13 @@ fn domain_fixpoint(g: &Graph, specs: &[Option<&CellSpec>]) -> Vec<Vec<AbsDom>> {
     }
 }
 
+/// The count bound each external input delivers per epoch: the
+/// configured epoch capacity, or unbounded without one.
+fn input_count(cfg: &LintConfig) -> Count {
+    cfg.epoch_pulse_capacity
+        .map_or(Count::Unbounded, Count::Finite)
+}
+
 /// Sum of count bounds arriving at one input port.
 fn port_count(g: &Graph, out_cnt: &[Vec<Count>], input_cap: Count, c: usize, port: usize) -> Count {
     let mut total = Count::ZERO;
@@ -263,12 +271,8 @@ fn port_count(g: &Graph, out_cnt: &[Vec<Count>], input_cap: Count, c: usize, por
 /// Forward fixpoint of per-output pulse-count bounds, widened to
 /// `Unbounded` on components updated more than [`WIDEN_AFTER`] times
 /// (only feedback loops re-update a component).
-fn count_fixpoint(g: &Graph, specs: &[Option<&CellSpec>], cfg: &LintConfig) -> Vec<Vec<Count>> {
+fn count_fixpoint(g: &Graph, specs: &[Option<&CellSpec>], input_cap: Count) -> Vec<Vec<Count>> {
     let n = g.len();
-    let input_cap = match cfg.epoch_pulse_capacity {
-        Some(cap) => Count::Finite(cap),
-        None => Count::Unbounded,
-    };
     let mut out_cnt: Vec<Vec<Count>> = (0..n).map(|c| vec![Count::ZERO; g.out_ports[c]]).collect();
     let mut bumps = vec![0u32; n];
     let mut queue: Vec<usize> = (0..n).collect();
@@ -377,14 +381,10 @@ fn check_domain_mismatch(
 /// bound is a cycle artifact, not a proof of overflow.
 fn check_count_overflow(
     g: &Graph,
-    cfg: &LintConfig,
+    input_cap: Count,
     out_cnt: &[Vec<Count>],
     diags: &mut Vec<Diagnostic>,
 ) {
-    let input_cap = match cfg.epoch_pulse_capacity {
-        Some(cap) => Count::Finite(cap),
-        None => Count::Unbounded,
-    };
     for c in 0..g.len() {
         let Some(capacity) = g.meta[c].counting_capacity else {
             continue;
@@ -416,15 +416,11 @@ fn check_count_overflow(
 /// wiring gap, not a dataflow fact.
 fn check_dead_cells(
     g: &Graph,
-    cfg: &LintConfig,
+    input_cap: Count,
     reachable: &[bool],
     out_cnt: &[Vec<Count>],
     diags: &mut Vec<Diagnostic>,
 ) {
-    let input_cap = match cfg.epoch_pulse_capacity {
-        Some(cap) => Count::Finite(cap),
-        None => Count::Unbounded,
-    };
     for c in 0..g.len() {
         if !reachable[c] || g.out_ports[c] == 0 {
             continue;
@@ -436,6 +432,8 @@ fn check_dead_cells(
         if !dead {
             continue;
         }
+        // Re-summed only for the few dead cells: keeping the
+        // fixpoint's per-port sums for every cell would cost more.
         let arriving = (0..g.drivers[c].len())
             .map(|p| port_count(g, out_cnt, input_cap, c, p))
             .fold(Count::ZERO, Count::add);

@@ -354,19 +354,32 @@ impl Burst {
         Time::from_fs(u64::try_from(g).unwrap_or(u64::MAX))
     }
 
-    /// Number of leading pulses with `t_k <= deadline`.
+    /// Number of leading pulses with `t_k <= deadline`, in closed form.
+    ///
+    /// With `q = ⌊(deadline − base) / scale⌋`, pulse `k` is due iff its
+    /// quotient `⌊(phase + k·num) / den⌋` is at most `q`, that is iff
+    /// `k·num < (q + 1)·den − phase`; so the count is
+    /// `⌈((q + 1)·den − phase) / num⌉`, clamped to `count`. The clamp is
+    /// tested first, without a division, and keeps the numerator within
+    /// the train's own `phase + (count − 1)·num`, so both divisions are
+    /// 64-bit whenever the train's own times are computed in 64 bits.
     pub fn count_at_or_before(&self, deadline: Time) -> u64 {
-        // Times are non-decreasing in k: binary search the partition.
-        let (mut lo, mut hi) = (0u64, self.count);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.raw_time_at(mid) <= deadline.as_fs() as u128 {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
+        let Some(d) = deadline.as_fs().checked_sub(self.base.as_fs()) else {
+            return 0;
+        };
+        if self.scale == 0 || self.num == 0 || self.count == 0 {
+            // Every pulse sits at `base` (`phase < den`).
+            return self.count;
         }
-        lo
+        let q = d / self.scale;
+        let bound = (u128::from(q) + 1) * u128::from(self.den) - u128::from(self.phase);
+        // `⌈bound / num⌉ >= count` iff the last pulse is due.
+        if bound > u128::from(self.count - 1) * u128::from(self.num) {
+            return self.count;
+        }
+        let (k, rem) = div_rem(bound, self.num);
+        // `k < count` by the clamp, so the narrowing is exact.
+        k as u64 + u64::from(rem != 0)
     }
 
     /// The pulse times, expanded. Intended for scheduling fallbacks,
@@ -556,6 +569,12 @@ mod tests {
         assert_eq!(got, want);
     }
 
+    /// The closed-form prefix counts are the partition points of a
+    /// linear scan: on one fixed train, then on random trains with zero
+    /// scale or numerator, a nonzero phase, denominators up to 2^40,
+    /// numerators past `u64::MAX` and jitter envelopes, at deadlines
+    /// before the train, one femtosecond either side of and on each
+    /// nominal and worst-case time, and at the end of the clock.
     #[test]
     fn count_at_or_before_is_the_partition_point() {
         let b = Burst::rational(Time::ZERO, 1, 1, 10, 3, 12);
@@ -566,6 +585,51 @@ mod tests {
             assert_eq!(b.count_at_or_before(deadline), naive, "deadline {fs}");
         }
         assert_eq!(b.count_at_or_before(Time::MAX), 12);
+        for_all(512, |rng| {
+            let (num, den) = match rng.gen_range(0u32..4) {
+                0 => (0, rng.gen_range(1u64..100)),
+                1 => (rng.gen_range(1u64..100_000), rng.gen_range(1u64..100_000)),
+                2 => (rng.gen_range(1u64..1 << 40), rng.gen_range(1u64..=1 << 40)),
+                // Numerators past `u64::MAX` within five pulses.
+                _ => (
+                    rng.gen_range(1u64 << 62..1 << 63),
+                    rng.gen_range(1u64 << 39..=1 << 40),
+                ),
+            };
+            let scale = [0, 1, rng.gen_range(1u64..1_000)][rng.gen_range(0usize..3)];
+            let base = rng.gen_range(0u64..1 << 40);
+            let b = Burst::rational(
+                Time::from_fs(base),
+                scale,
+                rng.gen_range(0u64..den),
+                num,
+                den,
+                rng.gen_range(0u64..60),
+            )
+            .widened(
+                0,
+                [0, rng.gen_range(1u64..10_000)][rng.gen_range(0usize..2)],
+            );
+            let raw: Vec<u128> = (0..b.count()).map(|k| b.raw_time_at(k)).collect();
+            let scan =
+                |d: u128, hi: u64| raw.iter().filter(|&&t| t + u128::from(hi) <= d).count() as u64;
+            let mut deadlines = vec![0, base.saturating_sub(1), base, u64::MAX];
+            for &t in &raw {
+                let latest = u64::try_from(t).unwrap() + b.env_hi();
+                for d in [t as u64, latest] {
+                    deadlines.extend([d.saturating_sub(1), d, d.saturating_add(1)]);
+                }
+            }
+            for d in deadlines {
+                let at = Time::from_fs(d);
+                assert_eq!(b.count_at_or_before(at), scan(d.into(), 0), "{b:?} at {d}");
+                assert_eq!(
+                    b.count_latest_at_or_before(at),
+                    scan(d.into(), b.env_hi()),
+                    "{b:?} latest at {d}"
+                );
+            }
+        });
     }
 
     #[test]

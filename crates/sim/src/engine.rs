@@ -480,6 +480,26 @@ fn exact_arrival(
     jm.arrival(key, Time::from_fs(emit_fs), delay)
 }
 
+/// How many leading pulses of a queued train sort strictly before the
+/// next queued event `next`. Pulse `k` is keyed
+/// `(t_k + env_hi, seq0 + k·stride)`: its worst-case latest time, then
+/// its sequence number. With `a` the pulses due before `next.time`, `b`
+/// those due at or before it and `c` those numbered below `next.seq`,
+/// the count is `max(a, min(b, c))`: two closed-form prefix counts and
+/// one division, with no search. Exact for every pulse whose worst-case
+/// time fits the clock, which is every pulse under `deliver_burst`'s
+/// deadline bound.
+fn keys_before(burst: &Burst, seq0: u64, stride: u64, next: Event) -> u64 {
+    let a = next
+        .time
+        .as_fs()
+        .checked_sub(1)
+        .map_or(0, |t| burst.count_latest_at_or_before(Time::from_fs(t)));
+    let b = burst.count_latest_at_or_before(next.time);
+    let c = next.seq.saturating_sub(seq0).div_ceil(stride);
+    a.max(b.min(c))
+}
+
 /// A train recorded at a probe and not yet expanded: the train as
 /// emitted onto the probed net, plus, for a jittered train, the jitter
 /// model and the trail its pulses crossed to reach the emitter.
@@ -487,6 +507,9 @@ fn exact_arrival(
 struct PendingTrain {
     burst: Burst,
     jitter: Option<(JitterModel, Box<[TrailHop]>)>,
+    /// The probe's `times.len()` when the train was recorded: its
+    /// pulses come after `times[..at]` and before `times[at..]`.
+    at: usize,
 }
 
 impl PendingTrain {
@@ -500,25 +523,42 @@ impl PendingTrain {
     }
 }
 
+/// Appends the loose pulses `loose`, which start at loose-pulse index
+/// `skip`, to `out`, with each of `trains` expanded at its place: a
+/// train stored at `at` goes before `loose[at - skip]`.
+fn merge_recording(out: &mut Vec<Time>, loose: &[Time], skip: usize, trains: &[PendingTrain]) {
+    let mut from = 0;
+    for p in trains {
+        let at = p.at - skip;
+        out.extend_from_slice(&loose[from..at]);
+        from = at;
+        p.expand_into(out);
+    }
+    out.extend_from_slice(&loose[from..]);
+}
+
 /// One probe's recording. Pulses land in `times` as they are emitted;
-/// trains are stored symbolically in `pending`, so counting them is
-/// `O(1)` and only a read of the times pays for the expansion.
+/// trains are stored symbolically in `pending`, each with its place
+/// among the pulses, so recording and counting either is `O(1)` and
+/// only a read of the times pays for the expansion.
 ///
 /// Invariant: `expanded` is only ever filled while `pending` is
-/// non-empty, so a probe without pending trains reads `times`
-/// directly and the pulse path needs a single `is_empty` check
-/// (`times_mut`).
+/// non-empty. A read without pending trains returns `times` itself;
+/// any other read merges both into `expanded` once. The next recording
+/// takes a filled `expanded` over as `times`, emptying `pending`
+/// (`take_expansion`), so the pulse path pays one check before its
+/// push (`push`).
 #[derive(Debug, Default)]
 struct ProbeRec {
-    /// Times expanded so far, in recording order.
+    /// Loose pulses, in recording order.
     times: Vec<Time>,
-    /// Trains recorded after `times`, in order.
+    /// Stored trains, in recording order.
     pending: Vec<PendingTrain>,
     /// Pulses in `pending`.
     pending_pulses: usize,
-    /// `times` followed by every pending train's times, filled by the
-    /// first read after a train was recorded and taken over by the
-    /// next recording.
+    /// `times` with every pending train merged in at its place, filled
+    /// by the first read after a train was recorded and taken over by
+    /// the next recording.
     expanded: OnceLock<Vec<Time>>,
 }
 
@@ -527,7 +567,7 @@ impl ProbeRec {
         self.times.len() + self.pending_pulses
     }
 
-    /// Every recorded time, expanding the pending trains on the first
+    /// Every recorded time, merging the pending trains in on the first
     /// read after they were recorded.
     fn times(&self) -> &[Time] {
         if self.pending.is_empty() {
@@ -535,41 +575,45 @@ impl ProbeRec {
         }
         self.expanded.get_or_init(|| {
             let mut out = Vec::with_capacity(self.count());
-            out.extend_from_slice(&self.times);
-            for p in &self.pending {
-                p.expand_into(&mut out);
-            }
+            merge_recording(&mut out, &self.times, 0, &self.pending);
             out
         })
     }
 
-    /// The expanded recording, for appending to or rereading: pending
-    /// trains move into it first.
+    /// Records a pulse. Stored trains stay stored.
     #[inline]
-    fn times_mut(&mut self) -> &mut Vec<Time> {
-        if !self.pending.is_empty() {
-            self.flush();
+    fn push(&mut self, t: Time) {
+        if self.expanded.get().is_some() {
+            self.take_expansion();
         }
-        &mut self.times
+        self.times.push(t);
     }
 
-    /// Moves the pending trains into `times`, reusing a read's
-    /// expansion when there is one.
+    /// Takes a read's merged recording over as `times`, emptying
+    /// `pending`.
     #[cold]
     #[inline(never)]
-    fn flush(&mut self) {
+    fn take_expansion(&mut self) {
         if let Some(all) = self.expanded.take() {
             self.times = all;
-        } else {
-            // One slot more than the trains take: most flushes come
-            // from the pulse path, which pushes right after.
-            self.times.reserve(self.pending_pulses + 1);
-            for p in &self.pending {
-                p.expand_into(&mut self.times);
-            }
+            self.pending.clear();
+            self.pending_pulses = 0;
         }
-        self.pending.clear();
-        self.pending_pulses = 0;
+    }
+
+    /// Every recorded time, with the pending trains merged into `times`
+    /// itself: only the pulses from the first pending train on move.
+    fn flushed(&mut self) -> &[Time] {
+        self.take_expansion();
+        if let Some(first) = self.pending.first() {
+            let skip = first.at;
+            let loose = self.times.split_off(skip);
+            self.times.reserve(loose.len() + self.pending_pulses);
+            merge_recording(&mut self.times, &loose, skip, &self.pending);
+            self.pending.clear();
+            self.pending_pulses = 0;
+        }
+        &self.times
     }
 
     /// Records a train emitted onto the probed net: `parent_trail` is
@@ -580,7 +624,7 @@ impl ProbeRec {
             return;
         }
         if self.expanded.get().is_some() {
-            self.flush();
+            self.take_expansion();
         }
         let jitter = if parent_trail.is_empty() {
             None
@@ -589,7 +633,11 @@ impl ProbeRec {
             Some((jm, parent_trail.into()))
         };
         self.pending_pulses += usize::try_from(b.count()).expect("burst count fits usize");
-        self.pending.push(PendingTrain { burst: b, jitter });
+        self.pending.push(PendingTrain {
+            burst: b,
+            jitter,
+            at: self.times.len(),
+        });
     }
 
     /// Empties the recording. A read's expansion is the longer
@@ -1108,7 +1156,7 @@ impl Simulator {
     /// popped exact train `ev` does not sort before the next queued
     /// event, only its head is due: the one-pulse prefix that
     /// [`Simulator::deliver_burst`] would cut, found without its slab
-    /// trail take, lookahead fetch and binary searches. Advances the
+    /// trail take, lookahead fetch and prefix bounds. Advances the
     /// train's slab record past the head and returns the head with the
     /// rest's queue event, keyed by the second pulse's `(time, seq)`.
     /// `None` leaves the train to `deliver_burst`: jittered and
@@ -1176,7 +1224,11 @@ impl Simulator {
     /// equivalent to `m` individual deliveries. Jittered trains use
     /// their worst-case envelope bounds for (a) and (c), so an
     /// absorbed prefix is safe for *every* materialization of the
-    /// envelope. Only the head pulse is delivered, and returned to the
+    /// envelope. Bounds (a), (c) and (d) are closed forms over the
+    /// train's rational times ([`Burst::count_latest_at_or_before`],
+    /// `keys_before`), a few 64-bit divisions per train whose own
+    /// times fit 64 bits, so no bound searches the train. Only the
+    /// head pulse is delivered, and returned to the
     /// event loop to take the exact pulse path, when
     ///
     /// - the safe prefix is a single pulse: a closed-form step buys
@@ -1237,20 +1289,7 @@ impl Simulator {
             // the budget is at least one.
             m = m.min(self.event_limit - self.events_processed);
             if let Some(next) = self.queue.peek() {
-                // Largest prefix whose worst-case keys sort strictly
-                // before the next event's key.
-                let (mut lo, mut hi) = (0u64, m);
-                while lo < hi {
-                    let mid = lo + (hi - lo) / 2;
-                    let t =
-                        Time::from_fs(burst.time_at(mid).as_fs().saturating_add(burst.env_hi()));
-                    if (t, ev.seq + mid * stride) < (next.time, next.seq) {
-                        lo = mid + 1;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                m = lo;
+                m = m.min(keys_before(&burst, ev.seq, stride, next));
             }
             // For exact trains the head pulse carries the popped
             // event's own key — the queue minimum — so it is always
@@ -1732,7 +1771,7 @@ impl Simulator {
         // re-lookup is needed to satisfy the borrow checker.
         let net = self.nets.net(source);
         for &probe in &self.nets.probes[net.probes_start as usize..net.probes_end as usize] {
-            self.probe_data[probe as usize].times_mut().push(t);
+            self.probe_data[probe as usize].push(t);
         }
         let wires = &self.nets.wires[net.wires_start as usize..net.wires_end as usize];
         // Allocate sequence numbers for the whole net in one batch.
@@ -1786,9 +1825,12 @@ impl Simulator {
 
     /// Pulse times recorded by a probe, in non-decreasing order.
     ///
-    /// Probes store coalesced trains symbolically, so the first read
-    /// after a train was recorded expands it, in `O(pulses × hops)`
-    /// for a jittered train; later reads return the cached times.
+    /// Probes store coalesced trains symbolically, each at its place
+    /// among the loose pulses, and a pulse recorded behind a stored
+    /// train leaves it stored. The first read after a train was
+    /// recorded merges the stored trains and the pulses around them
+    /// into one buffer, in `O(pulses × hops)` for a jittered train;
+    /// later reads return that buffer until the next recording.
     ///
     /// # Panics
     ///
@@ -1799,11 +1841,11 @@ impl Simulator {
 
     /// [`Simulator::probe_times`] for a reader that rereads a probe
     /// after every window, as the shard coordinator reads its egress
-    /// probes: the pending trains move into the recording itself, so
-    /// each window expands only what it recorded instead of copying
-    /// the whole recording into a read cache.
+    /// probes: the stored trains are merged into the recording itself,
+    /// so each window expands and moves only what it recorded instead
+    /// of copying the whole recording into a read cache.
     pub(crate) fn flushed_probe_times(&mut self, probe: ProbeId) -> &[Time] {
-        self.probe_data[probe.0].times_mut()
+        self.probe_data[probe.0].flushed()
     }
 
     /// Number of pulses a probe recorded, in `O(1)`: no train is
@@ -1859,7 +1901,8 @@ impl Simulator {
     /// trials of a sweep is allocation-free. A rerun still allocates
     /// where probes see trains: recording a jittered train copies its
     /// trail, and the first read of a probe's times after a train was
-    /// recorded expands them into a new buffer. Wire-delay jitter
+    /// recorded merges the stored trains and the loose pulses into a
+    /// new buffer. Wire-delay jitter
     /// settings are kept, and since every draw is a pure function of
     /// seed, wire and emission time, a reset simulator repeats a fresh
     /// one's jitter exactly.
@@ -2807,6 +2850,188 @@ mod tests {
                 "rerun, sigma {sigma_ps} ps"
             );
         }
+    }
+
+    /// A pulse recorded behind a stored train leaves it stored: the
+    /// probe keeps the 1,024-pulse train symbolic and pushes the pulse
+    /// behind it, and reads still equal the pulse run's through a
+    /// further read, pulse, train, read and reset.
+    #[test]
+    fn a_pulse_behind_a_stored_train_keeps_it_stored() {
+        let (c, input, p) = chain_fixture();
+        let period = Time::from_ps(10.0);
+        let train = Burst::uniform(Time::ZERO, period, 1_024);
+        let snap = |sim: &Simulator| (sim.probe_count(p), sim.probe_times(p).to_vec());
+        // The train, then a pulse behind it.
+        let first = |sim: &mut Simulator| {
+            sim.schedule_burst(input, train).unwrap();
+            sim.schedule_input(input, period * 2_000).unwrap();
+            sim.run().unwrap();
+        };
+        // Read, pulse, train, read.
+        let rest = |sim: &mut Simulator| {
+            let read = snap(sim);
+            sim.schedule_input(input, period * 3_000).unwrap();
+            sim.run().unwrap();
+            sim.schedule_burst(input, train.delayed(period * 4_000))
+                .unwrap();
+            sim.run().unwrap();
+            (read, snap(sim))
+        };
+        let mut pulses = sim_with(c.clone(), Sched::Heap, false);
+        first(&mut pulses);
+        let want = rest(&mut pulses);
+        assert_eq!((want.0 .0, want.1 .0), (1_025, 2_050));
+
+        let mut lazy = sim_with(c, Sched::Heap, true);
+        for round in 0..2 {
+            first(&mut lazy);
+            let rec = &lazy.probe_data[p.0];
+            assert_eq!(
+                (rec.pending.len(), rec.pending_pulses, rec.times.len()),
+                (1, 1_024, 1),
+                "round {round}: the train stays stored, the pulse goes behind it"
+            );
+            assert_eq!(lazy.probe_count(p), 1_025);
+            assert_eq!(rest(&mut lazy), want, "round {round}");
+            lazy.reset();
+            assert_eq!(snap(&lazy), (0, Vec::new()));
+        }
+    }
+
+    /// Random interleavings of pulses, exact and jittered trains, reads,
+    /// flushing reads and clears leave a probe's recording equal to a
+    /// flat list of the same times, each jittered pulse folded on its
+    /// own through its trail.
+    #[test]
+    fn probe_recordings_match_a_flat_list() {
+        crate::check::for_all(128, |rng| {
+            let jm = JitterModel::new(Time::from_fs(rng.gen_range(1u64..=2_000)), rng.next_u64());
+            let mut rec = ProbeRec::default();
+            let mut flat: Vec<Time> = Vec::new();
+            let mut now = 1_000_000u64;
+            for _ in 0..rng.gen_range(1usize..40) {
+                let gap = rng.gen_range(0u64..50_000);
+                match rng.gen_range(0u32..8) {
+                    0 | 1 => {
+                        now += gap;
+                        rec.push(Time::from_fs(now));
+                        flat.push(Time::from_fs(now));
+                    }
+                    2 | 3 => {
+                        let parent = Burst::rational(
+                            Time::from_fs(now + gap),
+                            rng.gen_range(0u64..3),
+                            rng.gen_range(0u64..100),
+                            rng.gen_range(0u64..20_000),
+                            rng.gen_range(1u64..100),
+                            rng.gen_range(0u64..60),
+                        );
+                        let b = parent
+                            .decimate(rng.gen_range(0u64..3), rng.gen_range(1u64..3))
+                            .delayed(Time::from_fs(rng.gen_range(0u64..5_000)));
+                        let trail: Vec<TrailHop> = if rng.gen_bool(0.5) {
+                            Vec::new()
+                        } else {
+                            (0..rng.gen_range(1u32..4))
+                                .map(|wire| TrailHop {
+                                    wire,
+                                    delay: Time::from_fs(rng.gen_range(0u64..3_000)),
+                                    burst: parent,
+                                    off: 0,
+                                    stride: 1,
+                                })
+                                .collect()
+                        };
+                        let (off, step) = b.src_map();
+                        for k in 0..b.count() {
+                            let acc = trail_offset_fs(&jm, &trail, off + k * step);
+                            let t = i128::from(b.time_at(k).as_fs()) + acc;
+                            flat.push(Time::from_fs(u64::try_from(t).unwrap()));
+                        }
+                        if b.count() > 0 {
+                            now = now.max(b.last().as_fs());
+                        }
+                        rec.record_train(b, &trail, Some(jm));
+                    }
+                    4 | 5 => assert_eq!(rec.times(), flat, "read"),
+                    6 => assert_eq!(rec.flushed(), flat, "flushing read"),
+                    _ => {
+                        rec.clear();
+                        flat.clear();
+                    }
+                }
+                assert_eq!(rec.count(), flat.len());
+            }
+            assert_eq!(rec.times(), flat);
+        });
+    }
+
+    /// The closed-form next-key bound of `deliver_burst` against the
+    /// binary search it replaced, on every prefix cap the deadline and
+    /// event budget can set. The next event sits at, between and around
+    /// the train's worst-case times, with sequence numbers on both
+    /// sides of the train's own, so equal times break on `seq`.
+    #[test]
+    fn keys_before_matches_the_binary_search() {
+        fn search(burst: &Burst, seq0: u64, stride: u64, m: u64, next: Event) -> u64 {
+            let (mut lo, mut hi) = (0u64, m);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                let t = Time::from_fs(burst.time_at(mid).as_fs().saturating_add(burst.env_hi()));
+                if (t, seq0 + mid * stride) < (next.time, next.seq) {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            lo
+        }
+        crate::check::for_all(512, |rng| {
+            let scale = [0, 1, rng.gen_range(1u64..1_000)][rng.gen_range(0usize..3)];
+            let num = [0, rng.gen_range(1u64..10), rng.gen_range(1u64..100_000)]
+                [rng.gen_range(0usize..3)];
+            let burst = Burst::rational(
+                Time::from_fs(rng.gen_range(0u64..1_000_000)),
+                scale,
+                rng.gen_range(0u64..1_000),
+                num,
+                rng.gen_range(1u64..1_000),
+                rng.gen_range(1u64..300),
+            )
+            .widened(0, [0, rng.gen_range(0u64..5_000)][rng.gen_range(0usize..2)]);
+            let seq0 = rng.gen_range(0u64..1_000);
+            let stride = rng.gen_range(1u64..4);
+            let k = rng.gen_range(0..burst.count());
+            let t_k = burst.time_at(k).as_fs() + burst.env_hi();
+            let time = match rng.gen_range(0u32..5) {
+                0 => t_k,
+                1 => t_k.saturating_sub(1),
+                2 => t_k + 1,
+                3 => rng.gen_range(0u64..2_000_000),
+                _ => u64::MAX,
+            };
+            let seq = match rng.gen_range(0u32..3) {
+                0 => seq0 + k * stride,
+                1 => rng.gen_range(0u64..seq0 + 1),
+                _ => seq0 + rng.gen_range(0u64..1_000),
+            };
+            let next = Event {
+                time: Time::from_fs(time),
+                seq,
+                kind: EventKind::Deliver { comp: 0, port: 0 },
+            };
+            let deadline = [Time::MAX, Time::from_fs(rng.gen_range(0u64..2_000_000))]
+                [rng.gen_range(0usize..2)];
+            let m = burst
+                .count_latest_at_or_before(deadline)
+                .min(rng.gen_range(1u64..400));
+            assert_eq!(
+                m.min(keys_before(&burst, seq0, stride, next)),
+                search(&burst, seq0, stride, m, next),
+                "{burst:?} seq0 {seq0} stride {stride} next ({time}, {seq}) m {m}"
+            );
+        });
     }
 
     /// A sanitized run is a pulse run. A long train through a
