@@ -18,7 +18,7 @@
 //!   output stage of two [`Dff2`]s read through splitters and merged.
 
 use usfq_sim::circuit::{Circuit, NodeRef, SinkRef};
-use usfq_sim::component::{BurstStep, Component, Ctx, Hazard, StaticMeta};
+use usfq_sim::component::{BurstStep, CellState, Component, Ctx, Hazard, StaticMeta};
 use usfq_sim::stats::StatKind;
 use usfq_sim::{Burst, SimError, Time};
 
@@ -27,15 +27,22 @@ use crate::interconnect::{Merger, Splitter};
 use crate::storage::Dff2;
 
 /// Behavioral 2:2 balancer.
+///
+/// Its state: bit 0 is the output the next routed pulse takes, bit 1
+/// the output the last pulse took, and time `p` the end of input `p`'s
+/// routing transition.
 #[derive(Debug, Clone)]
 pub struct Balancer {
     name: String,
-    next_out: usize,
-    last_route: usize,
-    transition_until: [Time; 2],
     t_bff: Time,
     delay: Time,
 }
+
+/// The balancer's state bit holding the output the next routed pulse
+/// takes.
+const NEXT: u32 = 0;
+/// The balancer's state bit holding the output the last pulse took.
+const LAST: u32 = 1;
 
 impl Balancer {
     /// First input port.
@@ -57,9 +64,6 @@ impl Balancer {
     pub fn with_transition(name: impl Into<String>, t_bff: Time) -> Self {
         Balancer {
             name: name.into(),
-            next_out: Self::OUT_Y1,
-            last_route: Self::OUT_Y2,
-            transition_until: [Time::ZERO; 2],
             t_bff,
             delay: catalog::t_ff(),
         }
@@ -84,7 +88,13 @@ impl Component for Balancer {
     fn switching_jjs(&self) -> f64 {
         15.0
     }
-    fn on_pulse(&mut self, port: usize, now: Time, ctx: &mut Ctx) {
+    /// The next pulse routes to Y1, as if the last went to Y2.
+    fn power_on(&self) -> CellState {
+        let mut state = CellState::default();
+        state.set_bit(LAST, true);
+        state
+    }
+    fn on_pulse(&self, state: &mut CellState, port: usize, now: Time, ctx: &mut Ctx) {
         // The A and B inputs drive *different* loops of the B-flip-flop,
         // so coincident pulses on different ports are the Mealy machine's
         // supported case (ii): both route, one to each output. The
@@ -93,20 +103,26 @@ impl Component for Balancer {
         // (paper §4.2 case iii) — the output stage still emits, routed
         // complementary to the previous pulse, but the state does not
         // advance, biasing the balancer over time.
-        if now < self.transition_until[port] {
-            let out = self.last_route ^ 1;
+        if now < state.time(port) {
+            let out = !state.bit(LAST);
             ctx.record(StatKind::BalancerTransitionHit);
-            ctx.emit(out, self.delay);
-            self.last_route = out;
+            ctx.emit(usize::from(out), self.delay);
+            state.set_bit(LAST, out);
         } else {
-            let out = self.next_out;
-            ctx.emit(out, self.delay);
-            self.last_route = out;
-            self.next_out ^= 1;
-            self.transition_until[port] = now + self.t_bff;
+            let out = state.bit(NEXT);
+            ctx.emit(usize::from(out), self.delay);
+            state.set_bit(LAST, out);
+            state.set_bit(NEXT, !out);
+            state.set_time(port, now + self.t_bff);
         }
     }
-    fn step_burst(&mut self, port: usize, burst: &Burst, ctx: &mut Ctx) -> BurstStep {
+    fn step_burst(
+        &self,
+        state: &mut CellState,
+        port: usize,
+        burst: &Burst,
+        ctx: &mut Ctx,
+    ) -> BurstStep {
         // Closed form for a clean same-port train: the steady state of
         // the Fig. 6c Mealy machine is plain alternation, so `k` pulses
         // split `⌈k/2⌉`/`⌊k/2⌋` across the outputs as decimated trains.
@@ -115,25 +131,21 @@ impl Component for Balancer {
         // so envelope (jittered) trains and trains that could hit the
         // window expand to pulse level instead.
         let spaced = burst.count() == 1 || burst.min_gap() >= self.t_bff;
-        if !burst.is_exact() || !spaced || burst.first() < self.transition_until[port] {
+        if !burst.is_exact() || !spaced || burst.first() < state.time(port) {
             return BurstStep::PulseByPulse;
         }
         // Pulse-index order across the two outputs is preserved by the
         // engine's padded round-robin seq allocation (even train first,
         // exactly like `Tff2`).
         let out = burst.delayed(self.delay);
-        ctx.emit_burst(self.next_out, out.decimate(0, 2));
-        ctx.emit_burst(self.next_out ^ 1, out.decimate(1, 2));
-        let count = burst.count();
-        self.last_route = self.next_out ^ usize::from(count % 2 == 0);
-        self.next_out ^= usize::from(count % 2 == 1);
-        self.transition_until[port] = burst.last() + self.t_bff;
+        let next = state.bit(NEXT);
+        ctx.emit_burst(usize::from(next), out.decimate(0, 2));
+        ctx.emit_burst(usize::from(!next), out.decimate(1, 2));
+        let odd = burst.count() % 2 == 1;
+        state.set_bit(LAST, next == odd);
+        state.set_bit(NEXT, next != odd);
+        state.set_time(port, burst.last() + self.t_bff);
         BurstStep::Consumed
-    }
-    fn reset(&mut self) {
-        self.next_out = Self::OUT_Y1;
-        self.last_route = Self::OUT_Y2;
-        self.transition_until = [Time::ZERO; 2];
     }
     fn static_meta(&self) -> StaticMeta {
         StaticMeta::new("balancer", self.delay)
@@ -182,11 +194,11 @@ impl Component for RoutingUnit {
     fn jj_count(&self) -> u32 {
         catalog::JJ_ROUTING_UNIT
     }
-    fn on_pulse(&mut self, port: usize, now: Time, ctx: &mut Ctx) {
-        self.inner.on_pulse(port, now, ctx);
+    fn power_on(&self) -> CellState {
+        self.inner.power_on()
     }
-    fn reset(&mut self) {
-        self.inner.reset();
+    fn on_pulse(&self, state: &mut CellState, port: usize, now: Time, ctx: &mut Ctx) {
+        self.inner.on_pulse(state, port, now, ctx);
     }
     fn static_meta(&self) -> StaticMeta {
         let inner = self.inner.static_meta();
@@ -419,13 +431,14 @@ mod tests {
 
     #[test]
     fn balancer_reset() {
-        let mut bal = Balancer::new("b");
+        let bal = Balancer::new("b");
+        let mut state = bal.power_on();
         let mut ctx = Ctx::default();
-        bal.on_pulse(Balancer::IN_A, Time::from_ps(100.0), &mut ctx);
+        bal.on_pulse(&mut state, Balancer::IN_A, Time::from_ps(100.0), &mut ctx);
         assert_eq!(ctx.emissions()[0].0, Balancer::OUT_Y1);
-        bal.reset();
+        state = bal.power_on();
         let mut ctx2 = Ctx::default();
-        bal.on_pulse(Balancer::IN_A, Time::from_ps(200.0), &mut ctx2);
+        bal.on_pulse(&mut state, Balancer::IN_A, Time::from_ps(200.0), &mut ctx2);
         assert_eq!(ctx2.emissions()[0].0, Balancer::OUT_Y1);
     }
 

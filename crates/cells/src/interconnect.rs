@@ -1,7 +1,7 @@
 //! Stateless interconnect cells: JTL, splitter, and merger.
 
 use usfq_sim::circuit::{NodeRef, SinkRef};
-use usfq_sim::component::{BurstStep, Component, Ctx, Hazard, StaticMeta};
+use usfq_sim::component::{BurstStep, CellState, Component, Ctx, Hazard, StaticMeta};
 use usfq_sim::stats::StatKind;
 use usfq_sim::{Burst, Circuit, SimError, Time};
 
@@ -54,10 +54,16 @@ impl Component for Jtl {
     fn switching_jjs(&self) -> f64 {
         f64::from(catalog::JJ_JTL)
     }
-    fn on_pulse(&mut self, _port: usize, _now: Time, ctx: &mut Ctx) {
+    fn on_pulse(&self, _state: &mut CellState, _port: usize, _now: Time, ctx: &mut Ctx) {
         ctx.emit(Self::OUT, self.delay);
     }
-    fn step_burst(&mut self, _port: usize, burst: &Burst, ctx: &mut Ctx) -> BurstStep {
+    fn step_burst(
+        &self,
+        _state: &mut CellState,
+        _port: usize,
+        burst: &Burst,
+        ctx: &mut Ctx,
+    ) -> BurstStep {
         ctx.emit_burst(Self::OUT, burst.delayed(self.delay));
         BurstStep::Consumed
     }
@@ -109,11 +115,17 @@ impl Component for Splitter {
     fn switching_jjs(&self) -> f64 {
         1.0
     }
-    fn on_pulse(&mut self, _port: usize, _now: Time, ctx: &mut Ctx) {
+    fn on_pulse(&self, _state: &mut CellState, _port: usize, _now: Time, ctx: &mut Ctx) {
         ctx.emit(Self::OUT_A, self.delay);
         ctx.emit(Self::OUT_B, self.delay);
     }
-    fn step_burst(&mut self, _port: usize, burst: &Burst, ctx: &mut Ctx) -> BurstStep {
+    fn step_burst(
+        &self,
+        _state: &mut CellState,
+        _port: usize,
+        burst: &Burst,
+        ctx: &mut Ctx,
+    ) -> BurstStep {
         let out = burst.delayed(self.delay);
         ctx.emit_burst(Self::OUT_A, out);
         ctx.emit_burst(Self::OUT_B, out);
@@ -130,13 +142,13 @@ impl Component for Splitter {
 /// Two pulses arriving within the cell's collision window produce only
 /// **one** output pulse; the loss is recorded as
 /// [`StatKind::MergerCollision`]. This is the paper's Fig. 5 failure mode
-/// that motivates the balancer-based adder.
+/// that motivates the balancer-based adder. Its state's time 0 is the
+/// end of the collision window the last accepted pulse opened.
 #[derive(Debug, Clone)]
 pub struct Merger {
     name: String,
     delay: Time,
     window: Time,
-    last_accepted: Option<Time>,
 }
 
 impl Merger {
@@ -160,8 +172,12 @@ impl Merger {
             name: name.into(),
             delay: catalog::t_merger(),
             window,
-            last_accepted: None,
         }
+    }
+
+    /// The end of the collision window a pulse accepted at `t` opens.
+    fn window_end(&self, t: Time) -> Time {
+        t.checked_add(self.window).unwrap_or(Time::MAX)
     }
 }
 
@@ -181,22 +197,26 @@ impl Component for Merger {
     fn switching_jjs(&self) -> f64 {
         f64::from(catalog::JJ_MERGER) / 2.0
     }
-    fn on_pulse(&mut self, _port: usize, now: Time, ctx: &mut Ctx) {
-        if let Some(last) = self.last_accepted {
-            if now.saturating_sub(last) < self.window {
-                ctx.record(StatKind::MergerCollision);
-                return;
-            }
+    fn on_pulse(&self, state: &mut CellState, _port: usize, now: Time, ctx: &mut Ctx) {
+        if now < state.time(0) {
+            ctx.record(StatKind::MergerCollision);
+            return;
         }
-        self.last_accepted = Some(now);
+        state.set_time(0, self.window_end(now));
         ctx.emit(Self::OUT, self.delay);
     }
-    fn step_burst(&mut self, _port: usize, burst: &Burst, ctx: &mut Ctx) -> BurstStep {
+    fn step_burst(
+        &self,
+        state: &mut CellState,
+        _port: usize,
+        burst: &Burst,
+        ctx: &mut Ctx,
+    ) -> BurstStep {
         if self.window == Time::ZERO {
             // Collisions are impossible, so behaviour is purely
             // count-based and even envelope (jittered) trains pass
             // through unchanged.
-            self.last_accepted = Some(burst.last());
+            state.set_time(0, burst.last());
             ctx.emit_burst(Self::OUT, burst.delayed(self.delay));
             return BurstStep::Consumed;
         }
@@ -211,19 +231,13 @@ impl Component for Merger {
         // clear of the previously accepted pulse. Otherwise decline
         // (without touching state) and let the engine expand.
         let spaced = burst.count() == 1 || burst.min_gap() >= self.window;
-        let head_clear = self.last_accepted.map_or(true, |last| {
-            burst.first().saturating_sub(last) >= self.window
-        });
-        if spaced && head_clear {
-            self.last_accepted = Some(burst.last());
+        if spaced && burst.first() >= state.time(0) {
+            state.set_time(0, self.window_end(burst.last()));
             ctx.emit_burst(Self::OUT, burst.delayed(self.delay));
             BurstStep::Consumed
         } else {
             BurstStep::PulseByPulse
         }
-    }
-    fn reset(&mut self) {
-        self.last_accepted = None;
     }
     fn static_meta(&self) -> StaticMeta {
         StaticMeta::new("merger", self.delay).with_hazard(Hazard::Collision {
@@ -421,13 +435,14 @@ mod tests {
 
     #[test]
     fn merger_reset_clears_window() {
-        let mut m = Merger::new("m");
+        let m = Merger::new("m");
+        let mut state = m.power_on();
         let mut ctx = Ctx::default();
-        m.on_pulse(Merger::IN_A, Time::from_ps(100.0), &mut ctx);
-        m.reset();
+        m.on_pulse(&mut state, Merger::IN_A, Time::from_ps(100.0), &mut ctx);
+        state = m.power_on();
         let mut ctx2 = Ctx::default();
         // Would collide without the reset.
-        m.on_pulse(Merger::IN_B, Time::from_ps(101.0), &mut ctx2);
+        m.on_pulse(&mut state, Merger::IN_B, Time::from_ps(101.0), &mut ctx2);
         assert_eq!(ctx2.emissions().len(), 1);
     }
 }

@@ -1,6 +1,6 @@
 //! The clocked inverter, which complements a pulse stream.
 
-use usfq_sim::component::{BurstStep, Component, Ctx, Hazard, StaticMeta};
+use usfq_sim::component::{BurstStep, CellState, Component, Ctx, Hazard, StaticMeta};
 use usfq_sim::{Burst, Time};
 
 use crate::catalog;
@@ -13,11 +13,11 @@ use crate::catalog;
 /// clock, it turns a pulse stream for `p` into a stream for `1 − p` —
 /// exactly the ¬A the paper's bipolar multiplier needs, with the paper's
 /// measured t_INV = 9 ps setting the unary multiplier's maximum slot
-/// frequency (§4.1: "maximum frequency of ≈ 111 GHz").
+/// frequency (§4.1: "maximum frequency of ≈ 111 GHz"). Its state bit
+/// marks an input pulse since the previous clock.
 #[derive(Debug, Clone)]
 pub struct ClockedInverter {
     name: String,
-    saw_input: bool,
     delay: Time,
 }
 
@@ -33,7 +33,6 @@ impl ClockedInverter {
     pub fn new(name: impl Into<String>) -> Self {
         ClockedInverter {
             name: name.into(),
-            saw_input: false,
             delay: catalog::t_inverter(),
         }
     }
@@ -56,35 +55,38 @@ impl Component for ClockedInverter {
     fn switching_jjs(&self) -> f64 {
         1.0
     }
-    fn on_pulse(&mut self, port: usize, _now: Time, ctx: &mut Ctx) {
+    fn on_pulse(&self, state: &mut CellState, port: usize, _now: Time, ctx: &mut Ctx) {
         match port {
-            Self::IN => self.saw_input = true,
+            Self::IN => state.bits = 1,
             Self::IN_CLK => {
-                if !self.saw_input {
+                if state.bits == 0 {
                     ctx.emit(Self::OUT, self.delay);
                 }
-                self.saw_input = false;
+                state.bits = 0;
             }
             _ => unreachable!("inverter has two inputs"),
         }
     }
-    fn step_burst(&mut self, port: usize, burst: &Burst, ctx: &mut Ctx) -> BurstStep {
+    fn step_burst(
+        &self,
+        state: &mut CellState,
+        port: usize,
+        burst: &Burst,
+        ctx: &mut Ctx,
+    ) -> BurstStep {
         match port {
-            Self::IN => self.saw_input = true,
+            Self::IN => state.bits = 1,
             Self::IN_CLK => {
                 // No data pulses interleave a coalesced clock train, so
                 // at most the first clock is suppressed; the rest all
                 // close empty slots and emit.
-                let skip = u64::from(self.saw_input);
+                let skip = u64::from(state.bits);
                 ctx.emit_burst(Self::OUT, burst.suffix(skip).delayed(self.delay));
-                self.saw_input = false;
+                state.bits = 0;
             }
             _ => unreachable!("inverter has two inputs"),
         }
         BurstStep::Consumed
-    }
-    fn reset(&mut self) {
-        self.saw_input = false;
     }
     fn static_meta(&self) -> StaticMeta {
         StaticMeta::new("inverter", self.delay).with_hazard(Hazard::Setup {
@@ -133,15 +135,18 @@ mod tests {
 
     #[test]
     fn all_ones_stream_inverts_to_silence() {
-        let mut inv = ClockedInverter::new("i");
+        let inv = ClockedInverter::new("i");
+        let mut state = inv.power_on();
         let mut ctx = Ctx::default();
         for s in 0..8u32 {
             inv.on_pulse(
+                &mut state,
                 ClockedInverter::IN,
                 Time::from_ps(10.0 * s as f64),
                 &mut ctx,
             );
             inv.on_pulse(
+                &mut state,
                 ClockedInverter::IN_CLK,
                 Time::from_ps(10.0 * s as f64 + 5.0),
                 &mut ctx,
@@ -152,10 +157,12 @@ mod tests {
 
     #[test]
     fn silence_inverts_to_full_rate() {
-        let mut inv = ClockedInverter::new("i");
+        let inv = ClockedInverter::new("i");
+        let mut state = inv.power_on();
         let mut ctx = Ctx::default();
         for s in 0..8u32 {
             inv.on_pulse(
+                &mut state,
                 ClockedInverter::IN_CLK,
                 Time::from_ps(10.0 * s as f64),
                 &mut ctx,
@@ -166,11 +173,17 @@ mod tests {
 
     #[test]
     fn reset_clears_pending_input() {
-        let mut inv = ClockedInverter::new("i");
+        let inv = ClockedInverter::new("i");
+        let mut state = inv.power_on();
         let mut ctx = Ctx::default();
-        inv.on_pulse(ClockedInverter::IN, Time::ZERO, &mut ctx);
-        inv.reset();
-        inv.on_pulse(ClockedInverter::IN_CLK, Time::from_ps(1.0), &mut ctx);
+        inv.on_pulse(&mut state, ClockedInverter::IN, Time::ZERO, &mut ctx);
+        state = inv.power_on();
+        inv.on_pulse(
+            &mut state,
+            ClockedInverter::IN_CLK,
+            Time::from_ps(1.0),
+            &mut ctx,
+        );
         // After reset the pending input is forgotten, so the clock emits.
         assert_eq!(ctx.emissions().len(), 1);
     }

@@ -6,7 +6,7 @@
 //! 8 JJs versus >4 kJJ for a binary minimum — the paper's motivating
 //! example for temporal encoding.
 
-use usfq_sim::component::{Component, Ctx, Hazard, StaticMeta};
+use usfq_sim::component::{CellState, Component, Ctx, Hazard, StaticMeta};
 use usfq_sim::stats::StatKind;
 use usfq_sim::Time;
 
@@ -14,11 +14,10 @@ use crate::catalog;
 
 /// First-arrival cell: emits one pulse at the earlier of its two inputs,
 /// computing the race-logic **minimum**. `RST` re-arms it for the next
-/// epoch.
+/// epoch. Its state bit marks that it fired.
 #[derive(Debug, Clone)]
 pub struct FirstArrival {
     name: String,
-    fired: bool,
     delay: Time,
 }
 
@@ -36,7 +35,6 @@ impl FirstArrival {
     pub fn new(name: impl Into<String>) -> Self {
         FirstArrival {
             name: name.into(),
-            fired: false,
             delay: catalog::t_ff(),
         }
     }
@@ -55,22 +53,19 @@ impl Component for FirstArrival {
     fn jj_count(&self) -> u32 {
         catalog::JJ_FIRST_ARRIVAL
     }
-    fn on_pulse(&mut self, port: usize, _now: Time, ctx: &mut Ctx) {
+    fn on_pulse(&self, state: &mut CellState, port: usize, _now: Time, ctx: &mut Ctx) {
         match port {
             Self::IN_A | Self::IN_B => {
-                if self.fired {
+                if state.bit(0) {
                     ctx.record(StatKind::IgnoredPulse);
                 } else {
-                    self.fired = true;
+                    state.set_bit(0, true);
                     ctx.emit(Self::OUT, self.delay);
                 }
             }
-            Self::IN_RST => self.fired = false,
+            Self::IN_RST => state.bits = 0,
             _ => unreachable!("FA has three inputs"),
         }
-    }
-    fn reset(&mut self) {
-        self.fired = false;
     }
     fn static_meta(&self) -> StaticMeta {
         StaticMeta::new("fa", self.delay)
@@ -78,13 +73,11 @@ impl Component for FirstArrival {
 }
 
 /// Last-arrival cell: emits one pulse once *both* inputs have arrived,
-/// computing the race-logic **maximum**. `RST` re-arms it.
+/// computing the race-logic **maximum**. `RST` re-arms it. Its state
+/// bits 0 and 1 mark each operand seen, and bit 2 that it fired.
 #[derive(Debug, Clone)]
 pub struct LastArrival {
     name: String,
-    seen_a: bool,
-    seen_b: bool,
-    fired: bool,
     delay: Time,
 }
 
@@ -102,9 +95,6 @@ impl LastArrival {
     pub fn new(name: impl Into<String>) -> Self {
         LastArrival {
             name: name.into(),
-            seen_a: false,
-            seen_b: false,
-            fired: false,
             delay: catalog::t_ff(),
         }
     }
@@ -123,27 +113,20 @@ impl Component for LastArrival {
     fn jj_count(&self) -> u32 {
         catalog::JJ_LAST_ARRIVAL
     }
-    fn on_pulse(&mut self, port: usize, _now: Time, ctx: &mut Ctx) {
+    fn on_pulse(&self, state: &mut CellState, port: usize, _now: Time, ctx: &mut Ctx) {
         match port {
-            Self::IN_A => self.seen_a = true,
-            Self::IN_B => self.seen_b = true,
+            Self::IN_A | Self::IN_B => state.set_bit(port as u32, true),
             Self::IN_RST => {
-                self.seen_a = false;
-                self.seen_b = false;
-                self.fired = false;
+                state.bits = 0;
                 return;
             }
             _ => unreachable!("LA has three inputs"),
         }
-        if self.seen_a && self.seen_b && !self.fired {
-            self.fired = true;
+        // Both operands seen, not yet fired.
+        if state.bits == 0b011 {
+            state.set_bit(2, true);
             ctx.emit(Self::OUT, self.delay);
         }
-    }
-    fn reset(&mut self) {
-        self.seen_a = false;
-        self.seen_b = false;
-        self.fired = false;
     }
     fn static_meta(&self) -> StaticMeta {
         StaticMeta::new("la", self.delay)
@@ -152,12 +135,11 @@ impl Component for LastArrival {
 
 /// Inhibit cell: passes the data pulse only if it arrives *before* the
 /// inhibiting pulse — the conditional of computational temporal logic
-/// (Tzimpragos et al., the paper's ref 51). `RST` re-arms it.
+/// (Tzimpragos et al., the paper's ref 51). `RST` re-arms it. Its state
+/// bit 0 marks that it fired, and bit 1 that it is inhibited.
 #[derive(Debug, Clone)]
 pub struct Inhibit {
     name: String,
-    inhibited: bool,
-    fired: bool,
     delay: Time,
 }
 
@@ -175,8 +157,6 @@ impl Inhibit {
     pub fn new(name: impl Into<String>) -> Self {
         Inhibit {
             name: name.into(),
-            inhibited: false,
-            fired: false,
             delay: catalog::t_ff(),
         }
     }
@@ -195,27 +175,21 @@ impl Component for Inhibit {
     fn jj_count(&self) -> u32 {
         catalog::JJ_INHIBIT
     }
-    fn on_pulse(&mut self, port: usize, _now: Time, ctx: &mut Ctx) {
+    fn on_pulse(&self, state: &mut CellState, port: usize, _now: Time, ctx: &mut Ctx) {
         match port {
             Self::IN_A => {
-                if self.inhibited || self.fired {
+                // Inhibited or already fired.
+                if state.bits != 0 {
                     ctx.record(StatKind::IgnoredPulse);
                 } else {
-                    self.fired = true;
+                    state.set_bit(0, true);
                     ctx.emit(Self::OUT, self.delay);
                 }
             }
-            Self::IN_B => self.inhibited = true,
-            Self::IN_RST => {
-                self.inhibited = false;
-                self.fired = false;
-            }
+            Self::IN_B => state.set_bit(1, true),
+            Self::IN_RST => state.bits = 0,
             _ => unreachable!("inhibit has three inputs"),
         }
-    }
-    fn reset(&mut self) {
-        self.inhibited = false;
-        self.fired = false;
     }
     fn static_meta(&self) -> StaticMeta {
         // The inhibit decision races: B must settle before A samples it.

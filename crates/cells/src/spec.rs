@@ -162,14 +162,15 @@ mod tests {
         Balancer, ClockedInverter, Demux, Dff, Dff2, FirstArrival, Inhibit, Jtl, LastArrival,
         Merger, Mux, Ndro, RoutingUnit, Splitter, Tff, Tff2,
     };
-    use usfq_sim::Component;
+    use usfq_sim::check::for_all;
+    use usfq_sim::{
+        Burst, Circuit, Component, Fingerprint, InputId, ShardedSimulator, SimConfig, Time,
+    };
 
-    /// Every catalog cell's row must exist and match its actual port
-    /// counts, JJ count and delay range — the table cannot drift from
-    /// the implementations.
-    #[test]
-    fn signatures_reconcile_with_cells() {
-        let cells: Vec<Box<dyn Component>> = vec![
+    /// One constructor per catalog kind, plus the NDRO that powers on
+    /// set.
+    fn one_of_each() -> Vec<Box<dyn Component>> {
+        vec![
             Box::new(Jtl::new("u")),
             Box::new(Splitter::new("u")),
             Box::new(Merger::new("u")),
@@ -186,8 +187,16 @@ mod tests {
             Box::new(RoutingUnit::new("u")),
             Box::new(Demux::new("u")),
             Box::new(Mux::new("u")),
-        ];
-        for cell in &cells {
+            Box::new(Ndro::new_set("u")),
+        ]
+    }
+
+    /// Every catalog cell's row must exist and match its actual port
+    /// counts, JJ count and delay range — the table cannot drift from
+    /// the implementations.
+    #[test]
+    fn signatures_reconcile_with_cells() {
+        for cell in &one_of_each() {
             let meta = cell.static_meta();
             let spec = spec_for(meta.kind, cell.num_inputs(), cell.num_outputs())
                 .unwrap_or_else(|| panic!("no row for kind `{}`", meta.kind));
@@ -211,6 +220,62 @@ mod tests {
             );
             assert!(meta.min_delay <= meta.max_delay);
         }
+    }
+
+    /// Every cell kind reruns from power-on: a simulator of the cell
+    /// alone, dirtied by a run of random pulses and trains on random
+    /// ports and then reset, runs another such stimulus exactly as a
+    /// fresh simulator does.
+    #[test]
+    fn every_cell_kind_reruns_from_power_on() {
+        let config = SimConfig {
+            burst: true,
+            ..SimConfig::reference()
+        };
+        for_all(64, |rng| {
+            for cell in one_of_each() {
+                let kind = cell.static_meta().kind;
+                let mut c = Circuit::new();
+                let h = c.add_boxed(cell);
+                let (ins, outs) = c.component_ports(h.id()).unwrap();
+                let inputs: Vec<InputId> = (0..ins)
+                    .map(|p| {
+                        let input = c.input(format!("in{p}"));
+                        c.connect_input(input, h.input(p), Time::ZERO).unwrap();
+                        input
+                    })
+                    .collect();
+                let probes: Vec<_> = (0..outs)
+                    .map(|p| c.probe(h.output(p), format!("out{p}")))
+                    .collect();
+                let mut stimulus = || {
+                    let trains = rng.gen_range(1..12usize);
+                    let picks: Vec<_> = (0..trains)
+                        .map(|_| {
+                            let input = inputs[rng.gen_range(0..inputs.len())];
+                            let start = Time::from_fs(rng.gen_range(0..200_000u64));
+                            let period = Time::from_fs(rng.gen_range(1_000..30_000u64));
+                            (input, Burst::uniform(start, period, rng.gen_range(1..6u64)))
+                        })
+                        .collect();
+                    picks
+                };
+                let run = |sim: &mut ShardedSimulator, trains: &[(InputId, Burst)]| {
+                    for &(input, train) in trains {
+                        sim.schedule_burst(input, train).unwrap();
+                    }
+                    let summary = sim.run().unwrap();
+                    Fingerprint::capture(sim, summary, &probes)
+                };
+                let (decoy, trains) = (stimulus(), stimulus());
+                let mut reused = ShardedSimulator::with_config(c.clone(), &config);
+                run(&mut reused, &decoy);
+                reused.reset();
+                let rerun = run(&mut reused, &trains);
+                let fresh = run(&mut ShardedSimulator::with_config(c, &config), &trains);
+                assert_eq!(rerun, fresh, "`{kind}` reset vs fresh");
+            }
+        });
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Storage-loop cells: DFF, DFF2, and NDRO.
 
-use usfq_sim::component::{BurstStep, Component, Ctx, Hazard, StaticMeta};
+use usfq_sim::component::{BurstStep, CellState, Component, Ctx, Hazard, StaticMeta};
 use usfq_sim::stats::StatKind;
 use usfq_sim::{Burst, Time};
 
@@ -8,11 +8,11 @@ use crate::catalog;
 
 /// A destructive-read D flip-flop (paper Table 1): a pulse at `S` stores a
 /// "1" in the SQUID loop; a pulse at `R` (the read/clock port) resets the
-/// loop and, if it held a "1", emits an output pulse.
+/// loop and, if it held a "1", emits an output pulse. Its state bit is
+/// the stored bit.
 #[derive(Debug, Clone)]
 pub struct Dff {
     name: String,
-    state: bool,
     delay: Time,
 }
 
@@ -28,14 +28,13 @@ impl Dff {
     pub fn new(name: impl Into<String>) -> Self {
         Dff {
             name: name.into(),
-            state: false,
             delay: catalog::t_ff(),
         }
     }
 
-    /// Current stored bit.
-    pub fn state(&self) -> bool {
-        self.state
+    /// The bit a DFF in `state` stores.
+    pub fn state(state: CellState) -> bool {
+        state.bit(0)
     }
 }
 
@@ -52,46 +51,49 @@ impl Component for Dff {
     fn jj_count(&self) -> u32 {
         catalog::JJ_DFF
     }
-    fn on_pulse(&mut self, port: usize, _now: Time, ctx: &mut Ctx) {
+    fn on_pulse(&self, state: &mut CellState, port: usize, _now: Time, ctx: &mut Ctx) {
         match port {
             Self::IN_S => {
-                if self.state {
+                if state.bit(0) {
                     ctx.record(StatKind::IgnoredPulse);
                 } else {
-                    self.state = true;
+                    state.set_bit(0, true);
                 }
             }
             Self::IN_R => {
-                if self.state {
-                    self.state = false;
+                if state.bit(0) {
+                    state.set_bit(0, false);
                     ctx.emit(Self::OUT_Q, self.delay);
                 }
             }
             _ => unreachable!("DFF has two inputs"),
         }
     }
-    fn step_burst(&mut self, port: usize, burst: &Burst, ctx: &mut Ctx) -> BurstStep {
+    fn step_burst(
+        &self,
+        state: &mut CellState,
+        port: usize,
+        burst: &Burst,
+        ctx: &mut Ctx,
+    ) -> BurstStep {
         match port {
             Self::IN_S => {
                 // Only the first set pulse of an empty loop lands; every
                 // other pulse of the train is ignored.
-                let ignored = burst.count() - u64::from(!self.state);
-                self.state = true;
+                let ignored = burst.count() - u64::from(!state.bit(0));
+                state.set_bit(0, true);
                 ctx.record_many(StatKind::IgnoredPulse, ignored);
             }
             Self::IN_R => {
                 // The first read drains the loop; the rest see a "0".
-                if self.state {
-                    self.state = false;
+                if state.bit(0) {
+                    state.set_bit(0, false);
                     ctx.emit_burst(Self::OUT_Q, burst.prefix(1).delayed(self.delay));
                 }
             }
             _ => unreachable!("DFF has two inputs"),
         }
         BurstStep::Consumed
-    }
-    fn reset(&mut self) {
-        self.state = false;
     }
     fn static_meta(&self) -> StaticMeta {
         StaticMeta::new("dff", self.delay).with_hazard(Hazard::Setup {
@@ -108,7 +110,6 @@ impl Component for Dff {
 #[derive(Debug, Clone)]
 pub struct Dff2 {
     name: String,
-    state: bool,
     delay: Time,
 }
 
@@ -128,7 +129,6 @@ impl Dff2 {
     pub fn new(name: impl Into<String>) -> Self {
         Dff2 {
             name: name.into(),
-            state: false,
             delay: catalog::t_ff(),
         }
     }
@@ -147,40 +147,46 @@ impl Component for Dff2 {
     fn jj_count(&self) -> u32 {
         catalog::JJ_DFF2
     }
-    fn on_pulse(&mut self, port: usize, _now: Time, ctx: &mut Ctx) {
+    fn on_pulse(&self, state: &mut CellState, port: usize, _now: Time, ctx: &mut Ctx) {
         match port {
             Self::IN_A => {
-                if self.state {
+                if state.bit(0) {
                     ctx.record(StatKind::IgnoredPulse);
                 } else {
-                    self.state = true;
+                    state.set_bit(0, true);
                 }
             }
             Self::IN_C1 => {
-                if self.state {
-                    self.state = false;
+                if state.bit(0) {
+                    state.set_bit(0, false);
                     ctx.emit(Self::OUT_Y1, self.delay);
                 }
             }
             Self::IN_C2 => {
-                if self.state {
-                    self.state = false;
+                if state.bit(0) {
+                    state.set_bit(0, false);
                     ctx.emit(Self::OUT_Y2, self.delay);
                 }
             }
             _ => unreachable!("DFF2 has three inputs"),
         }
     }
-    fn step_burst(&mut self, port: usize, burst: &Burst, ctx: &mut Ctx) -> BurstStep {
+    fn step_burst(
+        &self,
+        state: &mut CellState,
+        port: usize,
+        burst: &Burst,
+        ctx: &mut Ctx,
+    ) -> BurstStep {
         match port {
             Self::IN_A => {
-                let ignored = burst.count() - u64::from(!self.state);
-                self.state = true;
+                let ignored = burst.count() - u64::from(!state.bit(0));
+                state.set_bit(0, true);
                 ctx.record_many(StatKind::IgnoredPulse, ignored);
             }
             Self::IN_C1 | Self::IN_C2 => {
-                if self.state {
-                    self.state = false;
+                if state.bit(0) {
+                    state.set_bit(0, false);
                     let out = if port == Self::IN_C1 {
                         Self::OUT_Y1
                     } else {
@@ -192,9 +198,6 @@ impl Component for Dff2 {
             _ => unreachable!("DFF2 has three inputs"),
         }
         BurstStep::Consumed
-    }
-    fn reset(&mut self) {
-        self.state = false;
     }
     fn static_meta(&self) -> StaticMeta {
         StaticMeta::new("dff2", self.delay)
@@ -217,11 +220,11 @@ impl Component for Dff2 {
 ///
 /// This is the workhorse of the U-SFQ multiplier (the RL operand gates a
 /// pulse stream through the CLK port) and of the coefficient memory bank.
+/// Its state bit is the stored bit.
 #[derive(Debug, Clone)]
 pub struct Ndro {
     name: String,
-    state: bool,
-    /// The bit the cell was built with, which `reset` restores.
+    /// The bit the cell powers on with.
     initial: bool,
     delay: Time,
 }
@@ -240,7 +243,6 @@ impl Ndro {
     pub fn new(name: impl Into<String>) -> Self {
         Ndro {
             name: name.into(),
-            state: false,
             initial: false,
             delay: catalog::t_ff(),
         }
@@ -248,18 +250,18 @@ impl Ndro {
 
     /// Creates an NDRO already holding a "1" (e.g. pre-set by the epoch
     /// marker, as in the unipolar multiplier). Its power-on state is
-    /// that "1": [`Component::reset`] restores it.
+    /// that "1" ([`Component::power_on`]), so a fresh or reset simulator
+    /// starts it set.
     pub fn new_set(name: impl Into<String>) -> Self {
         Ndro {
-            state: true,
             initial: true,
             ..Ndro::new(name)
         }
     }
 
-    /// Current stored bit.
-    pub fn state(&self) -> bool {
-        self.state
+    /// The bit an NDRO in `state` stores.
+    pub fn state(state: CellState) -> bool {
+        state.bit(0)
     }
 }
 
@@ -282,35 +284,44 @@ impl Component for Ndro {
     fn switching_jjs(&self) -> f64 {
         2.0
     }
-    fn on_pulse(&mut self, port: usize, _now: Time, ctx: &mut Ctx) {
+    fn power_on(&self) -> CellState {
+        CellState {
+            bits: u8::from(self.initial),
+            ..CellState::default()
+        }
+    }
+    fn on_pulse(&self, state: &mut CellState, port: usize, _now: Time, ctx: &mut Ctx) {
         match port {
-            Self::IN_S => self.state = true,
-            Self::IN_R => self.state = false,
+            Self::IN_S => state.set_bit(0, true),
+            Self::IN_R => state.set_bit(0, false),
             Self::IN_CLK => {
-                if self.state {
+                if state.bit(0) {
                     ctx.emit(Self::OUT_Q, self.delay);
                 }
             }
             _ => unreachable!("NDRO has three inputs"),
         }
     }
-    fn step_burst(&mut self, port: usize, burst: &Burst, ctx: &mut Ctx) -> BurstStep {
+    fn step_burst(
+        &self,
+        state: &mut CellState,
+        port: usize,
+        burst: &Burst,
+        ctx: &mut Ctx,
+    ) -> BurstStep {
         match port {
-            Self::IN_S => self.state = true,
-            Self::IN_R => self.state = false,
+            Self::IN_S => state.set_bit(0, true),
+            Self::IN_R => state.set_bit(0, false),
             Self::IN_CLK => {
                 // Non-destructive read: the whole clock train gates
                 // through (or is absorbed) according to the stored bit.
-                if self.state {
+                if state.bit(0) {
                     ctx.emit_burst(Self::OUT_Q, burst.delayed(self.delay));
                 }
             }
             _ => unreachable!("NDRO has three inputs"),
         }
         BurstStep::Consumed
-    }
-    fn reset(&mut self) {
-        self.state = self.initial;
     }
     fn static_meta(&self) -> StaticMeta {
         StaticMeta::new("ndro", self.delay)
@@ -357,14 +368,15 @@ mod tests {
 
     #[test]
     fn dff_double_set_records_ignored_pulse() {
-        let mut dff = Dff::new("d");
+        let dff = Dff::new("d");
+        let mut state = dff.power_on();
         let mut ctx = Ctx::default();
-        dff.on_pulse(Dff::IN_S, Time::ZERO, &mut ctx);
-        dff.on_pulse(Dff::IN_S, Time::from_ps(1.0), &mut ctx);
+        dff.on_pulse(&mut state, Dff::IN_S, Time::ZERO, &mut ctx);
+        dff.on_pulse(&mut state, Dff::IN_S, Time::from_ps(1.0), &mut ctx);
         assert_eq!(ctx.stats(), &[StatKind::IgnoredPulse]);
-        assert!(dff.state());
-        dff.reset();
-        assert!(!dff.state());
+        assert!(Dff::state(state));
+        state = dff.power_on();
+        assert!(!Dff::state(state));
     }
 
     #[test]
@@ -422,21 +434,23 @@ mod tests {
 
     #[test]
     fn ndro_new_set_starts_high() {
-        let mut n = Ndro::new_set("n");
-        assert!(n.state());
+        let n = Ndro::new_set("n");
+        let mut state = n.power_on();
+        assert!(Ndro::state(state));
         let mut ctx = Ctx::default();
-        n.on_pulse(Ndro::IN_CLK, Time::ZERO, &mut ctx);
+        n.on_pulse(&mut state, Ndro::IN_CLK, Time::ZERO, &mut ctx);
         assert_eq!(ctx.emissions().len(), 1);
         // Reset returns to the programmed power-on "1", even after the
         // loop was cleared.
-        n.on_pulse(Ndro::IN_R, Time::ZERO, &mut ctx);
-        assert!(!n.state());
-        n.reset();
-        assert!(n.state());
+        n.on_pulse(&mut state, Ndro::IN_R, Time::ZERO, &mut ctx);
+        assert!(!Ndro::state(state));
+        state = n.power_on();
+        assert!(Ndro::state(state));
         // A plain NDRO still powers on at "0".
-        let mut plain = Ndro::new("p");
-        plain.on_pulse(Ndro::IN_S, Time::ZERO, &mut ctx);
-        plain.reset();
-        assert!(!plain.state());
+        let plain = Ndro::new("p");
+        let mut state = plain.power_on();
+        plain.on_pulse(&mut state, Ndro::IN_S, Time::ZERO, &mut ctx);
+        state = plain.power_on();
+        assert!(!Ndro::state(state));
     }
 }

@@ -3,18 +3,18 @@
 //! between its two integrator buffers on alternating epochs.
 
 use usfq_sim::circuit::{NodeRef, SinkRef};
-use usfq_sim::component::{Component, Ctx, Hazard, StaticMeta};
+use usfq_sim::component::{CellState, Component, Ctx, Hazard, StaticMeta};
 use usfq_sim::{Circuit, SimError, Time};
 
 use crate::catalog;
 use crate::interconnect::Jtl;
 
 /// A 1:2 demultiplexer: routes `IN` pulses to the currently selected
-/// output; each `SEL` pulse toggles the selection.
+/// output; each `SEL` pulse toggles the selection. Its state bit is the
+/// selected output.
 #[derive(Debug, Clone)]
 pub struct Demux {
     name: String,
-    selected: usize,
     delay: Time,
 }
 
@@ -32,14 +32,13 @@ impl Demux {
     pub fn new(name: impl Into<String>) -> Self {
         Demux {
             name: name.into(),
-            selected: Self::OUT_A,
             delay: catalog::t_ff(),
         }
     }
 
-    /// The currently selected output port.
-    pub fn selected(&self) -> usize {
-        self.selected
+    /// The output port a demux in `state` selects.
+    pub fn selected(state: CellState) -> usize {
+        usize::from(state.bits)
     }
 }
 
@@ -56,15 +55,12 @@ impl Component for Demux {
     fn jj_count(&self) -> u32 {
         catalog::JJ_DEMUX
     }
-    fn on_pulse(&mut self, port: usize, _now: Time, ctx: &mut Ctx) {
+    fn on_pulse(&self, state: &mut CellState, port: usize, _now: Time, ctx: &mut Ctx) {
         match port {
-            Self::IN => ctx.emit(self.selected, self.delay),
-            Self::IN_SEL => self.selected ^= 1,
+            Self::IN => ctx.emit(Self::selected(*state), self.delay),
+            Self::IN_SEL => state.bits ^= 1,
             _ => unreachable!("demux has two inputs"),
         }
-    }
-    fn reset(&mut self) {
-        self.selected = Self::OUT_A;
     }
     fn static_meta(&self) -> StaticMeta {
         StaticMeta::new("demux", self.delay).with_hazard(Hazard::Setup {
@@ -215,7 +211,7 @@ impl Component for Mux {
     fn jj_count(&self) -> u32 {
         catalog::JJ_MUX
     }
-    fn on_pulse(&mut self, _port: usize, _now: Time, ctx: &mut Ctx) {
+    fn on_pulse(&self, _state: &mut CellState, _port: usize, _now: Time, ctx: &mut Ctx) {
         ctx.emit(Self::OUT, self.delay);
     }
     fn static_meta(&self) -> StaticMeta {
@@ -254,12 +250,13 @@ mod tests {
 
     #[test]
     fn demux_reset_selects_a() {
-        let mut d = Demux::new("d");
+        let d = Demux::new("d");
+        let mut state = d.power_on();
         let mut ctx = Ctx::default();
-        d.on_pulse(Demux::IN_SEL, Time::ZERO, &mut ctx);
-        assert_eq!(d.selected(), Demux::OUT_B);
-        d.reset();
-        assert_eq!(d.selected(), Demux::OUT_A);
+        d.on_pulse(&mut state, Demux::IN_SEL, Time::ZERO, &mut ctx);
+        assert_eq!(Demux::selected(state), Demux::OUT_B);
+        state = d.power_on();
+        assert_eq!(Demux::selected(state), Demux::OUT_A);
     }
 
     #[test]

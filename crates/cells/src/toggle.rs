@@ -1,17 +1,17 @@
 //! Toggle flip-flops: TFF (divide-by-two) and TFF2 (alternating
 //! demultiplexer), the building blocks of the pulse-number multiplier.
 
-use usfq_sim::component::{BurstStep, Component, Ctx, StaticMeta};
+use usfq_sim::component::{BurstStep, CellState, Component, Ctx, StaticMeta};
 use usfq_sim::{Burst, Time};
 
 use crate::catalog;
 
 /// A toggle flip-flop used as a frequency divider: every *second* input
-/// pulse produces an output pulse.
+/// pulse produces an output pulse. Its state bit holds the fluxon an
+/// odd pulse count leaves.
 #[derive(Debug, Clone)]
 pub struct Tff {
     name: String,
-    state: bool,
     delay: Time,
 }
 
@@ -25,7 +25,6 @@ impl Tff {
     pub fn new(name: impl Into<String>) -> Self {
         Tff {
             name: name.into(),
-            state: false,
             delay: catalog::t_tff2(),
         }
     }
@@ -44,24 +43,25 @@ impl Component for Tff {
     fn jj_count(&self) -> u32 {
         catalog::JJ_TFF
     }
-    fn on_pulse(&mut self, _port: usize, _now: Time, ctx: &mut Ctx) {
-        if self.state {
+    fn on_pulse(&self, state: &mut CellState, _port: usize, _now: Time, ctx: &mut Ctx) {
+        if state.bit(0) {
             ctx.emit(Self::OUT, self.delay);
         }
-        self.state = !self.state;
+        state.bits ^= 1;
     }
-    fn step_burst(&mut self, _port: usize, burst: &Burst, ctx: &mut Ctx) -> BurstStep {
+    fn step_burst(
+        &self,
+        state: &mut CellState,
+        _port: usize,
+        burst: &Burst,
+        ctx: &mut Ctx,
+    ) -> BurstStep {
         // Pulse k of the train emits iff the state *before* it is high,
         // i.e. at even offsets when already toggled, odd otherwise.
-        let off = u64::from(!self.state);
+        let off = u64::from(!state.bit(0));
         ctx.emit_burst(Self::OUT, burst.decimate(off, 2).delayed(self.delay));
-        if burst.count() % 2 == 1 {
-            self.state = !self.state;
-        }
+        state.bits ^= u8::from(burst.count() % 2 == 1);
         BurstStep::Consumed
-    }
-    fn reset(&mut self) {
-        self.state = false;
     }
     fn static_meta(&self) -> StaticMeta {
         StaticMeta::new("tff", self.delay)
@@ -71,11 +71,11 @@ impl Component for Tff {
 /// A dual-port toggle flip-flop (paper Table 1): input pulses are
 /// distributed through alternating output ports, so each output carries
 /// half the input rate. The paper's PNM (Fig. 9b) uses TFF2s so the
-/// generated stream keeps a uniform rate.
+/// generated stream keeps a uniform rate. Its state bit is the output
+/// the next pulse takes.
 #[derive(Debug, Clone)]
 pub struct Tff2 {
     name: String,
-    next_out: usize,
     delay: Time,
 }
 
@@ -91,7 +91,6 @@ impl Tff2 {
     pub fn new(name: impl Into<String>) -> Self {
         Tff2 {
             name: name.into(),
-            next_out: Self::OUT_A,
             delay: catalog::t_tff2(),
         }
     }
@@ -110,23 +109,25 @@ impl Component for Tff2 {
     fn jj_count(&self) -> u32 {
         catalog::JJ_TFF2
     }
-    fn on_pulse(&mut self, _port: usize, _now: Time, ctx: &mut Ctx) {
-        ctx.emit(self.next_out, self.delay);
-        self.next_out ^= 1;
+    fn on_pulse(&self, state: &mut CellState, _port: usize, _now: Time, ctx: &mut Ctx) {
+        ctx.emit(usize::from(state.bits), self.delay);
+        state.bits ^= 1;
     }
-    fn step_burst(&mut self, _port: usize, burst: &Burst, ctx: &mut Ctx) -> BurstStep {
+    fn step_burst(
+        &self,
+        state: &mut CellState,
+        _port: usize,
+        burst: &Burst,
+        ctx: &mut Ctx,
+    ) -> BurstStep {
         // Even offsets continue on the pending port, odd offsets on the
         // other; emitting the even train first keeps pulse-index order.
         let out = burst.delayed(self.delay);
-        ctx.emit_burst(self.next_out, out.decimate(0, 2));
-        ctx.emit_burst(self.next_out ^ 1, out.decimate(1, 2));
-        if burst.count() % 2 == 1 {
-            self.next_out ^= 1;
-        }
+        let next_out = usize::from(state.bits);
+        ctx.emit_burst(next_out, out.decimate(0, 2));
+        ctx.emit_burst(next_out ^ 1, out.decimate(1, 2));
+        state.bits ^= u8::from(burst.count() % 2 == 1);
         BurstStep::Consumed
-    }
-    fn reset(&mut self) {
-        self.next_out = Self::OUT_A;
     }
     fn static_meta(&self) -> StaticMeta {
         StaticMeta::new("tff2", self.delay)
@@ -196,13 +197,14 @@ mod tests {
 
     #[test]
     fn tff2_reset_restarts_on_a() {
-        let mut t = Tff2::new("t");
+        let t = Tff2::new("t");
+        let mut state = t.power_on();
         let mut ctx = Ctx::default();
-        t.on_pulse(Tff2::IN, Time::ZERO, &mut ctx);
+        t.on_pulse(&mut state, Tff2::IN, Time::ZERO, &mut ctx);
         assert_eq!(ctx.emissions()[0].0, Tff2::OUT_A);
-        t.reset();
+        state = t.power_on();
         let mut ctx2 = Ctx::default();
-        t.on_pulse(Tff2::IN, Time::ZERO, &mut ctx2);
+        t.on_pulse(&mut state, Tff2::IN, Time::ZERO, &mut ctx2);
         assert_eq!(ctx2.emissions()[0].0, Tff2::OUT_A);
     }
 
@@ -211,8 +213,7 @@ mod tests {
         let t = Tff2::new("t");
         assert_eq!(t.jj_count(), catalog::JJ_TFF2);
         let mut ctx = Ctx::default();
-        let mut t2 = t;
-        t2.on_pulse(Tff2::IN, Time::ZERO, &mut ctx);
+        t.on_pulse(&mut t.power_on(), Tff2::IN, Time::ZERO, &mut ctx);
         assert_eq!(ctx.emissions()[0].1, Time::from_ps(20.0));
     }
 }

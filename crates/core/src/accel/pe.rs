@@ -10,7 +10,7 @@ use usfq_cells::balancer::Balancer;
 use usfq_cells::catalog;
 use usfq_cells::storage::Ndro;
 use usfq_encoding::{Epoch, PulseStream, RlValue};
-use usfq_sim::component::{BurstStep, Component, Ctx, StaticMeta};
+use usfq_sim::component::{BurstStep, CellState, Component, Ctx, StaticMeta};
 use usfq_sim::{Burst, Circuit, InputId, ProbeId, Time};
 
 use crate::blocks::gated_count;
@@ -27,12 +27,11 @@ const TAG_EMIT: u64 = 1;
 ///
 /// Ports: `IN` counts stream pulses; a pulse on `EPOCH` (the epoch
 /// boundary) latches the count `n` and schedules one output pulse `n`
-/// slots into the following epoch.
+/// slots into the following epoch. Its state's first word is the count.
 #[derive(Debug, Clone)]
 pub struct StreamToRlIntegrator {
     name: String,
     epoch: Epoch,
-    count: u64,
 }
 
 impl StreamToRlIntegrator {
@@ -48,7 +47,6 @@ impl StreamToRlIntegrator {
         StreamToRlIntegrator {
             name: name.into(),
             epoch,
-            count: 0,
         }
     }
 }
@@ -66,22 +64,27 @@ impl Component for StreamToRlIntegrator {
     fn jj_count(&self) -> u32 {
         catalog::JJ_INTEGRATOR
     }
-    fn on_pulse(&mut self, port: usize, _now: Time, ctx: &mut Ctx) {
+    fn on_pulse(&self, state: &mut CellState, port: usize, _now: Time, ctx: &mut Ctx) {
         match port {
-            Self::IN => self.count += 1,
+            Self::IN => state.words[0] += 1,
             Self::IN_EPOCH => {
-                let slots = self.count.min(self.epoch.n_max());
-                self.count = 0;
+                let slots = state.words[0].min(self.epoch.n_max());
+                state.words[0] = 0;
                 ctx.schedule_timer(TAG_EMIT, self.epoch.slot_width().scale(slots));
             }
             _ => unreachable!("integrator has two inputs"),
         }
     }
-    fn step_burst(&mut self, port: usize, burst: &Burst, ctx: &mut Ctx) -> BurstStep {
-        let _ = ctx;
+    fn step_burst(
+        &self,
+        state: &mut CellState,
+        port: usize,
+        burst: &Burst,
+        _ctx: &mut Ctx,
+    ) -> BurstStep {
         match port {
             Self::IN => {
-                self.count += burst.count();
+                state.words[0] += burst.count();
                 BurstStep::Consumed
             }
             // The epoch marker schedules a timer, which the coalesced
@@ -90,11 +93,8 @@ impl Component for StreamToRlIntegrator {
             _ => BurstStep::PulseByPulse,
         }
     }
-    fn on_timer(&mut self, _tag: u64, _now: Time, ctx: &mut Ctx) {
+    fn on_timer(&self, _state: &mut CellState, _tag: u64, _now: Time, ctx: &mut Ctx) {
         ctx.emit(Self::OUT, Time::ZERO);
-    }
-    fn reset(&mut self) {
-        self.count = 0;
     }
     fn static_meta(&self) -> StaticMeta {
         // Timer-driven: after the epoch marker the RL output fires

@@ -20,7 +20,7 @@ use std::collections::VecDeque;
 
 use usfq_cells::catalog;
 use usfq_encoding::{Epoch, RlValue};
-use usfq_sim::component::{Component, Ctx, StaticMeta};
+use usfq_sim::component::{CellState, Component, Ctx, StaticMeta};
 use usfq_sim::Time;
 
 /// The four shift-register constructions compared in the paper's Fig. 12.
@@ -84,11 +84,11 @@ const TAG_OUTPUT: u64 = 2;
 /// The behavioral model schedules the charge and discharge phases as
 /// timers, exposing the same three externally visible events the SPICE
 /// waveform (paper Fig. 11) shows: input, comparator flip, output.
+/// Its state bit marks a sample in flight (charging or discharging).
 #[derive(Debug, Clone)]
 pub struct IntegratorBuffer {
     name: String,
     epoch: Epoch,
-    charging_since: Option<Time>,
 }
 
 impl IntegratorBuffer {
@@ -102,7 +102,6 @@ impl IntegratorBuffer {
         IntegratorBuffer {
             name: name.into(),
             epoch,
-            charging_since: None,
         }
     }
 
@@ -125,30 +124,27 @@ impl Component for IntegratorBuffer {
     fn jj_count(&self) -> u32 {
         catalog::JJ_INTEGRATOR
     }
-    fn on_pulse(&mut self, _port: usize, now: Time, ctx: &mut Ctx) {
-        if self.charging_since.is_some() {
+    fn on_pulse(&self, state: &mut CellState, _port: usize, _now: Time, ctx: &mut Ctx) {
+        if state.bit(0) {
             // A second pulse while busy is ignored (one sample per epoch).
             ctx.record(usfq_sim::stats::StatKind::IgnoredPulse);
             return;
         }
-        self.charging_since = Some(now);
+        state.set_bit(0, true);
         ctx.schedule_timer(TAG_COMPARATOR, self.half_epoch());
     }
-    fn on_timer(&mut self, tag: u64, _now: Time, ctx: &mut Ctx) {
+    fn on_timer(&self, state: &mut CellState, tag: u64, _now: Time, ctx: &mut Ctx) {
         match tag {
             TAG_COMPARATOR => {
                 // J1 kicked back; discharge takes the other half epoch.
                 ctx.schedule_timer(TAG_OUTPUT, self.half_epoch());
             }
             TAG_OUTPUT => {
-                self.charging_since = None;
+                state.set_bit(0, false);
                 ctx.emit(Self::OUT, Time::ZERO);
             }
             _ => unreachable!("unknown integrator timer"),
         }
-    }
-    fn reset(&mut self) {
-        self.charging_since = None;
     }
     fn static_meta(&self) -> StaticMeta {
         // Charge + discharge reproduce the pulse exactly one epoch later.

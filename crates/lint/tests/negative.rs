@@ -3,7 +3,7 @@
 
 use usfq_cells::{Balancer, Dff, FirstArrival, Jtl, Merger, Ndro, Splitter, Tff};
 use usfq_lint::{lint, lint_netlist, probe_windows, Code, LintConfig, Severity};
-use usfq_sim::component::{Buffer, Component, Ctx, StaticMeta};
+use usfq_sim::component::{Buffer, CellState, Component, Ctx, StaticMeta};
 use usfq_sim::{Circuit, Time};
 
 fn ps(v: f64) -> Time {
@@ -250,7 +250,6 @@ fn usfq008_fires_when_arrival_exceeds_budget() {
 }
 
 /// A cell that claims a catalog kind but carries the wrong JJ count.
-#[derive(Clone)]
 struct MisCountedJtl;
 
 impl Component for MisCountedJtl {
@@ -266,7 +265,7 @@ impl Component for MisCountedJtl {
     fn jj_count(&self) -> u32 {
         99
     }
-    fn on_pulse(&mut self, _port: usize, _now: Time, ctx: &mut Ctx) {
+    fn on_pulse(&self, _state: &mut CellState, _port: usize, _now: Time, ctx: &mut Ctx) {
         ctx.emit(0, Time::ZERO);
     }
     fn static_meta(&self) -> StaticMeta {
@@ -295,7 +294,6 @@ fn usfq009_fires_on_jj_catalog_mismatch() {
 
 /// A cell that borrows the `tff` kind string but declares two outputs,
 /// so its kind and port counts match no catalog row.
-#[derive(Clone)]
 struct TwoOutputTff;
 
 impl Component for TwoOutputTff {
@@ -311,7 +309,7 @@ impl Component for TwoOutputTff {
     fn jj_count(&self) -> u32 {
         99
     }
-    fn on_pulse(&mut self, _port: usize, _now: Time, ctx: &mut Ctx) {
+    fn on_pulse(&self, _state: &mut CellState, _port: usize, _now: Time, ctx: &mut Ctx) {
         ctx.emit(1, Time::ZERO);
     }
     fn static_meta(&self) -> StaticMeta {
@@ -356,7 +354,6 @@ fn probe_windows_track_wire_and_cell_delays() {
 
 /// A sink that counts pulses and declares its counting capacity, like
 /// the stream-to-RL integrator does.
-#[derive(Clone)]
 struct CountingSink {
     capacity: u64,
 }
@@ -374,7 +371,7 @@ impl Component for CountingSink {
     fn jj_count(&self) -> u32 {
         4
     }
-    fn on_pulse(&mut self, _port: usize, _now: Time, _ctx: &mut Ctx) {}
+    fn on_pulse(&self, _state: &mut CellState, _port: usize, _now: Time, _ctx: &mut Ctx) {}
     fn static_meta(&self) -> StaticMeta {
         StaticMeta::new("ctr", Time::ZERO).with_counting_capacity(self.capacity)
     }

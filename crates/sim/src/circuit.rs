@@ -2,7 +2,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use crate::component::{Component, StaticMeta};
+use crate::component::{CellState, Component, StaticMeta};
 use crate::engine::NetTable;
 use crate::error::SimError;
 use crate::sanitizer::SanitizerFacts;
@@ -172,6 +172,25 @@ pub(crate) struct ProbeSlot {
     pub(crate) name: String,
 }
 
+/// A cell model as circuits hold it, shared through an [`Arc`] by every
+/// copied topology and shard sub-circuit that holds the cell.
+///
+/// The model is boxed inside the `Arc`, so the handle is one thin
+/// pointer and the model's own pointer sits at a fixed offset behind
+/// it. Dispatch through an `Arc<dyn Component>` instead finds the
+/// model's data at an offset read from its vtable on every pulse: on a
+/// chain of buffers that measured 27 % slower per event than owned
+/// boxes, against about 10 % for this handle (EXPERIMENTS.md,
+/// "Stateless cells").
+pub(crate) struct Model(Box<dyn Component>);
+
+impl std::ops::Deref for Model {
+    type Target = dyn Component;
+    fn deref(&self) -> &Self::Target {
+        &*self.0
+    }
+}
+
 /// Where a probe taps the netlist — see [`Circuit::probe_taps`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProbeSource {
@@ -206,25 +225,29 @@ pub struct FanoutOverflow {
 /// convenience, but [`Circuit::assert_single_fanout`] lets structural
 /// netlists verify they are physically realisable.
 ///
-/// Circuits are `Clone` (every [`Component`] provides
-/// [`clone_box`](crate::component::CloneComponent::clone_box)). A clone
-/// deep-copies each component *including its current state*, so clone a
-/// prototype before it ever runs — or after [`crate::Simulator::reset`] —
-/// to get power-on copies for parallel trials. The wiring, and the
-/// fan-out table and cell facts compiled from it, are shared between
-/// clones and copied only when a clone is rewired, so a fresh simulator
-/// per trial pays for its cells' state and nothing else.
+/// A circuit is an immutable description: its cells, their wiring, and
+/// the compiled form the simulator runs from. It holds no run state —
+/// each simulator keeps its cells' state ([`crate::CellState`]) itself
+/// — so a clone, made at any time, even of [`crate::Simulator::circuit`]
+/// after a run, simulates from power-on. A clone is one reference-count
+/// increment: it shares the cells, the wiring, the fan-out table, the
+/// cell facts and the power-on states, and a clone that is rewired
+/// copies the wiring first (the cells stay shared). So a fresh
+/// simulator per trial pays for its own state and nothing else.
 #[derive(Clone)]
 pub struct Circuit {
-    pub(crate) models: Vec<Box<dyn Component>>,
     pub(crate) topo: Arc<Topology>,
 }
 
-/// The wiring of a [`Circuit`]: every net, input and probe, plus the
-/// compiled form the simulator runs from. Clones of a circuit share one
-/// `Topology` behind an [`Arc`]; the builder methods copy it on write.
+/// The cells and wiring of a [`Circuit`]: every model, net, input and
+/// probe, plus the compiled form the simulator runs from. Clones of a
+/// circuit share one `Topology` behind an [`Arc`]; the builder methods
+/// copy it on write.
 #[derive(Default)]
 pub(crate) struct Topology {
+    /// The cell models, in component order. They hold no state, so a
+    /// copied topology and a shard's sub-circuit share them.
+    pub(crate) models: Vec<Arc<Model>>,
     /// One net per output port, per component.
     pub(crate) outputs: Vec<Vec<OutputNet>>,
     pub(crate) inputs: Vec<InputSlot>,
@@ -234,10 +257,11 @@ pub(crate) struct Topology {
 }
 
 impl Clone for Topology {
-    /// Copies the wiring only: the copy is about to be mutated, so its
-    /// compiled form is rebuilt on next use.
+    /// Copies the wiring and shares the models: the copy is about to be
+    /// mutated, so its compiled form is rebuilt on next use.
     fn clone(&self) -> Self {
         Topology {
+            models: self.models.clone(),
             outputs: self.outputs.clone(),
             inputs: self.inputs.clone(),
             probes: self.probes.clone(),
@@ -251,6 +275,12 @@ impl Clone for Topology {
 /// `Arc` slices) by every simulator and sanitizer built from it or its
 /// clones.
 pub(crate) struct Compiled {
+    /// The cell models as one slice, which every simulator of this
+    /// topology holds inline.
+    pub(crate) models: Arc<[Arc<Model>]>,
+    /// Every cell's [`Component::power_on`] state, in component order:
+    /// what a fresh simulator copies and a reset restores.
+    pub(crate) power_on: Box<[CellState]>,
     /// The flattened fan-out table.
     pub(crate) nets: NetTable,
     /// Largest cell or wire delay; see [`Circuit::max_delay`].
@@ -266,8 +296,9 @@ impl Compiled {
     fn build(circuit: &Circuit) -> Self {
         // One `static_meta` call per cell feeds both the sanitizer's
         // facts and the delay bound.
+        let models = &circuit.topo.models;
         let mut max_cell_delay = Time::ZERO;
-        let facts = SanitizerFacts::compile(circuit.models.iter().map(|m| {
+        let facts = SanitizerFacts::compile(models.iter().map(|m| {
             let meta = m.static_meta();
             max_cell_delay = max_cell_delay.max(meta.max_delay);
             (meta, m.num_inputs())
@@ -278,6 +309,8 @@ impl Compiled {
             .chain(circuit.input_wires().map(|(.., delay)| delay))
             .fold(max_cell_delay, Ord::max);
         Compiled {
+            models: models.as_slice().into(),
+            power_on: models.iter().map(|m| m.power_on()).collect(),
             nets: NetTable::build(circuit),
             max_delay,
             facts,
@@ -296,7 +329,6 @@ impl Circuit {
     /// Creates an empty circuit.
     pub fn new() -> Self {
         Circuit {
-            models: Vec::new(),
             topo: Arc::default(),
         }
     }
@@ -331,10 +363,17 @@ impl Circuit {
 
     /// Adds an already-boxed component (useful for heterogeneous builders).
     pub fn add_boxed(&mut self, model: Box<dyn Component>) -> CompHandle {
+        self.add_shared(Arc::new(Model(model)))
+    }
+
+    /// Adds a model another circuit may share (a shard's sub-circuit
+    /// shares its source circuit's).
+    pub(crate) fn add_shared(&mut self, model: Arc<Model>) -> CompHandle {
         let outputs = vec![OutputNet::default(); model.num_outputs()];
-        let id = CompId(self.models.len());
-        self.topo_mut().outputs.push(outputs);
-        self.models.push(model);
+        let topo = self.topo_mut();
+        let id = CompId(topo.models.len());
+        topo.outputs.push(outputs);
+        topo.models.push(model);
         CompHandle { id }
     }
 
@@ -431,7 +470,7 @@ impl Circuit {
 
     /// Number of components in the circuit.
     pub fn num_components(&self) -> usize {
-        self.models.len()
+        self.topo.models.len()
     }
 
     /// Number of declared external inputs.
@@ -487,22 +526,20 @@ impl Circuit {
     ///
     /// Returns [`SimError::UnknownId`] for a foreign id.
     pub fn component_name(&self, id: CompId) -> Result<&str, SimError> {
-        self.models
-            .get(id.0)
-            .map(|m| m.name())
-            .ok_or_else(|| SimError::UnknownId(format!("component {}", id.0)))
+        self.model(id).map(Component::name)
     }
 
     /// Total Josephson-junction count over all components — the paper's area
     /// metric.
     pub fn total_jj(&self) -> u64 {
-        self.models.iter().map(|m| u64::from(m.jj_count())).sum()
+        self.components().map(|(.., jj)| u64::from(jj)).sum()
     }
 
     /// Iterates over `(id, name, jj_count)` of every component — the
     /// circuit's bill of materials.
     pub fn components(&self) -> impl Iterator<Item = (CompId, &str, u32)> + '_ {
-        self.models
+        self.topo
+            .models
             .iter()
             .enumerate()
             .map(|(i, m)| (CompId(i), m.name(), m.jj_count()))
@@ -570,7 +607,7 @@ impl Circuit {
     /// Probes are test instrumentation and don't count as sinks.
     pub fn fanout_overflows(&self) -> Vec<FanoutOverflow> {
         let mut found = Vec::new();
-        for (i, (model, nets)) in self.models.iter().zip(&self.topo.outputs).enumerate() {
+        for (i, (model, nets)) in self.topo.models.iter().zip(&self.topo.outputs).enumerate() {
             for (port, net) in nets.iter().enumerate() {
                 if net.wires.len() > 1 {
                     found.push(FanoutOverflow {
@@ -620,10 +657,7 @@ impl Circuit {
     ///
     /// Returns [`SimError::UnknownId`] for a foreign id.
     pub fn component_ports(&self, id: CompId) -> Result<(usize, usize), SimError> {
-        self.models
-            .get(id.0)
-            .map(|m| (m.num_inputs(), m.num_outputs()))
-            .ok_or_else(|| SimError::UnknownId(format!("component {}", id.0)))
+        self.model(id).map(|m| (m.num_inputs(), m.num_outputs()))
     }
 
     /// The component's declared [`StaticMeta`] (kind, delay range,
@@ -633,10 +667,7 @@ impl Circuit {
     ///
     /// Returns [`SimError::UnknownId`] for a foreign id.
     pub fn component_static_meta(&self, id: CompId) -> Result<StaticMeta, SimError> {
-        self.models
-            .get(id.0)
-            .map(|m| m.static_meta())
-            .ok_or_else(|| SimError::UnknownId(format!("component {}", id.0)))
+        self.model(id).map(Component::static_meta)
     }
 
     /// Iterates over every external input as `(id, name)`.
@@ -714,7 +745,8 @@ impl Circuit {
     /// components by name assume the netlist builder kept them unique
     /// (every shipped and generated netlist does).
     pub fn find_component(&self, name: &str) -> Option<CompId> {
-        self.models
+        self.topo
+            .models
             .iter()
             .position(|m| m.name() == name)
             .map(CompId)
@@ -831,39 +863,43 @@ impl Circuit {
         Ok((w.dest, w.port, w.delay))
     }
 
-    fn check_output(&self, node: NodeRef) -> Result<(), SimError> {
-        let model = self
+    /// The model of component `id`.
+    fn model(&self, id: CompId) -> Result<&dyn Component, SimError> {
+        self.topo
             .models
-            .get(node.comp.0)
-            .ok_or_else(|| SimError::UnknownId(format!("component {}", node.comp.0)))?;
-        let available = model.num_outputs();
-        if node.port >= available {
-            return Err(SimError::InvalidPort {
-                component: model.name().to_owned(),
-                port: node.port,
-                available,
-                direction: "output",
-            });
-        }
-        Ok(())
+            .get(id.0)
+            .map(|m| &***m)
+            .ok_or_else(|| SimError::UnknownId(format!("component {}", id.0)))
+    }
+
+    fn check_output(&self, node: NodeRef) -> Result<(), SimError> {
+        let model = self.model(node.comp)?;
+        check_port(model, node.port, model.num_outputs(), "output")
     }
 
     fn check_input(&self, sink: SinkRef) -> Result<(), SimError> {
-        let model = self
-            .models
-            .get(sink.comp.0)
-            .ok_or_else(|| SimError::UnknownId(format!("component {}", sink.comp.0)))?;
-        let available = model.num_inputs();
-        if sink.port >= available {
-            return Err(SimError::InvalidPort {
-                component: model.name().to_owned(),
-                port: sink.port,
-                available,
-                direction: "input",
-            });
-        }
-        Ok(())
+        let model = self.model(sink.comp)?;
+        check_port(model, sink.port, model.num_inputs(), "input")
     }
+}
+
+/// [`SimError::InvalidPort`] unless `port` is one of `model`'s
+/// `available` ports in `direction`.
+fn check_port(
+    model: &dyn Component,
+    port: usize,
+    available: usize,
+    direction: &'static str,
+) -> Result<(), SimError> {
+    if port >= available {
+        return Err(SimError::InvalidPort {
+            component: model.name().to_owned(),
+            port,
+            available,
+            direction,
+        });
+    }
+    Ok(())
 }
 
 fn sanitize(name: &str) -> String {
@@ -873,7 +909,7 @@ fn sanitize(name: &str) -> String {
 impl std::fmt::Debug for Circuit {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Circuit")
-            .field("components", &self.models.len())
+            .field("components", &self.topo.models.len())
             .field("inputs", &self.topo.inputs.len())
             .field("probes", &self.topo.probes.len())
             .field("total_jj", &self.total_jj())
@@ -1287,6 +1323,52 @@ mod tests {
         assert!(Arc::ptr_eq(&la, &c.circuit().cycle_lookahead()));
         assert_eq!(la[b[0].id().index()], Time::MAX);
         assert_eq!(la[b[1].id().index()], Time::from_ps(13.0));
+    }
+
+    /// A clone shares its prototype's cells rather than copying them,
+    /// and so do the workers of a sharded run of it.
+    #[test]
+    fn clones_share_their_cells() {
+        let (proto, ..) = loop_fixture(false);
+        let copy = proto.clone();
+        assert!(Arc::ptr_eq(&proto.topo, &copy.topo));
+        let mut rewired = proto.clone();
+        rewired.probe_input(InputId(0), "raw");
+        assert!(!Arc::ptr_eq(&proto.topo, &rewired.topo));
+        for (a, b) in proto.topo.models.iter().zip(&rewired.topo.models) {
+            assert!(Arc::ptr_eq(a, b), "a rewired clone copies no cell");
+        }
+
+        // Two chains joined by a 20 ps wire split into two shards.
+        let mut c = Circuit::new();
+        let input = c.input("in");
+        let b = (0..4)
+            .map(|i| c.add(Buffer::new(format!("b{i}"), Time::from_ps(1.0))))
+            .collect::<Vec<_>>();
+        c.connect_input(input, b[0].input(0), Time::ZERO).unwrap();
+        for (i, pair) in b.windows(2).enumerate() {
+            let delay = if i == 1 { 20.0 } else { 0.0 };
+            c.connect(pair[0].output(0), pair[1].input(0), Time::from_ps(delay))
+                .unwrap();
+        }
+        let config = crate::SimConfig {
+            shards: 2,
+            ..crate::SimConfig::reference()
+        };
+        let sharded = crate::ShardedSimulator::with_config(c.clone(), &config);
+        assert_eq!(sharded.num_shards(), 2);
+        let mut shared = 0;
+        for worker in sharded.workers() {
+            for model in &worker.circuit().topo.models {
+                assert!(
+                    c.topo.models.iter().any(|m| Arc::ptr_eq(m, model)),
+                    "a shard copied `{}`",
+                    model.name()
+                );
+                shared += 1;
+            }
+        }
+        assert_eq!(shared, c.num_components());
     }
 
     #[test]

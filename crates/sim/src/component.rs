@@ -221,27 +221,46 @@ impl StaticMeta {
     }
 }
 
-/// Object-safe cloning for boxed components.
+/// One cell's mutable state: the part of a cell that a run changes.
 ///
-/// Implemented automatically for every `Component` that is `Clone`, so a
-/// [`Circuit`](crate::Circuit) full of `Box<dyn Component>` slots can
-/// itself be `Clone` — the enabler for per-trial circuit copies in
-/// parallel sweeps (see [`crate::runner`]). A component that cannot
-/// derive `Clone` implements this trait by hand.
-pub trait CloneComponent {
-    /// Boxes a deep copy of `self`, preserving its current state.
-    fn clone_box(&self) -> Box<dyn Component>;
+/// Cells keep no state of their own. A [`Component`] is an immutable
+/// description, shared by every clone of its [`Circuit`](crate::Circuit);
+/// each simulator holds one `CellState` per cell in one flat vector,
+/// lends a cell its entry in every handler, and restores the entries
+/// from the models' [`Component::power_on`] on reset.
+///
+/// The value is fixed-size and `Copy`, with no heap, and sized for the
+/// largest catalog cell, the balancer: two route bits and one
+/// transition end per input port. Other cells use what they need: a
+/// stored fluxon or a toggle phase is one bit, the end of a merger's
+/// collision window is one time, an integrator's count is one word.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct CellState {
+    /// Discrete state, one bit per flag (see [`CellState::bit`]).
+    pub bits: u8,
+    /// Two words, read as times (see [`CellState::time`]) or as counts.
+    pub words: [u64; 2],
 }
 
-impl<T: Component + Clone + 'static> CloneComponent for T {
-    fn clone_box(&self) -> Box<dyn Component> {
-        Box::new(self.clone())
+impl CellState {
+    /// Bit `i` of [`CellState::bits`].
+    pub fn bit(self, i: u32) -> bool {
+        self.bits >> i & 1 == 1
     }
-}
 
-impl Clone for Box<dyn Component> {
-    fn clone(&self) -> Self {
-        self.clone_box()
+    /// Sets bit `i` of [`CellState::bits`] to `on`.
+    pub fn set_bit(&mut self, i: u32, on: bool) {
+        self.bits = self.bits & !(1 << i) | u8::from(on) << i;
+    }
+
+    /// Word `i` read as a time.
+    pub fn time(self, i: usize) -> Time {
+        Time::from_fs(self.words[i])
+    }
+
+    /// Stores time `t` in word `i`.
+    pub fn set_time(&mut self, i: usize, t: Time) {
+        self.words[i] = t.as_fs();
     }
 }
 
@@ -249,35 +268,38 @@ impl Clone for Box<dyn Component> {
 ///
 /// Implementations are deterministic state machines: the engine delivers
 /// pulses (and previously requested timers) in non-decreasing time order and
-/// the component reacts by updating internal state and requesting emissions.
+/// the component reacts by updating its [`CellState`] and requesting
+/// emissions.
 ///
-/// Components must be `Clone` (which provides
-/// [`CloneComponent::clone_box`] for free) plus `Send + Sync`, so whole
-/// circuits can be cloned and shipped to worker threads by the parallel
-/// [`runner`](crate::runner). Cells are plain-data state machines, so
-/// `#[derive(Clone)]` is all a typical implementation needs.
+/// A component is an immutable description of its cell: name, ports,
+/// delays, hazards. Its handlers take `&self` and the cell's state,
+/// which the simulator owns (one [`CellState`] per cell) and which
+/// starts at [`Component::power_on`]. So a circuit is shared, not
+/// copied, by its clones and by the shards of a sharded run, and
+/// components must be `Send + Sync` to reach the parallel
+/// [`runner`](crate::runner)'s worker threads.
 ///
 /// # Examples
 ///
-/// A pass-through buffer (see [`Buffer`]) is the minimal implementation:
+/// A pass-through buffer (see [`Buffer`]) is the minimal implementation;
+/// it keeps no state, so the default power-on state serves:
 ///
 /// ```
-/// use usfq_sim::component::{Component, Ctx};
+/// use usfq_sim::component::{CellState, Component, Ctx};
 /// use usfq_sim::Time;
 ///
-/// #[derive(Clone)]
 /// struct Echo;
 /// impl Component for Echo {
 ///     fn name(&self) -> &str { "echo" }
 ///     fn num_inputs(&self) -> usize { 1 }
 ///     fn num_outputs(&self) -> usize { 1 }
 ///     fn jj_count(&self) -> u32 { 2 }
-///     fn on_pulse(&mut self, _port: usize, _now: Time, ctx: &mut Ctx) {
+///     fn on_pulse(&self, _state: &mut CellState, _port: usize, _now: Time, ctx: &mut Ctx) {
 ///         ctx.emit(0, Time::from_ps(3.0));
 ///     }
 /// }
 /// ```
-pub trait Component: CloneComponent + Send + Sync {
+pub trait Component: Send + Sync {
     /// Instance name, used in error messages and reports.
     fn name(&self) -> &str;
 
@@ -301,14 +323,22 @@ pub trait Component: CloneComponent + Send + Sync {
         f64::from(self.jj_count()) / 4.0
     }
 
-    /// Handles a pulse arriving on `port` at time `now`.
-    fn on_pulse(&mut self, port: usize, now: Time, ctx: &mut Ctx);
+    /// The cell's state at power-on, which a fresh or reset simulator
+    /// starts the cell from. The default, all zero, serves stateless
+    /// cells and cells whose flags all start clear.
+    fn power_on(&self) -> CellState {
+        CellState::default()
+    }
+
+    /// Handles a pulse arriving on `port` at time `now`, in the cell's
+    /// `state`.
+    fn on_pulse(&self, state: &mut CellState, port: usize, now: Time, ctx: &mut Ctx);
 
     /// Offers a whole coalesced train arriving on `port`.
     ///
     /// A cell whose reaction to a uniform train has a closed form
     /// (delay elements, splitters, toggles, gated pass-throughs)
-    /// absorbs it here: update state as if every pulse of `burst` had
+    /// absorbs it here: update `state` as if every pulse of `burst` had
     /// arrived through [`Component::on_pulse`], emit the transformed
     /// output trains via [`Ctx::emit_burst`] (with absolute times,
     /// usually `burst.delayed(cell_delay)`), record batched anomalies
@@ -344,20 +374,23 @@ pub trait Component: CloneComponent + Send + Sync {
     /// ([`Burst::src_map`]) — the built-in transforms do this
     /// automatically; hand-built emissions must derive from `burst`,
     /// not from a fresh [`Burst::uniform`].
-    fn step_burst(&mut self, port: usize, burst: &Burst, ctx: &mut Ctx) -> BurstStep {
-        let _ = (port, burst, ctx);
+    fn step_burst(
+        &self,
+        state: &mut CellState,
+        port: usize,
+        burst: &Burst,
+        ctx: &mut Ctx,
+    ) -> BurstStep {
+        let _ = (state, port, burst, ctx);
         BurstStep::PulseByPulse
     }
 
     /// Handles a timer previously scheduled via [`Ctx::schedule_timer`].
     ///
     /// The default implementation ignores timers.
-    fn on_timer(&mut self, tag: u64, now: Time, ctx: &mut Ctx) {
-        let _ = (tag, now, ctx);
+    fn on_timer(&self, state: &mut CellState, tag: u64, now: Time, ctx: &mut Ctx) {
+        let _ = (state, tag, now, ctx);
     }
-
-    /// Resets internal state to power-on condition (between epochs or runs).
-    fn reset(&mut self) {}
 
     /// Static timing facts for analyzers: cell kind, delay range, and
     /// hazards. The default — kind `"custom"`, a zero-width delay
@@ -419,10 +452,16 @@ impl Component for Buffer {
     fn jj_count(&self) -> u32 {
         self.jj
     }
-    fn on_pulse(&mut self, _port: usize, _now: Time, ctx: &mut Ctx) {
+    fn on_pulse(&self, _state: &mut CellState, _port: usize, _now: Time, ctx: &mut Ctx) {
         ctx.emit(0, self.delay);
     }
-    fn step_burst(&mut self, _port: usize, burst: &Burst, ctx: &mut Ctx) -> BurstStep {
+    fn step_burst(
+        &self,
+        _state: &mut CellState,
+        _port: usize,
+        burst: &Burst,
+        ctx: &mut Ctx,
+    ) -> BurstStep {
         // Stateless delay: the whole train shifts by the fixed latency.
         ctx.emit_burst(0, burst.delayed(self.delay));
         BurstStep::Consumed
@@ -454,9 +493,9 @@ mod tests {
 
     #[test]
     fn buffer_emits_after_delay() {
-        let mut b = Buffer::new("b", Time::from_ps(3.0));
+        let b = Buffer::new("b", Time::from_ps(3.0));
         let mut ctx = Ctx::default();
-        b.on_pulse(0, Time::ZERO, &mut ctx);
+        b.on_pulse(&mut b.power_on(), 0, Time::ZERO, &mut ctx);
         assert_eq!(ctx.emissions, vec![(0, Time::from_ps(3.0))]);
         assert_eq!(b.delay(), Time::from_ps(3.0));
         assert_eq!(b.jj_count(), 2);
@@ -464,17 +503,32 @@ mod tests {
         assert_eq!(b.num_outputs(), 1);
     }
 
+    /// A component added boxed survives a circuit clone, shared rather
+    /// than copied, and the clone simulates it the same.
     #[test]
     fn clone_box_copies_boxed_components() {
+        let mut c = crate::Circuit::new();
+        let input = c.input("in");
         let boxed: Box<dyn Component> =
             Box::new(Buffer::with_jj_count("jtl", Time::from_ps(5.0), 6));
-        let copy = boxed.clone();
-        assert_eq!(copy.name(), "jtl");
-        assert_eq!(copy.jj_count(), 6);
-        let mut ctx = Ctx::default();
-        let mut copy = copy;
-        copy.on_pulse(0, Time::ZERO, &mut ctx);
-        assert_eq!(ctx.emissions(), &[(0, Time::from_ps(5.0))]);
+        let b = c.add_boxed(boxed);
+        c.connect_input(input, b.input(0), Time::ZERO).unwrap();
+        let p = c.probe(b.output(0), "out");
+        let copy = c.clone();
+        assert_eq!(copy.component_name(b.id()).unwrap(), "jtl");
+        assert_eq!(copy.total_jj(), 6);
+        assert!(std::sync::Arc::ptr_eq(
+            &c.topo.models[b.id().index()],
+            &copy.topo.models[b.id().index()]
+        ));
+        let run = |circuit| {
+            let mut sim = crate::Simulator::new(circuit);
+            sim.schedule_input(input, Time::ZERO).unwrap();
+            sim.run().unwrap();
+            sim.probe_times(p).to_vec()
+        };
+        assert_eq!(run(copy), vec![Time::from_ps(5.0)]);
+        assert_eq!(run(c), vec![Time::from_ps(5.0)]);
     }
 
     #[test]
@@ -512,7 +566,6 @@ mod tests {
         let counting = StaticMeta::new("ctr", Time::ZERO).with_counting_capacity(256);
         assert_eq!(counting.counting_capacity, Some(256));
 
-        #[derive(Clone)]
         struct Bare;
         impl Component for Bare {
             fn name(&self) -> &'static str {
@@ -527,7 +580,7 @@ mod tests {
             fn jj_count(&self) -> u32 {
                 0
             }
-            fn on_pulse(&mut self, _port: usize, _now: Time, _ctx: &mut Ctx) {}
+            fn on_pulse(&self, _state: &mut CellState, _port: usize, _now: Time, _ctx: &mut Ctx) {}
         }
         let meta = Bare.static_meta();
         assert_eq!(meta.kind, "custom");

@@ -3,8 +3,8 @@
 use std::sync::{Arc, OnceLock};
 
 use crate::burst::Burst;
-use crate::circuit::{Circuit, InputId, OutputNet, ProbeId};
-use crate::component::{BurstStep, Ctx};
+use crate::circuit::{Circuit, InputId, Model, OutputNet, ProbeId};
+use crate::component::{BurstStep, CellState, Component, Ctx};
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::graph;
@@ -654,9 +654,12 @@ impl ProbeRec {
 
 /// Executes a [`Circuit`].
 ///
-/// The simulator is restartable: [`Simulator::reset`] returns every
-/// component to power-on state and clears probes, so one circuit can run
-/// many epochs or randomized trials.
+/// The simulator owns every cell's state, one [`CellState`] per
+/// component in one flat vector, and lends each cell its entry as it
+/// dispatches; the circuit itself holds none. The simulator is
+/// restartable: [`Simulator::reset`] returns every component to
+/// power-on state and clears probes, so one circuit can run many epochs
+/// or randomized trials.
 ///
 /// Determinism: events at equal times are processed in scheduling order
 /// (a monotonically increasing sequence number breaks ties), so repeated
@@ -664,6 +667,11 @@ impl ProbeRec {
 pub struct Simulator {
     circuit: Circuit,
     nets: NetTable,
+    /// The circuit's cell models, shared with every simulator of its
+    /// topology and held inline like the net table's slices.
+    models: Arc<[Arc<Model>]>,
+    /// Each cell's state, in component order.
+    states: Vec<CellState>,
     queue: Queue,
     seq: u64,
     now: Time,
@@ -866,14 +874,17 @@ impl Simulator {
     /// bucket width is derived from the circuit's maximum cell/wire
     /// delay ([`Circuit::max_delay`]).
     ///
-    /// The fan-out table, delay bound and cell facts come from the
-    /// circuit's compiled form, built once per topology and shared by
-    /// every clone, so a simulator per trial only allocates its own
-    /// mutable state.
+    /// The cell models, fan-out table, delay bound, cell facts and
+    /// power-on states come from the circuit's compiled form, built once
+    /// per topology and shared by every clone, so a simulator per trial
+    /// only allocates its own mutable state: all its cells' state in one
+    /// copy of the power-on states, plus its queue, probes and counters.
     pub fn with_config(circuit: Circuit, config: &SimConfig) -> Self {
         let compiled = circuit.compiled();
         let max_delay = compiled.max_delay;
         let nets = compiled.nets.clone();
+        let models = Arc::clone(&compiled.models);
+        let states = compiled.power_on.to_vec();
         let probe_data = (0..circuit.num_probes())
             .map(|_| ProbeRec {
                 times: Vec::with_capacity(16),
@@ -889,6 +900,8 @@ impl Simulator {
         Simulator {
             circuit,
             nets,
+            models,
+            states,
             queue,
             seq: 0,
             now: Time::ZERO,
@@ -1207,7 +1220,7 @@ impl Simulator {
         };
         SimError::EventLimitExceeded {
             limit: self.event_limit,
-            component: self.circuit.models[comp as usize].name().to_string(),
+            component: self.models[comp as usize].name().to_string(),
             time: ev.time,
         }
     }
@@ -1307,7 +1320,8 @@ impl Simulator {
             if atomic {
                 let prefix = burst.prefix(m);
                 ctx.clear();
-                let step = self.circuit.models[ci].step_burst(port as usize, &prefix, ctx);
+                let step =
+                    self.models[ci].step_burst(&mut self.states[ci], port as usize, &prefix, ctx);
                 if step == BurstStep::Consumed {
                     debug_assert!(
                         ctx.emissions.is_empty() && ctx.timers.is_empty() && ctx.stats.is_empty(),
@@ -1497,7 +1511,7 @@ impl Simulator {
         let overflow = |circuit: &Circuit| SimError::TimeOverflow {
             component: match source {
                 NetSource::Input(i) => circuit.topo.inputs[i].name.clone(),
-                NetSource::Output(c, _) => circuit.models[c].name().to_string(),
+                NetSource::Output(c, _) => circuit.topo.models[c].name().to_string(),
             },
             time: b.first(),
         };
@@ -1694,24 +1708,25 @@ impl Simulator {
         let ci = comp_id as usize;
         ctx.clear();
         {
-            let model = &mut self.circuit.models[ci];
+            let model: &dyn Component = &**self.models[ci];
+            let state = &mut self.states[ci];
             match ev.kind {
                 EventKind::Deliver { port, .. } => {
                     self.activity.handled[ci] += 1;
                     if let Some(sanitizer) = &mut self.sanitizer {
-                        sanitizer.observe(ci, model.name(), port as usize, ev.time);
+                        sanitizer.observe(ci, model, port as usize, ev.time);
                     }
-                    model.on_pulse(port as usize, ev.time, ctx);
+                    model.on_pulse(state, port as usize, ev.time, ctx);
                 }
                 EventKind::Timer { tag, .. } => {
-                    model.on_timer(tag, ev.time, ctx);
+                    model.on_timer(state, tag, ev.time, ctx);
                 }
                 EventKind::BurstDeliver { .. } => unreachable!("bursts go through deliver_burst"),
             }
         }
         if !ctx.is_empty() {
             let overflow = |circuit: &Circuit| SimError::TimeOverflow {
-                component: circuit.models[ci].name().to_string(),
+                component: circuit.topo.models[ci].name().to_string(),
                 time: ev.time,
             };
             for &(port, delay) in &ctx.emissions {
@@ -1722,7 +1737,7 @@ impl Simulator {
                 self.activity.emitted[ci] += 1;
                 self.fan_out(NetSource::Output(ci, port), t_emit, |circuit| {
                     SimError::TimeOverflow {
-                        component: circuit.models[ci].name().to_string(),
+                        component: circuit.topo.models[ci].name().to_string(),
                         time: t_emit,
                     }
                 })?;
@@ -1888,7 +1903,8 @@ impl Simulator {
         self.now
     }
 
-    /// Shared access to the simulated circuit.
+    /// Shared access to the simulated circuit. It holds no run state: a
+    /// clone of it simulates from power-on, whatever this simulator ran.
     pub fn circuit(&self) -> &Circuit {
         &self.circuit
     }
@@ -1896,7 +1912,9 @@ impl Simulator {
     /// Returns all components to power-on state, clears probes, pending
     /// events, and activity counters. Input wiring is preserved.
     ///
-    /// Everything is cleared *in place* — queue, probe recordings, and
+    /// The cells' state returns to power-on in one slice copy, from the
+    /// power-on states the circuit's compiled form holds. Everything
+    /// else is cleared *in place* — queue, probe recordings, and
     /// activity counters keep their allocations — so resetting between
     /// trials of a sweep is allocation-free. A rerun still allocates
     /// where probes see trains: recording a jittered train copies its
@@ -1907,9 +1925,8 @@ impl Simulator {
     /// seed, wire and emission time, a reset simulator repeats a fresh
     /// one's jitter exactly.
     pub fn reset(&mut self) {
-        for model in &mut self.circuit.models {
-            model.reset();
-        }
+        self.states
+            .copy_from_slice(&self.circuit.compiled().power_on);
         self.queue.clear();
         self.seq = 0;
         self.now = Time::ZERO;
@@ -1942,7 +1959,7 @@ impl std::fmt::Debug for Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::component::{Buffer, Component};
+    use crate::component::Buffer;
 
     /// A reference-configured simulator with `sched` and `burst` set.
     fn sim_with(circuit: Circuit, sched: Sched, burst: bool) -> Simulator {
@@ -2018,7 +2035,6 @@ mod tests {
     }
 
     /// A pathological cell that echoes with zero delay to itself.
-    #[derive(Clone)]
     struct Oscillator;
     impl Component for Oscillator {
         fn name(&self) -> &'static str {
@@ -2033,7 +2049,7 @@ mod tests {
         fn jj_count(&self) -> u32 {
             2
         }
-        fn on_pulse(&mut self, _port: usize, _now: Time, ctx: &mut Ctx) {
+        fn on_pulse(&self, _state: &mut CellState, _port: usize, _now: Time, ctx: &mut Ctx) {
             ctx.emit(0, Time::from_ps(1.0));
         }
     }
@@ -2106,10 +2122,7 @@ mod tests {
 
     #[test]
     fn timer_delivery() {
-        #[derive(Clone)]
-        struct TimerCell {
-            fired_at: Option<Time>,
-        }
+        struct TimerCell;
         impl Component for TimerCell {
             fn name(&self) -> &'static str {
                 "t"
@@ -2123,18 +2136,18 @@ mod tests {
             fn jj_count(&self) -> u32 {
                 4
             }
-            fn on_pulse(&mut self, _port: usize, _now: Time, ctx: &mut Ctx) {
+            fn on_pulse(&self, _state: &mut CellState, _port: usize, _now: Time, ctx: &mut Ctx) {
                 ctx.schedule_timer(42, Time::from_ps(7.0));
             }
-            fn on_timer(&mut self, tag: u64, now: Time, ctx: &mut Ctx) {
+            fn on_timer(&self, state: &mut CellState, tag: u64, now: Time, ctx: &mut Ctx) {
                 assert_eq!(tag, 42);
-                self.fired_at = Some(now);
+                state.set_time(0, now);
                 ctx.emit(0, Time::ZERO);
             }
         }
         let mut c = Circuit::new();
         let input = c.input("in");
-        let t = c.add(TimerCell { fired_at: None });
+        let t = c.add(TimerCell);
         c.connect_input(input, t.input(0), Time::ZERO).unwrap();
         let p = c.probe(t.output(0), "out");
         let mut sim = Simulator::new(c);
@@ -2193,6 +2206,76 @@ mod tests {
         assert_eq!(times_a, times_b);
         assert_eq!(act_a.handled, act_b.handled);
         assert_eq!(act_a.emitted, act_b.emitted);
+    }
+
+    /// A set/read latch: a pulse on port 0 sets it, and a pulse on
+    /// port 1 reads it, passing after 1 ps while it is set.
+    struct Latch;
+    impl Component for Latch {
+        fn name(&self) -> &'static str {
+            "latch"
+        }
+        fn num_inputs(&self) -> usize {
+            2
+        }
+        fn num_outputs(&self) -> usize {
+            1
+        }
+        fn jj_count(&self) -> u32 {
+            6
+        }
+        fn on_pulse(&self, state: &mut CellState, port: usize, _now: Time, ctx: &mut Ctx) {
+            match port {
+                0 => state.set_bit(0, true),
+                _ if state.bit(0) => ctx.emit(0, Time::from_ps(1.0)),
+                _ => {}
+            }
+        }
+    }
+
+    /// A circuit holds no run state: a clone of `sim.circuit()` taken
+    /// after a run that leaves a toggle high (an odd pulse count) and a
+    /// latch set simulates exactly like a fresh simulator of the
+    /// prototype, from power-on.
+    #[test]
+    fn a_circuit_cloned_after_a_run_starts_at_power_on() {
+        let mut c = Circuit::new();
+        let toggle_in = c.input("toggle");
+        let set = c.input("set");
+        let read = c.input("read");
+        let div = c.add(Divider);
+        let latch = c.add(Latch);
+        c.connect_input(toggle_in, div.input(0), Time::ZERO)
+            .unwrap();
+        c.connect_input(set, latch.input(0), Time::ZERO).unwrap();
+        c.connect_input(read, latch.input(1), Time::ZERO).unwrap();
+        let probes = [
+            c.probe(div.output(0), "div"),
+            c.probe(latch.output(0), "latch"),
+        ];
+        let fingerprint = |circuit: Circuit| {
+            let mut sim = crate::ShardedSimulator::with_config(circuit, &SimConfig::reference());
+            sim.schedule_input(toggle_in, Time::from_ps(10.0)).unwrap();
+            sim.schedule_input(read, Time::from_ps(20.0)).unwrap();
+            let summary = sim.run().unwrap();
+            crate::Fingerprint::capture(&sim, summary, &probes)
+        };
+
+        let mut sim = Simulator::with_config(c.clone(), &SimConfig::reference());
+        sim.schedule_pulses(toggle_in, [0.0, 5.0, 9.0].map(Time::from_ps))
+            .unwrap();
+        sim.schedule_input(set, Time::from_ps(1.0)).unwrap();
+        sim.run().unwrap();
+        let (div_state, latch_state) =
+            (sim.states[div.id().index()], sim.states[latch.id().index()]);
+        assert!(
+            div_state.bit(0) && latch_state.bit(0),
+            "the run leaves state behind"
+        );
+
+        let fresh = fingerprint(c);
+        assert_eq!(fingerprint(sim.circuit().clone()), fresh);
+        assert_eq!(fresh.probe_times, vec![vec![], vec![]]);
     }
 
     /// Reusing one simulator via `reset` matches building a fresh one —
@@ -2579,11 +2662,9 @@ mod tests {
     }
 
     /// A toggle divider: every second pulse passes, after 1 ps, so a
-    /// train with an odd count ends on a pulse that emits nothing.
-    #[derive(Clone, Default)]
-    struct Divider {
-        high: bool,
-    }
+    /// train with an odd count ends on a pulse that emits nothing. Its
+    /// state bit is high after an odd pulse count.
+    struct Divider;
     impl Component for Divider {
         fn name(&self) -> &'static str {
             "div"
@@ -2597,20 +2678,23 @@ mod tests {
         fn jj_count(&self) -> u32 {
             4
         }
-        fn on_pulse(&mut self, _port: usize, _now: Time, ctx: &mut Ctx) {
-            if self.high {
+        fn on_pulse(&self, state: &mut CellState, _port: usize, _now: Time, ctx: &mut Ctx) {
+            if state.bit(0) {
                 ctx.emit(0, Time::from_ps(1.0));
             }
-            self.high = !self.high;
+            state.bits ^= 1;
         }
-        fn step_burst(&mut self, _port: usize, burst: &Burst, ctx: &mut Ctx) -> BurstStep {
-            let off = u64::from(!self.high);
+        fn step_burst(
+            &self,
+            state: &mut CellState,
+            _port: usize,
+            burst: &Burst,
+            ctx: &mut Ctx,
+        ) -> BurstStep {
+            let off = u64::from(!state.bit(0));
             ctx.emit_burst(0, burst.decimate(off, 2).delayed(Time::from_ps(1.0)));
-            self.high ^= burst.count() % 2 == 1;
+            state.bits ^= u8::from(burst.count() % 2 == 1);
             BurstStep::Consumed
-        }
-        fn reset(&mut self) {
-            self.high = false;
         }
     }
 
@@ -2625,7 +2709,7 @@ mod tests {
         let mut c = Circuit::new();
         let input = c.input("in");
         let a = c.add(Buffer::new("a", Time::from_ps(1.0)));
-        let div = c.add(Divider::default());
+        let div = c.add(Divider);
         let b = c.add(Buffer::new("b", Time::from_ps(1.0)));
         c.connect_input(input, a.input(0), Time::from_ps(1.0))
             .unwrap();
@@ -2686,7 +2770,7 @@ mod tests {
         use crate::{Fingerprint, ShardedSimulator};
         let mut c = Circuit::new();
         let (a, b) = (c.input("a"), c.input("b"));
-        let div = c.add(Divider::default());
+        let div = c.add(Divider);
         let buf = c.add(Buffer::new("buf", Time::from_ps(1.0)));
         c.connect_input(a, div.input(0), Time::from_ps(1.0))
             .unwrap();

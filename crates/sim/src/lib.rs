@@ -17,8 +17,9 @@
 //!   a `u64`), so picosecond-scale cell delays are exact.
 //! * A [`Circuit`] is a netlist of [`Component`]s connected by wires with
 //!   fixed delays, plus named external inputs and output probes.
-//! * A [`Simulator`] owns a circuit and an event queue. Ties in time are
-//!   broken by insertion order, making every run reproducible bit-for-bit.
+//! * A [`Simulator`] owns a circuit, its cells' state and an event
+//!   queue. Ties in time are broken by insertion order, making every
+//!   run reproducible bit-for-bit.
 //!   The queue is a binary heap (the default) or a calendar wheel
 //!   ([`sched::Sched`]); both pop events in the same order.
 //! * [`SimConfig`] is the one engine configuration (scheduler, burst
@@ -88,7 +89,7 @@ pub use burst::{Burst, BurstStepper};
 pub use circuit::{
     Circuit, CompId, FanoutOverflow, InputId, NodeRef, ProbeId, ProbeSource, SinkRef, WireId,
 };
-pub use component::{BurstStep, Component, Ctx, Hazard, StaticMeta};
+pub use component::{BurstStep, CellState, Component, Ctx, Hazard, StaticMeta};
 pub use config::{
     Fingerprint, Jitter, SimConfig, BURST_ENV, SHARDS_ENV, WIRE_JITTER_DEFAULT_SEED,
     WIRE_JITTER_ENV,

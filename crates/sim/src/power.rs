@@ -71,6 +71,7 @@ impl PowerModel {
     /// over `circuit`.
     pub fn active_energy_j(&self, circuit: &Circuit, activity: &ActivityReport) -> f64 {
         circuit
+            .topo
             .models
             .iter()
             .zip(&activity.handled)

@@ -33,7 +33,7 @@
 use std::sync::Arc;
 
 use crate::circuit::Circuit;
-use crate::component::{Hazard, StaticMeta};
+use crate::component::{Component, Hazard, StaticMeta};
 use crate::time::Time;
 
 /// Default cap on recorded violations; further ones are counted but not
@@ -249,8 +249,16 @@ pub(crate) struct SanitizerState {
     arrivals: Vec<Option<Time>>,
     /// Data pulses delivered to port 0 of counting cells.
     data_count: Vec<u64>,
+    log: ViolationLog,
+}
+
+/// The violations a sanitizer stores, and the count of those past its
+/// cap.
+#[derive(Debug, Clone)]
+struct ViolationLog {
     /// Stored violations, sorted (see [`SanitizerReport::violations`]).
     violations: Vec<Violation>,
+    cap: usize,
     suppressed: u64,
 }
 
@@ -258,34 +266,32 @@ impl SanitizerState {
     pub(crate) fn new(circuit: &Circuit, config: SanitizerConfig) -> Self {
         let facts = circuit.compiled().facts.clone();
         SanitizerState {
+            log: ViolationLog {
+                violations: Vec::new(),
+                cap: config.violation_cap,
+                suppressed: 0,
+            },
             config,
             arrivals: vec![None; facts.arrival_slots],
             data_count: vec![0; facts.cells.len()],
             facts,
-            violations: Vec::new(),
-            suppressed: 0,
         }
     }
 
-    /// Observes one delivered pulse. Never perturbs the simulation.
-    pub(crate) fn observe(&mut self, comp: usize, name: &str, port: usize, now: Time) {
+    /// Observes one pulse delivered to `model`, component `comp`.
+    /// Never perturbs the simulation. Each finding is recorded as it is
+    /// found: every check reads the arrivals from before this pulse,
+    /// which are updated only after the checks.
+    pub(crate) fn observe(&mut self, comp: usize, model: &dyn Component, port: usize, now: Time) {
+        let log = &mut self.log;
+        let key = (now, comp as u32, port);
+        let mut record = |kind| log.record(model, key, kind);
         if let Some(end) = self.config.epoch_end {
             if now > end {
-                self.record(
-                    comp,
-                    name,
-                    port,
-                    now,
-                    ViolationKind::AfterEpochEnd { epoch_end: end },
-                );
+                record(ViolationKind::AfterEpochEnd { epoch_end: end });
             }
         }
 
-        // Hazard checks run against the state *before* this pulse.
-        // Findings are buffered locally (an empty `Vec` never
-        // allocates) so the borrow of the per-cell facts ends before
-        // recording.
-        let mut found: Vec<ViolationKind> = Vec::new();
         // The accepted-arrival window mirrors the merger: a colliding
         // pulse is swallowed and does not extend the window.
         let mut collides = false;
@@ -304,7 +310,7 @@ impl SanitizerState {
                     if let Some(prev) = slots[0] {
                         if now.saturating_sub(prev) < window {
                             collides = true;
-                            found.push(ViolationKind::Collision {
+                            record(ViolationKind::Collision {
                                 window,
                                 previous: prev,
                             });
@@ -314,7 +320,7 @@ impl SanitizerState {
                 Hazard::Transition { window } => {
                     if let Some(prev) = port_arrival(slots, port) {
                         if now.saturating_sub(prev) < window {
-                            found.push(ViolationKind::Transition {
+                            record(ViolationKind::Transition {
                                 window,
                                 previous: prev,
                             });
@@ -331,7 +337,7 @@ impl SanitizerState {
                     }
                     if let Some(ctrl) = port_arrival(slots, control) {
                         if now.saturating_sub(ctrl) < window {
-                            found.push(ViolationKind::Setup {
+                            record(ViolationKind::Setup {
                                 control,
                                 window,
                                 control_time: ctrl,
@@ -341,9 +347,6 @@ impl SanitizerState {
                 }
             }
         }
-        for kind in found {
-            self.record(comp, name, port, now, kind);
-        }
 
         // Counting capacity applies to the conventional port-0 data
         // input of counting cells (both integrator models).
@@ -352,16 +355,10 @@ impl SanitizerState {
                 self.data_count[comp] += 1;
                 let count = self.data_count[comp];
                 if count > cap {
-                    self.record(
-                        comp,
-                        name,
-                        port,
-                        now,
-                        ViolationKind::CountOverflow {
-                            capacity: cap,
-                            count,
-                        },
-                    );
+                    record(ViolationKind::CountOverflow {
+                        capacity: cap,
+                        count,
+                    });
                 }
             }
         }
@@ -374,34 +371,10 @@ impl SanitizerState {
         }
     }
 
-    /// Stores a violation after every stored one whose [`order_key`]
-    /// is not greater, and keeps the first `violation_cap`. Detection
-    /// runs in time order, so that is nearly always the end.
-    fn record(&mut self, comp: usize, name: &str, port: usize, time: Time, kind: ViolationKind) {
-        let v = Violation {
-            kind,
-            component: name.to_string(),
-            port,
-            time,
-            comp: comp as u32,
-        };
-        let key = order_key(&v, v.comp);
-        let at = self
-            .violations
-            .iter()
-            .rposition(|s| order_key(s, s.comp) <= key)
-            .map_or(0, |i| i + 1);
-        self.violations.insert(at, v);
-        if self.violations.len() > self.config.violation_cap {
-            self.violations.pop();
-            self.suppressed += 1;
-        }
-    }
-
     pub(crate) fn report(&self) -> SanitizerReport<'_> {
         SanitizerReport {
-            violations: &self.violations,
-            suppressed: self.suppressed,
+            violations: &self.log.violations,
+            suppressed: self.log.suppressed,
         }
     }
 
@@ -409,19 +382,50 @@ impl SanitizerState {
     pub(crate) fn reset(&mut self) {
         self.arrivals.fill(None);
         self.data_count.fill(0);
-        self.violations.clear();
-        self.suppressed = 0;
+        self.log.violations.clear();
+        self.log.suppressed = 0;
+    }
+}
+
+impl ViolationLog {
+    /// Stores a violation after every stored one whose [`order_key`]
+    /// is not greater, and keeps the first `cap`. Detection runs in
+    /// time order, so that is nearly always the end. The cell's name
+    /// is read only for a violation that is stored.
+    fn record(&mut self, model: &dyn Component, key: (Time, u32, usize), kind: ViolationKind) {
+        let at = self
+            .violations
+            .iter()
+            .rposition(|s| order_key(s, s.comp) <= key)
+            .map_or(0, |i| i + 1);
+        if at >= self.cap {
+            self.suppressed += 1;
+            return;
+        }
+        let (time, comp, port) = key;
+        let component = model.name().to_string();
+        let v = Violation {
+            kind,
+            component,
+            port,
+            time,
+            comp,
+        };
+        self.violations.insert(at, v);
+        if self.violations.len() > self.cap {
+            self.violations.pop();
+            self.suppressed += 1;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::component::{Component, Ctx, StaticMeta};
+    use crate::component::{CellState, Component, Ctx, StaticMeta};
     use crate::{Circuit, Simulator};
 
     /// A probe-only sink declaring an explicit hazard set.
-    #[derive(Clone)]
     struct Declared {
         name: String,
         meta: StaticMeta,
@@ -440,7 +444,7 @@ mod tests {
         fn jj_count(&self) -> u32 {
             2
         }
-        fn on_pulse(&mut self, _port: usize, _now: Time, ctx: &mut Ctx) {
+        fn on_pulse(&self, _state: &mut CellState, _port: usize, _now: Time, ctx: &mut Ctx) {
             ctx.emit(0, Time::ZERO);
         }
         fn static_meta(&self) -> StaticMeta {

@@ -225,9 +225,10 @@ impl Plan {
             return None;
         }
 
-        // 4. Build the sub-circuits. External inputs are replicated in
-        // every shard under their original indices (unwired copies are
-        // inert), so one global `InputId` is valid everywhere.
+        // 4. Build the sub-circuits, sharing the source circuit's cell
+        // models. External inputs are replicated in every shard under
+        // their original indices (unwired copies are inert), so one
+        // global `InputId` is valid everywhere.
         let mut subs: Vec<Circuit> = (0..s_used).map(|_| Circuit::new()).collect();
         for (_, name) in circuit.inputs() {
             for sub in &mut subs {
@@ -238,8 +239,7 @@ impl Plan {
         let mut handles: Vec<CompHandle> = Vec::with_capacity(n);
         for (c, &shard) in comp_shard.iter().enumerate() {
             let s = shard as usize;
-            let model = circuit.models[c].clone();
-            handles.push(subs[s].add_boxed(model));
+            handles.push(subs[s].add_shared(Arc::clone(&circuit.topo.models[c])));
             owned[s].push(c as u32);
         }
 
@@ -817,8 +817,9 @@ impl ShardedSimulator {
         }
     }
 
-    /// Returns every shard to power-on state (components reset, probes
-    /// and forwarding state cleared), keeping all allocations.
+    /// Returns every shard to power-on state (each shard's cell states
+    /// copied back from its power-on states, probes and forwarding state
+    /// cleared), keeping all allocations.
     pub fn reset(&mut self) {
         match &mut self.inner {
             Inner::Single(sim) => sim.reset(),
@@ -907,9 +908,19 @@ impl Multi {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::component::{Buffer, Component, Ctx, Hazard, StaticMeta};
+    use crate::component::{Buffer, CellState, Component, Ctx, Hazard, StaticMeta};
     use crate::config::{Fingerprint, Jitter};
     use crate::sanitizer::SanitizerConfig;
+
+    impl ShardedSimulator {
+        /// The simulators running this circuit, one per shard.
+        pub(crate) fn workers(&self) -> &[Simulator] {
+            match &self.inner {
+                Inner::Single(sim) => std::slice::from_ref(&**sim),
+                Inner::Multi(m) => &m.workers,
+            }
+        }
+    }
 
     /// The default engine configuration at `shards` shards, whatever
     /// the environment says.
@@ -1154,7 +1165,6 @@ mod tests {
 
     /// A cell that repeats every pulse after 1 ps and declares a 4 ps
     /// collision window, so the sanitizer flags pulses closer than that.
-    #[derive(Clone)]
     struct Guard(String);
     impl Component for Guard {
         fn name(&self) -> &str {
@@ -1169,7 +1179,7 @@ mod tests {
         fn jj_count(&self) -> u32 {
             2
         }
-        fn on_pulse(&mut self, _port: usize, _now: Time, ctx: &mut Ctx) {
+        fn on_pulse(&self, _state: &mut CellState, _port: usize, _now: Time, ctx: &mut Ctx) {
             ctx.emit(0, Time::from_ps(1.0));
         }
         fn static_meta(&self) -> StaticMeta {
