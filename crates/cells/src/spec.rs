@@ -235,9 +235,9 @@ mod tests {
         for_all(64, |rng| {
             for cell in one_of_each() {
                 let kind = cell.static_meta().kind;
+                let (ins, outs) = (cell.num_inputs(), cell.num_outputs());
                 let mut c = Circuit::new();
                 let h = c.add_boxed(cell);
-                let (ins, outs) = c.component_ports(h.id()).unwrap();
                 let inputs: Vec<InputId> = (0..ins)
                     .map(|p| {
                         let input = c.input(format!("in{p}"));

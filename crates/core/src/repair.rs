@@ -6,8 +6,9 @@
 //! simulator's wire-level mutation API ([`Circuit::disconnect`] and
 //! friends). Both operations are purely additive — components, inputs,
 //! and probes are never removed — so every id a caller holds stays
-//! valid, and re-extracting the [`usfq_sim::graph::CircuitGraph`]
-//! afterwards sees the repaired topology.
+//! valid. A mutation drops the circuit's compiled form, so the next
+//! [`usfq_sim::CircuitGraph`] view compiles the repaired topology
+//! afresh, fan-in table and condensation included.
 //!
 //! The repairs mirror physical design practice from the paper's
 //! ecosystem: path-balancing JTL chains are the clock-follow-data delay

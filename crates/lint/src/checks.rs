@@ -2,7 +2,7 @@
 //! cycle detection, and JJ accounting.
 
 use usfq_cells::spec_for;
-use usfq_sim::graph::{sccs, CircuitGraph as Graph};
+use usfq_sim::CircuitGraph as Graph;
 use usfq_sim::{Circuit, ProbeSource};
 
 use crate::diag::{Code, Diagnostic};
@@ -47,16 +47,16 @@ pub(crate) fn fanout(circuit: &Circuit, diags: &mut Vec<Diagnostic>) {
 /// legitimately part-wired (e.g. an NDRO set once at init time), but a
 /// floating port usually means a forgotten `connect`.
 pub(crate) fn unconnected_inputs(g: &Graph, diags: &mut Vec<Diagnostic>) {
-    for (c, ports) in g.drivers.iter().enumerate() {
-        for (port, drv) in ports.iter().enumerate() {
-            if drv.is_empty() {
+    for c in 0..g.len() {
+        for port in 0..g.num_inputs(c) {
+            if g.drivers(c, port).is_empty() {
                 diags.push(Diagnostic::new(
                     Code::UnconnectedInput,
-                    Some(g.names[c].clone()),
+                    Some(g.name(c).to_string()),
                     format!(
                         "input port {port} of this {} has no driver; it can \
                          never receive a pulse",
-                        g.meta[c].kind
+                        g.kind(c)
                     ),
                 ));
             }
@@ -72,23 +72,23 @@ pub(crate) fn reachability(g: &Graph, diags: &mut Vec<Diagnostic>) {
         if !ok {
             diags.push(Diagnostic::new(
                 Code::UnreachableComponent,
-                Some(g.names[c].clone()),
+                Some(g.name(c).to_string()),
                 "no path from any external input reaches this component; it \
                  is dead logic"
                     .to_string(),
             ));
         }
     }
-    for (name, source) in &g.probes {
+    for (name, source) in g.probes() {
         if let ProbeSource::Output(comp, port) = source {
             if !reachable[comp.index()] {
                 diags.push(Diagnostic::new(
                     Code::DanglingProbe,
-                    Some(name.clone()),
+                    Some(name.to_string()),
                     format!(
                         "probe taps output {port} of unreachable component \
                          `{}`; it will never record a pulse",
-                        g.names[comp.index()]
+                        g.name(comp.index())
                     ),
                 ));
             }
@@ -101,16 +101,17 @@ pub(crate) fn reachability(g: &Graph, diags: &mut Vec<Diagnostic>) {
 /// accounting drifts.
 pub(crate) fn jj_accounting(g: &Graph, diags: &mut Vec<Diagnostic>) {
     for c in 0..g.len() {
-        let spec = spec_for(g.meta[c].kind, g.drivers[c].len(), g.out_ports[c]);
+        let spec = spec_for(g.kind(c), g.num_inputs(c), g.num_outputs(c));
         if let Some(expected) = spec.and_then(|s| s.jj) {
-            if g.jj[c] != expected {
+            if g.jj(c) != expected {
                 diags.push(Diagnostic::new(
                     Code::JjMismatch,
-                    Some(g.names[c].clone()),
+                    Some(g.name(c).to_string()),
                     format!(
                         "component of kind `{}` reports {} JJs but the cell \
                          catalog says {expected}",
-                        g.meta[c].kind, g.jj[c]
+                        g.kind(c),
+                        g.jj(c)
                     ),
                 ));
             }
@@ -118,7 +119,9 @@ pub(crate) fn jj_accounting(g: &Graph, diags: &mut Vec<Diagnostic>) {
     }
 }
 
-/// USFQ005 — strongly connected components of the comp→comp wire graph.
+/// USFQ005 — strongly connected components of the comp→comp wire
+/// graph, read from the condensation the circuit's compiled form shares
+/// with the engine's cycle lookahead.
 ///
 /// Returns the set of components that sit on any cycle (allowlisted or
 /// not); the timing pass skips them and everything downstream. A cycle
@@ -128,8 +131,8 @@ pub(crate) fn jj_accounting(g: &Graph, diags: &mut Vec<Diagnostic>) {
 /// circulate forever.
 pub(crate) fn cycles(g: &Graph, allowlist: &[String], diags: &mut Vec<Diagnostic>) -> Vec<bool> {
     let mut cyclic = vec![false; g.len()];
-    for scc in sccs(g.len(), |c| &g.succs[c]).iter() {
-        let is_cycle = scc.len() > 1 || g.succs[scc[0]].contains(&scc[0]);
+    for scc in g.sccs().iter() {
+        let is_cycle = scc.len() > 1 || g.succs(scc[0]).any(|s| s == scc[0]);
         if !is_cycle {
             continue;
         }
@@ -138,9 +141,9 @@ pub(crate) fn cycles(g: &Graph, allowlist: &[String], diags: &mut Vec<Diagnostic
         }
         let covered = scc
             .iter()
-            .all(|&c| allowlist.iter().any(|pat| g.names[c].contains(pat)));
+            .all(|&c| allowlist.iter().any(|pat| g.name(c).contains(pat)));
         if !covered {
-            let mut members: Vec<&str> = scc.iter().map(|&c| g.names[c].as_str()).collect();
+            let mut members: Vec<&str> = scc.iter().map(|&c| g.name(c)).collect();
             members.sort_unstable();
             diags.push(Diagnostic::new(
                 Code::CombinationalCycle,

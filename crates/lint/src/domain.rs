@@ -149,7 +149,7 @@ fn is_passthrough(spec: &CellSpec) -> bool {
 /// cells no row describes.
 fn specs(g: &Graph) -> Vec<Option<&'static CellSpec>> {
     (0..g.len())
-        .map(|c| spec_for(g.meta[c].kind, g.drivers[c].len(), g.out_ports[c]))
+        .map(|c| spec_for(g.kind(c), g.num_inputs(c), g.num_outputs(c)))
         .collect()
 }
 
@@ -183,7 +183,7 @@ pub(crate) fn analyze(
 pub(crate) fn required_race_epoch_end(g: &Graph, timing: &TimingResult) -> Option<Time> {
     let mut latest = None;
     for (c, &spec) in specs(g).iter().enumerate() {
-        for port in 0..g.drivers[c].len() {
+        for port in 0..g.num_inputs(c) {
             if required_domain(spec, port) != Some(PortDomain::Race) {
                 continue;
             }
@@ -210,7 +210,7 @@ fn domain_fixpoint(g: &Graph, specs: &[Option<&CellSpec>]) -> Vec<Vec<AbsDom>> {
     let n = g.len();
     let mut out_dom: Vec<Vec<AbsDom>> = (0..n)
         .map(|c| {
-            (0..g.out_ports[c])
+            (0..g.num_outputs(c))
                 .map(|o| match specs[c].map(|s| s.outputs[o].0) {
                     Some(PortDomain::Race) => AbsDom::Race,
                     Some(PortDomain::Stream) => AbsDom::Stream,
@@ -229,11 +229,9 @@ fn domain_fixpoint(g: &Graph, specs: &[Option<&CellSpec>]) -> Vec<Vec<AbsDom>> {
             // Join everything arriving on any input port: a passthrough
             // cell's outputs all carry the joined encoding.
             let mut dom = AbsDom::Bot;
-            for drvs in &g.drivers[c] {
-                for d in drvs {
-                    if let Driver::Comp(src, sp, _) = *d {
-                        dom = dom.join(out_dom[src][sp]);
-                    }
+            for d in g.all_drivers(c) {
+                if let Driver::Comp(src, sp, _) = *d {
+                    dom = dom.join(out_dom[src][sp]);
                 }
             }
             for slot in &mut out_dom[c] {
@@ -259,7 +257,7 @@ fn input_count(cfg: &LintConfig) -> Count {
 /// Sum of count bounds arriving at one input port.
 fn port_count(g: &Graph, out_cnt: &[Vec<Count>], input_cap: Count, c: usize, port: usize) -> Count {
     let mut total = Count::ZERO;
-    for d in &g.drivers[c][port] {
+    for d in g.drivers(c, port) {
         total = total.add(match *d {
             Driver::Input(..) => input_cap,
             Driver::Comp(src, sp, _) => out_cnt[src][sp],
@@ -273,23 +271,25 @@ fn port_count(g: &Graph, out_cnt: &[Vec<Count>], input_cap: Count, c: usize, por
 /// (only feedback loops re-update a component).
 fn count_fixpoint(g: &Graph, specs: &[Option<&CellSpec>], input_cap: Count) -> Vec<Vec<Count>> {
     let n = g.len();
-    let mut out_cnt: Vec<Vec<Count>> = (0..n).map(|c| vec![Count::ZERO; g.out_ports[c]]).collect();
+    let mut out_cnt: Vec<Vec<Count>> = (0..n)
+        .map(|c| vec![Count::ZERO; g.num_outputs(c)])
+        .collect();
     let mut bumps = vec![0u32; n];
     let mut queue: Vec<usize> = (0..n).collect();
     let mut queued = vec![true; n];
     while let Some(c) = queue.pop() {
         queued[c] = false;
-        let ports: Vec<Count> = (0..g.drivers[c].len())
+        let ports: Vec<Count> = (0..g.num_inputs(c))
             .map(|p| port_count(g, &out_cnt, input_cap, c, p))
             .collect();
-        let mut outs = transfer(specs[c], &ports, g.out_ports[c]);
+        let mut outs = transfer(specs[c], &ports, g.num_outputs(c));
         if bumps[c] > WIDEN_AFTER {
-            outs = vec![Count::Unbounded; g.out_ports[c]];
+            outs = vec![Count::Unbounded; g.num_outputs(c)];
         }
         if outs != out_cnt[c] {
             out_cnt[c] = outs;
             bumps[c] += 1;
-            for &s in &g.succs[c] {
+            for s in g.succs(c) {
                 if !queued[s] {
                     queued[s] = true;
                     queue.push(s);
@@ -340,11 +340,11 @@ fn check_domain_mismatch(
     diags: &mut Vec<Diagnostic>,
 ) {
     for (c, &spec) in specs.iter().enumerate() {
-        for port in 0..g.drivers[c].len() {
+        for port in 0..g.num_inputs(c) {
             let Some(required) = required_domain(spec, port) else {
                 continue;
             };
-            for d in &g.drivers[c][port] {
+            for d in g.drivers(c, port) {
                 let Driver::Comp(src, sp, _) = *d else {
                     continue;
                 };
@@ -358,13 +358,13 @@ fn check_domain_mismatch(
                 if mismatch {
                     diags.push(Diagnostic::new(
                         Code::DomainMismatch,
-                        Some(g.names[c].clone()),
+                        Some(g.name(c).to_string()),
                         format!(
                             "input port {port} of this {} requires a {} wire \
                              but is driven by {} output {} carrying a {} value",
-                            g.meta[c].kind,
+                            g.kind(c),
                             domain_name(required),
-                            g.names[src],
+                            g.name(src),
                             sp,
                             produced.name()
                         ),
@@ -386,10 +386,10 @@ fn check_count_overflow(
     diags: &mut Vec<Diagnostic>,
 ) {
     for c in 0..g.len() {
-        let Some(capacity) = g.meta[c].counting_capacity else {
+        let Some(capacity) = g.counting_capacity(c) else {
             continue;
         };
-        if g.drivers[c].is_empty() {
+        if g.num_inputs(c) == 0 {
             continue;
         }
         let arriving = port_count(g, out_cnt, input_cap, c, 0);
@@ -397,12 +397,12 @@ fn check_count_overflow(
             if hi > capacity {
                 diags.push(Diagnostic::new(
                     Code::CountOverflow,
-                    Some(g.names[c].clone()),
+                    Some(g.name(c).to_string()),
                     format!(
                         "up to {hi} pulses can arrive at the data port of \
                          this {}, exceeding its counting capacity of \
                          {capacity}",
-                        g.meta[c].kind
+                        g.kind(c)
                     ),
                 ));
             }
@@ -422,10 +422,10 @@ fn check_dead_cells(
     diags: &mut Vec<Diagnostic>,
 ) {
     for c in 0..g.len() {
-        if !reachable[c] || g.out_ports[c] == 0 {
+        if !reachable[c] || g.num_outputs(c) == 0 {
             continue;
         }
-        if g.drivers[c].iter().any(Vec::is_empty) {
+        if (0..g.num_inputs(c)).any(|p| g.drivers(c, p).is_empty()) {
             continue;
         }
         let dead = out_cnt[c].iter().all(|cnt| cnt.is_zero());
@@ -434,17 +434,17 @@ fn check_dead_cells(
         }
         // Re-summed only for the few dead cells: keeping the
         // fixpoint's per-port sums for every cell would cost more.
-        let arriving = (0..g.drivers[c].len())
+        let arriving = (0..g.num_inputs(c))
             .map(|p| port_count(g, out_cnt, input_cap, c, p))
             .fold(Count::ZERO, Count::add);
         if !arriving.is_zero() {
             diags.push(Diagnostic::new(
                 Code::DeadCell,
-                Some(g.names[c].clone()),
+                Some(g.name(c).to_string()),
                 format!(
                     "up to {arriving} pulse(s) reach this {} per epoch but \
                      its outputs provably never fire",
-                    g.meta[c].kind
+                    g.kind(c)
                 ),
             ));
         }
@@ -454,36 +454,25 @@ fn check_dead_cells(
 /// `USFQ014` — a reachable cell with outputs, none of which feed a
 /// wire or probe.
 fn check_unconsumed_outputs(g: &Graph, reachable: &[bool], diags: &mut Vec<Diagnostic>) {
-    let mut consumed: Vec<Vec<bool>> = (0..g.len()).map(|c| vec![false; g.out_ports[c]]).collect();
-    for c in 0..g.len() {
-        for drvs in &g.drivers[c] {
-            for d in drvs {
-                if let Driver::Comp(src, sp, _) = *d {
-                    consumed[src][sp] = true;
-                }
-            }
-        }
-    }
-    for (_, source) in &g.probes {
-        if let usfq_sim::ProbeSource::Output(comp, port) = source {
-            consumed[comp.index()][*port] = true;
+    let mut probed = vec![false; g.len()];
+    for (_, source) in g.probes() {
+        if let usfq_sim::ProbeSource::Output(comp, _) = source {
+            probed[comp.index()] = true;
         }
     }
     for c in 0..g.len() {
-        if !reachable[c] || g.out_ports[c] == 0 {
+        if !reachable[c] || g.num_outputs(c) == 0 || probed[c] || g.succs(c).next().is_some() {
             continue;
         }
-        if consumed[c].iter().all(|&used| !used) {
-            diags.push(Diagnostic::new(
-                Code::UnconsumedOutput,
-                Some(g.names[c].clone()),
-                format!(
-                    "no output of this {} feeds a wire or probe; every pulse \
-                     it produces is silently discarded",
-                    g.meta[c].kind
-                ),
-            ));
-        }
+        diags.push(Diagnostic::new(
+            Code::UnconsumedOutput,
+            Some(g.name(c).to_string()),
+            format!(
+                "no output of this {} feeds a wire or probe; every pulse \
+                 it produces is silently discarded",
+                g.kind(c)
+            ),
+        ));
     }
 }
 
@@ -501,7 +490,7 @@ fn check_race_past_epoch(
         return;
     };
     for (c, &spec) in specs.iter().enumerate() {
-        for port in 0..g.drivers[c].len() {
+        for port in 0..g.num_inputs(c) {
             if required_domain(spec, port) != Some(PortDomain::Race) {
                 continue;
             }
@@ -511,12 +500,12 @@ fn check_race_past_epoch(
             if window.max > epoch_end {
                 diags.push(Diagnostic::new(
                     Code::RacePastEpoch,
-                    Some(g.names[c].clone()),
+                    Some(g.name(c).to_string()),
                     format!(
                         "race-logic input port {port} of this {} can receive \
                          a pulse at {:.1} ps, past the {:.1} ps epoch end — \
                          the encoded value is unrepresentable",
-                        g.meta[c].kind,
+                        g.kind(c),
                         window.max.as_ps(),
                         epoch_end.as_ps()
                     ),
@@ -530,38 +519,24 @@ fn check_race_past_epoch(
 /// interconnect, input ports requiring *both* concrete domains: its
 /// internal state couples consumers that disagree on the encoding.
 fn check_conflicting_fanout(g: &Graph, specs: &[Option<&CellSpec>], diags: &mut Vec<Diagnostic>) {
-    // Invert `drivers` into a per-output consumer list.
-    let mut consumers: Vec<Vec<Vec<(usize, usize)>>> = (0..g.len())
-        .map(|c| vec![Vec::new(); g.out_ports[c]])
-        .collect();
-    for c in 0..g.len() {
-        for (port, drvs) in g.drivers[c].iter().enumerate() {
-            for d in drvs {
-                if let Driver::Comp(src, sp, _) = *d {
-                    consumers[src][sp].push((c, port));
-                }
-            }
-        }
-    }
-
     for c in 0..g.len() {
         let Some(spec) = specs[c] else { continue };
         if !spec.stateful {
             continue;
         }
-        for o in 0..g.out_ports[c] {
+        for o in 0..g.num_outputs(c) {
             let (mut wants_race, mut wants_stream) = (false, false);
             let mut stack = vec![(c, o)];
             let mut visited = vec![(c, o)];
             while let Some((src, sp)) = stack.pop() {
-                for &(dst, dport) in &consumers[src][sp] {
+                for (dst, dport) in g.sinks(src, sp) {
                     match required_domain(specs[dst], dport) {
                         Some(PortDomain::Race) => wants_race = true,
                         Some(PortDomain::Stream) => wants_stream = true,
                         _ => {}
                     }
                     if specs[dst].is_some_and(is_passthrough) {
-                        for next_out in 0..g.out_ports[dst] {
+                        for next_out in 0..g.num_outputs(dst) {
                             if !visited.contains(&(dst, next_out)) {
                                 visited.push((dst, next_out));
                                 stack.push((dst, next_out));
@@ -573,12 +548,12 @@ fn check_conflicting_fanout(g: &Graph, specs: &[Option<&CellSpec>], diags: &mut 
             if wants_race && wants_stream {
                 diags.push(Diagnostic::new(
                     Code::ConflictingFanout,
-                    Some(g.names[c].clone()),
+                    Some(g.name(c).to_string()),
                     format!(
                         "output {o} of this stateful {} fans out into both a \
                          race-logic and a pulse-stream consumer; one of them \
                          misreads the cell's state",
-                        g.meta[c].kind
+                        g.kind(c)
                     ),
                 ));
             }

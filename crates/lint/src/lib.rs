@@ -61,11 +61,9 @@ pub use fix::{
     actionable_fixes, fix_to_fixpoint, fixes_from_sarif, Fix, FixOptions, FixOutcome, FixSource,
 };
 pub use slack::{EndpointSlack, SlackReport};
-#[doc(inline)]
-pub use usfq_sim::graph::{CircuitGraph, Driver};
 
 use usfq_core::netlists::BuiltNetlist;
-use usfq_sim::{Circuit, Time};
+use usfq_sim::{Circuit, CircuitGraph, Time};
 
 /// The operating envelope a circuit is analyzed under.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -135,7 +133,7 @@ pub(crate) fn waiver_matches(
 
 /// Runs every check on `circuit` under `config`.
 pub fn lint(circuit: &Circuit, name: &str, config: &LintConfig) -> LintReport {
-    let g = CircuitGraph::build(circuit);
+    let g = CircuitGraph::new(circuit);
     let mut diags = Vec::new();
     checks::fanout(circuit, &mut diags);
     checks::unconnected_inputs(&g, &mut diags);
@@ -176,8 +174,9 @@ pub fn lint_netlist(netlist: &BuiltNetlist) -> LintReport {
 }
 
 /// The static `[min, max]` arrival window of every probe, in probe
-/// order. `None` when the probe's source is on or downstream of a
-/// feedback loop, or can never fire at all.
+/// order: entry `i` belongs to the probe whose [`usfq_sim::ProbeId`]
+/// has index `i`. `None` when the probe's source is on or downstream of
+/// a feedback loop, or can never fire at all.
 ///
 /// This is the analyzer's soundness contract: for any single pulse per
 /// input inside `[0, config.input_window]`, every simulated arrival at
@@ -187,7 +186,14 @@ pub fn probe_windows(
     circuit: &Circuit,
     config: &LintConfig,
 ) -> Vec<(String, Option<(Time, Time)>)> {
-    timing_parts(circuit, config).1.probe_windows
+    // The timing pass lists probes in tap order; put each back at its id.
+    let mut windows: Vec<_> = circuit
+        .probe_taps()
+        .map(|(id, _)| id)
+        .zip(timing_parts(circuit, config).1.probe_windows)
+        .collect();
+    windows.sort_unstable_by_key(|&(id, _)| id);
+    windows.into_iter().map(|(_, window)| window).collect()
 }
 
 /// Runs only the slack/critical-path layer: per-endpoint arrival,
@@ -200,14 +206,14 @@ pub fn slack_report(circuit: &Circuit, config: &LintConfig) -> SlackReport {
     slack::analyze(&g, &timing, config, &mut scratch)
 }
 
-/// Graph extraction + cycle detection + forward timing, diagnostics
+/// Graph view + cycle detection + forward timing, diagnostics
 /// discarded: the shared front half of [`probe_windows`],
 /// [`slack_report`], and the `--fix` budget-extension step.
-pub(crate) fn timing_parts(
-    circuit: &Circuit,
+pub(crate) fn timing_parts<'a>(
+    circuit: &'a Circuit,
     config: &LintConfig,
-) -> (CircuitGraph, timing::TimingResult) {
-    let g = CircuitGraph::build(circuit);
+) -> (CircuitGraph<'a>, timing::TimingResult) {
+    let g = CircuitGraph::new(circuit);
     let mut scratch = Vec::new();
     let cyclic = checks::cycles(&g, &config.cycle_allowlist, &mut scratch);
     let timing = timing::analyze(&g, &cyclic, config, &mut scratch);

@@ -105,15 +105,15 @@ pub(crate) fn analyze(
     let budget_fs = budget.as_fs() as i64;
     let input_window = cfg.input_window;
 
-    let compute = |_: usize, probe: &(String, ProbeSource)| -> EndpointSlack {
-        let (name, source) = probe;
-        match *source {
+    let compute = |_: usize, &(name, source): &(&str, ProbeSource)| -> EndpointSlack {
+        let name = name.to_string();
+        match source {
             ProbeSource::Input(input) => EndpointSlack {
-                probe: name.clone(),
+                probe: name,
                 arrival: Some(input_window),
                 required: budget,
                 slack_fs: Some(budget_fs - input_window.as_fs() as i64),
-                path: vec![format!("in:{}", g.input_names[input.index()])],
+                path: vec![format!("in:{}", g.input_name(input.index()))],
             },
             ProbeSource::Output(comp, _) => {
                 let c = comp.index();
@@ -124,27 +124,28 @@ pub(crate) fn analyze(
                 };
                 match window {
                     Some(w) => EndpointSlack {
-                        probe: name.clone(),
+                        probe: name,
                         arrival: Some(w.max),
                         required: budget,
                         slack_fs: Some(budget_fs - w.max.as_fs() as i64),
                         path: trace_path(g, timing, input_window, c),
                     },
                     None => EndpointSlack {
-                        probe: name.clone(),
+                        probe: name,
                         arrival: None,
                         required: budget,
                         slack_fs: None,
-                        path: vec![g.names[c].clone()],
+                        path: vec![g.name(c).to_string()],
                     },
                 }
             }
         }
     };
-    let endpoints: Vec<EndpointSlack> = if g.probes.len() >= PARALLEL_PROBE_THRESHOLD {
-        Runner::from_env().map(&g.probes, compute)
+    let probes: Vec<(&str, ProbeSource)> = g.probes().collect();
+    let endpoints: Vec<EndpointSlack> = if probes.len() >= PARALLEL_PROBE_THRESHOLD {
+        Runner::from_env().map(&probes, compute)
     } else {
-        g.probes.iter().map(|p| compute(0, p)).collect()
+        probes.iter().map(|p| compute(0, p)).collect()
     };
 
     let report = SlackReport {
@@ -191,7 +192,7 @@ fn check_slack_deficits(
     // successor of `c` is processed before `c`, so its contribution has
     // already landed.
     let mut required: Vec<Option<i64>> = vec![None; g.len()];
-    for (_, source) in &g.probes {
+    for (_, source) in g.probes() {
         if let ProbeSource::Output(comp, _) = source {
             let c = comp.index();
             if !timing.skipped[c] {
@@ -201,23 +202,17 @@ fn check_slack_deficits(
     }
     for &c in timing.order.iter().rev() {
         let Some(r) = required[c] else { continue };
-        let lat = g.meta[c].max_delay.as_fs() as i64;
-        for drvs in &g.drivers[c] {
-            for d in drvs {
-                if let Driver::Comp(src, _, delay) = *d {
-                    let cand = r - lat - delay.as_fs() as i64;
-                    required[src] = Some(required[src].map_or(cand, |cur| cur.min(cand)));
-                }
+        let lat = g.max_delay(c).as_fs() as i64;
+        for d in g.all_drivers(c) {
+            if let Driver::Comp(src, _, delay) = *d {
+                let cand = r - lat - delay.as_fs() as i64;
+                required[src] = Some(required[src].map_or(cand, |cur| cur.min(cand)));
             }
         }
     }
 
-    let index_of: std::collections::HashMap<&str, usize> = g
-        .names
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (n.as_str(), i))
-        .collect();
+    let index_of: std::collections::HashMap<&str, usize> =
+        (0..g.len()).map(|i| (g.name(i), i)).collect();
     let t_stage = t_jtl().as_fs() as i64;
     let mut seen: HashSet<(String, usize)> = HashSet::new();
     let mut deficits = Vec::new();
@@ -275,36 +270,34 @@ fn trace_path(
         Input(usize),
         Comp(usize),
     }
-    let mut path = vec![g.names[endpoint].clone()];
+    let mut path = vec![g.name(endpoint).to_string()];
     let mut cur = endpoint;
     // The covered region is acyclic, so the chain is bounded by the
     // component count; the loop bound is a defensive backstop.
     for _ in 0..=g.len() {
         let mut best: Option<(Time, Src)> = None;
-        for drvs in &g.drivers[cur] {
-            for d in drvs {
-                let cand = match *d {
-                    Driver::Input(i, delay) => Some((input_window + delay, Src::Input(i))),
-                    Driver::Comp(src, _, delay) => {
-                        timing.out_windows[src].map(|w| (w.max + delay, Src::Comp(src)))
-                    }
-                };
-                if let Some((t, s)) = cand {
-                    // Strict `>` keeps the first-seen maximum: ties
-                    // resolve by port then wire order, deterministically.
-                    if best.as_ref().map_or(true, |b| t > b.0) {
-                        best = Some((t, s));
-                    }
+        for d in g.all_drivers(cur) {
+            let cand = match *d {
+                Driver::Input(i, delay) => Some((input_window + delay, Src::Input(i))),
+                Driver::Comp(src, _, delay) => {
+                    timing.out_windows[src].map(|w| (w.max + delay, Src::Comp(src)))
+                }
+            };
+            if let Some((t, s)) = cand {
+                // Strict `>` keeps the first-seen maximum: ties resolve
+                // by port then wire order, deterministically.
+                if best.as_ref().map_or(true, |b| t > b.0) {
+                    best = Some((t, s));
                 }
             }
         }
         match best {
             Some((_, Src::Comp(src))) => {
-                path.push(g.names[src].clone());
+                path.push(g.name(src).to_string());
                 cur = src;
             }
             Some((_, Src::Input(i))) => {
-                path.push(format!("in:{}", g.input_names[i]));
+                path.push(format!("in:{}", g.input_name(i)));
                 break;
             }
             None => break,

@@ -91,7 +91,7 @@ pub(crate) fn analyze(
     let mut skipped: Vec<bool> = cyclic.to_vec();
     let mut stack: Vec<usize> = (0..g.len()).filter(|&c| cyclic[c]).collect();
     while let Some(c) = stack.pop() {
-        for &s in &g.succs[c] {
+        for s in g.succs(c) {
             if !skipped[s] {
                 skipped[s] = true;
                 stack.push(s);
@@ -123,21 +123,17 @@ pub(crate) fn analyze(
     // Forward propagation. `out_window[c]` is the window in which `c`
     // can emit a pulse; `None` means it can never fire.
     let mut out_window: Vec<Option<Window>> = vec![None; g.len()];
-    let mut port_windows: Vec<Vec<Option<Window>>> = g
-        .drivers
-        .iter()
-        .map(|ports| vec![None; ports.len()])
-        .collect();
+    let mut port_windows: Vec<Vec<Option<Window>>> =
+        (0..g.len()).map(|c| vec![None; g.num_inputs(c)]).collect();
     for &c in &order {
-        for (port, drvs) in g.drivers[c].iter().enumerate() {
-            for d in drvs {
+        for (port, window) in port_windows[c].iter_mut().enumerate() {
+            for d in g.drivers(c, port) {
                 let arriving = match *d {
                     Driver::Input(_, delay) => Some(input_window.shift(delay)),
                     Driver::Comp(src, _, delay) => out_window[src].map(|w| w.shift(delay)),
                 };
                 if let Some(w) = arriving {
-                    port_windows[c][port] =
-                        Some(port_windows[c][port].map_or(w, |cur| cur.union(w)));
+                    *window = Some(window.map_or(w, |cur| cur.union(w)));
                 }
             }
         }
@@ -147,8 +143,8 @@ pub(crate) fn analyze(
             .copied()
             .reduce(Window::union);
         out_window[c] = driven.map(|w| Window {
-            min: w.min + g.meta[c].min_delay,
-            max: w.max + g.meta[c].max_delay,
+            min: w.min + g.min_delay(c),
+            max: w.max + g.max_delay(c),
         });
     }
 
@@ -157,14 +153,14 @@ pub(crate) fn analyze(
         if skipped[c] {
             continue;
         }
-        for hazard in &g.meta[c].hazards {
+        for hazard in g.hazards(c) {
             check_hazard(g, c, hazard, &port_windows[c], diags);
         }
     }
 
     // Budget check and probe windows.
-    let mut probe_windows = Vec::with_capacity(g.probes.len());
-    for (name, source) in &g.probes {
+    let mut probe_windows = Vec::new();
+    for (name, source) in g.probes() {
         let window = match source {
             ProbeSource::Input(_) => Some((Time::ZERO, cfg.input_window)),
             ProbeSource::Output(comp, _) => {
@@ -180,7 +176,7 @@ pub(crate) fn analyze(
             if max > budget {
                 diags.push(Diagnostic::new(
                     Code::BudgetExceeded,
-                    Some(name.clone()),
+                    Some(name.to_string()),
                     format!(
                         "worst-case arrival at this probe is {:.1} ps, past \
                          the {:.1} ps epoch budget",
@@ -190,7 +186,7 @@ pub(crate) fn analyze(
                 ));
             }
         }
-        probe_windows.push((name.clone(), window));
+        probe_windows.push((name.to_string(), window));
     }
 
     TimingResult {
@@ -212,7 +208,7 @@ fn pad_fix(g: &Graph, c: usize, port: usize, pad: Time) -> Option<Fix> {
     let stage = t_jtl().as_fs();
     let count = pad.as_fs().div_ceil(stage);
     Some(Fix::InsertJtls {
-        component: g.names[c].clone(),
+        component: g.name(c).to_string(),
         port,
         count: u32::try_from(count).unwrap_or(u32::MAX),
     })
@@ -242,13 +238,13 @@ fn check_hazard(
             for_each_overlap(ports, window, |a, b| {
                 let mut d = Diagnostic::new(
                     Code::MergerCollision,
-                    Some(g.names[c].clone()),
+                    Some(g.name(c).to_string()),
                     format!(
                         "pulses on input ports {a} and {b} can arrive within \
                          the {:.1} ps collision window of this {}; one pulse \
                          may be silently dropped",
                         window.as_ps(),
-                        g.meta[c].kind
+                        g.kind(c)
                     ),
                 );
                 if let Some(fix) = overlap_fix(g, c, a, b, ports, window) {
@@ -261,13 +257,13 @@ fn check_hazard(
             for_each_overlap(ports, window, |a, b| {
                 let mut d = Diagnostic::new(
                     Code::SetupRace,
-                    Some(g.names[c].clone()),
+                    Some(g.name(c).to_string()),
                     format!(
                         "pulses on input ports {a} and {b} can land within \
                          the {:.1} ps internal-transition window of this {}; \
                          the second pulse may be misrouted",
                         window.as_ps(),
-                        g.meta[c].kind
+                        g.kind(c)
                     ),
                 );
                 if let Some(fix) = overlap_fix(g, c, a, b, ports, window) {
@@ -297,12 +293,12 @@ fn check_hazard(
             if settling.within(smp, Time::ZERO) {
                 let mut d = Diagnostic::new(
                     Code::SetupRace,
-                    Some(g.names[c].clone()),
+                    Some(g.name(c).to_string()),
                     format!(
                         "input port {sampled} can sample this {} while port \
                          {control} is still settling (needs {:.1} ps of \
                          setup)",
-                        g.meta[c].kind,
+                        g.kind(c),
                         window.as_ps()
                     ),
                 );

@@ -120,6 +120,111 @@ fn usfq005_fires_on_unallowlisted_cycle() {
     assert!(diag.message.contains('j') && diag.message.contains('m'));
 }
 
+/// Two uncovered cycles, the second fed by the first, a merger that
+/// re-enters itself and an allowlisted ring: USFQ005 reports each
+/// uncovered cycle once, the self-loop included, names every member,
+/// and leaves the ring to USFQ010, which counts every component on or
+/// downstream of a loop.
+#[test]
+fn usfq005_and_usfq010_pin_every_loop() {
+    let mut c = Circuit::new();
+    let input = c.input("in");
+    // Cycle a: a_m -> a_sp -> a_j -> a_m, whose splitter also feeds b.
+    let a_m = c.add(Merger::with_window("a_m", Time::ZERO));
+    let a_sp = c.add(Splitter::new("a_sp"));
+    let a_j = c.add(Jtl::new("a_j"));
+    c.connect_input(input, a_m.input(Merger::IN_A), Time::ZERO)
+        .unwrap();
+    c.connect(a_m.output(Merger::OUT), a_sp.input(0), ps(1.0))
+        .unwrap();
+    c.connect(a_sp.output(0), a_j.input(0), Time::ZERO).unwrap();
+    c.connect(a_j.output(0), a_m.input(Merger::IN_B), ps(2.0))
+        .unwrap();
+    // Cycle b: b_m -> b_j1 -> b_j2 -> b_m.
+    let b_m = c.add(Merger::with_window("b_m", Time::ZERO));
+    let b_j1 = c.add(Jtl::new("b_j1"));
+    let b_j2 = c.add(Jtl::new("b_j2"));
+    c.connect(a_sp.output(1), b_m.input(Merger::IN_A), Time::ZERO)
+        .unwrap();
+    c.connect(b_m.output(Merger::OUT), b_j1.input(0), Time::ZERO)
+        .unwrap();
+    c.connect(b_j1.output(0), b_j2.input(0), ps(3.0)).unwrap();
+    c.connect(b_j2.output(0), b_m.input(Merger::IN_B), Time::ZERO)
+        .unwrap();
+    // A self-loop.
+    let selfie = c.input("selfie");
+    let s = c.add(Merger::with_window("s", Time::ZERO));
+    c.connect_input(selfie, s.input(Merger::IN_A), Time::ZERO)
+        .unwrap();
+    c.connect(s.output(Merger::OUT), s.input(Merger::IN_B), ps(4.0))
+        .unwrap();
+    // The allowlisted ring, and a JTL past it.
+    let fed = c.input("fed");
+    let ring_m = c.add(Merger::with_window("ring_m", Time::ZERO));
+    let ring_sp = c.add(Splitter::new("ring_sp"));
+    let tail = c.add(Jtl::new("tail"));
+    c.connect_input(fed, ring_m.input(Merger::IN_A), Time::ZERO)
+        .unwrap();
+    c.connect(ring_m.output(Merger::OUT), ring_sp.input(0), Time::ZERO)
+        .unwrap();
+    c.connect(ring_sp.output(0), ring_m.input(Merger::IN_B), Time::ZERO)
+        .unwrap();
+    c.connect(ring_sp.output(1), tail.input(0), Time::ZERO)
+        .unwrap();
+    c.probe(tail.output(0), "out");
+
+    let config = LintConfig {
+        cycle_allowlist: vec!["ring".to_string()],
+        ..LintConfig::default()
+    };
+    let report = lint(&c, "loops", &config);
+    let pinned: Vec<(Code, Severity, Option<&str>, &str)> = report
+        .diagnostics
+        .iter()
+        .filter(|d| matches!(d.code, Code::CombinationalCycle | Code::TimingSkipped))
+        .map(|d| {
+            (
+                d.code,
+                d.severity,
+                d.component.as_deref(),
+                d.message.as_str(),
+            )
+        })
+        .collect();
+    let uncovered = |first, members| {
+        let message = format!(
+            "feedback loop through {{{members}}} is not covered by the cycle \
+             allowlist; static timing cannot bound it"
+        );
+        (
+            Code::CombinationalCycle,
+            Severity::Error,
+            Some(first),
+            message,
+        )
+    };
+    let expected = [
+        uncovered("a_j", "a_j, a_m, a_sp"),
+        uncovered("b_j1", "b_j1, b_j2, b_m"),
+        uncovered("s", "s"),
+        (
+            Code::TimingSkipped,
+            Severity::Info,
+            None,
+            "10 component(s) sit on or downstream of a feedback loop; arrival \
+             windows and hazard checks do not cover them"
+                .to_string(),
+        ),
+    ];
+    let expected: Vec<_> = expected
+        .iter()
+        .map(|(code, severity, component, message)| {
+            (*code, *severity, *component, message.as_str())
+        })
+        .collect();
+    assert_eq!(pinned, expected, "{}", report.render_text());
+}
+
 #[test]
 fn usfq010_allowlisted_cycle_downgrades_to_skipped_timing() {
     let mut c = Circuit::new();
@@ -350,6 +455,35 @@ fn probe_windows_track_wire_and_cell_delays() {
         windows,
         vec![("out".to_string(), Some((ps(5.0), ps(15.0))))]
     );
+}
+
+/// Windows come back in probe-id order, not in the order the probes
+/// tap the netlist (component outputs by component, then inputs).
+#[test]
+fn probe_windows_are_in_probe_id_order() {
+    let mut c = Circuit::new();
+    let x = c.input("x");
+    let b1 = c.add(Jtl::new("j1"));
+    let b2 = c.add(Jtl::new("j2"));
+    c.connect_input(x, b1.input(0), ps(2.0)).unwrap();
+    c.connect(b1.output(0), b2.input(0), ps(1.0)).unwrap();
+    let ids = [
+        c.probe_input(x, "x"),
+        c.probe(b2.output(0), "b2"),
+        c.probe(b1.output(0), "b1"),
+    ];
+    let windows = probe_windows(&c, &window_config(ps(10.0)));
+    assert_eq!(
+        windows,
+        vec![
+            ("x".to_string(), Some((ps(0.0), ps(10.0)))),
+            ("b2".to_string(), Some((ps(9.0), ps(19.0)))),
+            ("b1".to_string(), Some((ps(5.0), ps(15.0)))),
+        ]
+    );
+    for id in ids {
+        assert_eq!(windows[id.index()].0, c.probe_name(id).unwrap());
+    }
 }
 
 /// A sink that counts pulses and declares its counting capacity, like

@@ -1,5 +1,5 @@
 //! Satellite property: **every** generated topology (random shape,
-//! size, seed) extracts to a fully input-connected [`CircuitGraph`],
+//! size, seed) has a fully input-connected [`CircuitGraph`],
 //! lints without errors under its declared envelope, and routes a
 //! permutation pattern loss-free through the pulse-level simulator.
 //!
@@ -16,7 +16,7 @@ fn check_topology(topology: Topology, seed: u64) {
     let fabric = topology.build(geometry);
 
     // 1. Connected: every cell is reachable from some external input.
-    let graph = CircuitGraph::build(&fabric.circuit);
+    let graph = CircuitGraph::new(&fabric.circuit);
     let reachable = graph.reachable_from_inputs();
     assert_eq!(graph.len(), reachable.len());
     assert!(

@@ -2,9 +2,10 @@
 
 use std::sync::{Arc, OnceLock};
 
-use crate::component::{CellState, Component, StaticMeta};
+use crate::component::{CellState, Component};
 use crate::engine::NetTable;
 use crate::error::SimError;
+use crate::graph::{self, FanIn, Sccs};
 use crate::sanitizer::SanitizerFacts;
 use crate::time::Time;
 
@@ -270,10 +271,10 @@ impl Clone for Topology {
     }
 }
 
-/// Everything the simulator derives from a circuit's topology and its
-/// cells' declared facts, built once per topology and shared (through
-/// `Arc` slices) by every simulator and sanitizer built from it or its
-/// clones.
+/// Everything derived from a circuit's topology and its cells'
+/// declared facts, built once per topology and shared (through `Arc`
+/// slices) by every simulator, sanitizer and graph view built from it
+/// or its clones. What only analysis reads is built on first use.
 pub(crate) struct Compiled {
     /// The cell models as one slice, which every simulator of this
     /// topology holds inline.
@@ -287,6 +288,15 @@ pub(crate) struct Compiled {
     pub(crate) max_delay: Time,
     /// Per-cell hazards, counting capacity and input layout.
     pub(crate) facts: SanitizerFacts,
+    /// Each cell's declared kind, in component order.
+    pub(crate) kinds: Box<[&'static str]>,
+    /// Each cell's declared `[min, max]` delay, in component order.
+    pub(crate) delays: Box<[(Time, Time)]>,
+    /// Each input port's drivers, built on the first graph view.
+    pub(crate) fan_in: OnceLock<FanIn>,
+    /// The condensation of the component graph, built on the first
+    /// graph view or coalesced delivery, whichever comes first.
+    sccs: OnceLock<Sccs>,
     /// Per-component feedback lookahead, built on the first coalesced
     /// delivery (see `engine::cycle_lookahead`).
     cycle_la: OnceLock<Arc<[Time]>>,
@@ -294,26 +304,33 @@ pub(crate) struct Compiled {
 
 impl Compiled {
     fn build(circuit: &Circuit) -> Self {
-        // One `static_meta` call per cell feeds both the sanitizer's
-        // facts and the delay bound.
+        // One `static_meta` call per cell feeds the sanitizer's facts,
+        // the kinds and the delay ranges.
         let models = &circuit.topo.models;
-        let mut max_cell_delay = Time::ZERO;
+        let mut kinds = Vec::with_capacity(models.len());
+        let mut delays = Vec::with_capacity(models.len());
         let facts = SanitizerFacts::compile(models.iter().map(|m| {
             let meta = m.static_meta();
-            max_cell_delay = max_cell_delay.max(meta.max_delay);
+            kinds.push(meta.kind);
+            delays.push((meta.min_delay, meta.max_delay));
             (meta, m.num_inputs())
         }));
         let max_delay = circuit
             .wires()
             .map(|(.., delay)| delay)
             .chain(circuit.input_wires().map(|(.., delay)| delay))
-            .fold(max_cell_delay, Ord::max);
+            .chain(delays.iter().map(|&(_, max)| max))
+            .fold(Time::ZERO, Ord::max);
         Compiled {
             models: models.as_slice().into(),
             power_on: models.iter().map(|m| m.power_on()).collect(),
             nets: NetTable::build(circuit),
             max_delay,
             facts,
+            kinds: kinds.into(),
+            delays: delays.into(),
+            fan_in: OnceLock::new(),
+            sccs: OnceLock::new(),
             cycle_la: OnceLock::new(),
         }
     }
@@ -336,6 +353,18 @@ impl Circuit {
     /// The compiled form of this circuit, built on first use.
     pub(crate) fn compiled(&self) -> &Compiled {
         self.topo.compiled.get_or_init(|| Compiled::build(self))
+    }
+
+    /// The condensation of the component graph, from one Tarjan pass
+    /// over the fan-out table on first use; lint's graph views and the
+    /// cycle lookahead of every simulator of this topology share it.
+    pub(crate) fn sccs(&self) -> &Sccs {
+        let compiled = self.compiled();
+        compiled.sccs.get_or_init(|| {
+            graph::sccs(compiled.models.len(), |v| {
+                compiled.nets.comp_edges(v).map(|(dest, _)| dest)
+            })
+        })
     }
 
     /// The feedback lookahead table, built on first use and shared by
@@ -486,10 +515,10 @@ impl Circuit {
 
     /// The largest single-hop latency anywhere in the netlist: the
     /// maximum over every wire delay and every component's declared
-    /// [`StaticMeta::max_delay`]. An event scheduled by a pulse at time
-    /// `t` lands no later than `t + 2 * max_delay()` (cell delay plus
-    /// wire delay), which is what sizes the calendar-wheel bucket width
-    /// in [`crate::sched`]. Zero for an empty circuit.
+    /// [`crate::StaticMeta::max_delay`]. An event scheduled by a pulse
+    /// at time `t` lands no later than `t + 2 * max_delay()` (cell delay
+    /// plus wire delay), which is what sizes the calendar-wheel bucket
+    /// width in [`crate::sched`]. Zero for an empty circuit.
     pub fn max_delay(&self) -> Time {
         self.compiled().max_delay
     }
@@ -648,26 +677,6 @@ impl Circuit {
                 sinks: over.sinks,
             }),
         }
-    }
-
-    /// Input/output port counts of a component, for analyzers that walk
-    /// the netlist without holding the model.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnknownId`] for a foreign id.
-    pub fn component_ports(&self, id: CompId) -> Result<(usize, usize), SimError> {
-        self.model(id).map(|m| (m.num_inputs(), m.num_outputs()))
-    }
-
-    /// The component's declared [`StaticMeta`] (kind, delay range,
-    /// hazards).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnknownId`] for a foreign id.
-    pub fn component_static_meta(&self, id: CompId) -> Result<StaticMeta, SimError> {
-        self.model(id).map(Component::static_meta)
     }
 
     /// Iterates over every external input as `(id, name)`.
@@ -1105,11 +1114,12 @@ mod tests {
         let p_out = c.probe(b2.output(0), "end");
         let p_in = c.probe_input(input, "raw");
         assert_eq!(c.num_probes(), 2);
-        assert_eq!(c.component_ports(b1.id()).unwrap(), (1, 1));
-        assert!(c.component_ports(CompId(9)).is_err());
-        let meta = c.component_static_meta(b1.id()).unwrap();
-        assert_eq!(meta.kind, "buffer");
-        assert!(c.component_static_meta(CompId(9)).is_err());
+        let g = crate::CircuitGraph::new(&c);
+        let b = b1.id().index();
+        assert_eq!(
+            (g.num_inputs(b), g.num_outputs(b), g.kind(b)),
+            (1, 1, "buffer")
+        );
         let in_wires: Vec<_> = c.input_wires().collect();
         assert_eq!(in_wires, vec![(input, b1.id(), 0, Time::from_ps(2.0))]);
         let taps: Vec<_> = c.probe_taps().collect();
@@ -1323,6 +1333,38 @@ mod tests {
         assert!(Arc::ptr_eq(&la, &c.circuit().cycle_lookahead()));
         assert_eq!(la[b[0].id().index()], Time::MAX);
         assert_eq!(la[b[1].id().index()], Time::from_ps(13.0));
+    }
+
+    /// A simulator's first coalesced delivery builds the topology's
+    /// condensation for its cycle lookahead, and lint's graph views of
+    /// the circuit and of a clone read that same one: one Tarjan pass
+    /// per topology.
+    #[test]
+    fn graph_views_and_the_lookahead_share_one_condensation() {
+        let (proto, input, _) = loop_fixture(false);
+        assert!(proto.compiled().sccs.get().is_none());
+        let config = crate::SimConfig {
+            burst: true,
+            ..crate::SimConfig::reference()
+        };
+        let mut sim = crate::Simulator::with_config(proto.clone(), &config);
+        sim.schedule_burst(
+            input,
+            crate::Burst::uniform(Time::ZERO, Time::from_ps(1.0), 3),
+        )
+        .unwrap();
+        sim.run_until(Time::from_ps(30.0)).unwrap();
+        assert!(sim.activity().coalesce.hits > 0, "a train was absorbed");
+        let built = proto
+            .compiled()
+            .sccs
+            .get()
+            .expect("the first coalesced delivery builds the condensation");
+        let lint = crate::CircuitGraph::new(&proto).sccs();
+        let copy = proto.clone();
+        assert!(std::ptr::eq(built, lint));
+        assert!(std::ptr::eq(built, crate::CircuitGraph::new(&copy).sccs()));
+        assert!(std::ptr::eq(built, sim.circuit().sccs()));
     }
 
     /// A clone shares its prototype's cells rather than copying them,

@@ -7,7 +7,6 @@ use crate::circuit::{Circuit, InputId, Model, OutputNet, ProbeId};
 use crate::component::{BurstStep, CellState, Component, Ctx};
 use crate::config::SimConfig;
 use crate::error::SimError;
-use crate::graph;
 use crate::rng::SplitMix64;
 use crate::sanitizer::{SanitizerConfig, SanitizerReport, SanitizerState};
 use crate::sched::{CalendarWheel, RunHeap, Sched, WheelStats};
@@ -110,7 +109,7 @@ const _: () = assert!(
 );
 
 #[derive(Debug, Clone, Copy)]
-enum NetSource {
+pub(crate) enum NetSource {
     /// External input slot index.
     Input(usize),
     /// (component index, output port).
@@ -200,6 +199,35 @@ impl NetTable {
     /// Total wired sinks over every net.
     pub(crate) fn num_wires(&self) -> usize {
         self.wires.len()
+    }
+
+    /// The index of net `net`'s first wire; the wire count for the net
+    /// past the last. Nets are flattened back to back, so a run of nets
+    /// is one range of wires.
+    fn first_wire(&self, net: usize) -> usize {
+        self.nets
+            .get(net)
+            .map_or(self.wires.len(), |r| r.wires_start as usize)
+    }
+
+    /// Component `c`'s wires, port after port, as `(destination
+    /// component, delay)`: its successors in `Circuit::wires` order.
+    pub(crate) fn comp_edges(&self, c: usize) -> impl Iterator<Item = (usize, Time)> + '_ {
+        let next = self
+            .output_base
+            .get(c + 1)
+            .map_or(self.nets.len(), |&b| b as usize);
+        let wires = self.first_wire(self.output_base[c] as usize)..self.first_wire(next);
+        self.wires[wires].iter().map(|w| (w.dest as usize, w.delay))
+    }
+
+    /// The net's `(component, input port)` sinks, once per wire, in
+    /// wire order.
+    pub(crate) fn sinks(&self, source: NetSource) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let net = self.net(source);
+        self.wires[net.wires_start as usize..net.wires_end as usize]
+            .iter()
+            .map(|w| (w.dest as usize, w.port as usize))
     }
 
     #[inline]
@@ -725,48 +753,21 @@ const EXACT_CYCLE_SCC_LIMIT: usize = 64;
 /// (cell delays only add, so wire delay alone is a sound lower bound),
 /// or [`Time::MAX`] for components on no cycle.
 ///
-/// Strongly connected components come from [`graph::sccs`]. Inside
-/// an SCC of at most [`EXACT_CYCLE_SCC_LIMIT`] nodes the exact
-/// shortest cycle through each node is computed by min-plus
-/// Floyd–Warshall; larger SCCs conservatively use the minimum
-/// intra-SCC edge delay (every cycle contains at least one edge).
-/// Conservatism only costs the fast path, never correctness.
+/// It walks the circuit's fan-out table and its condensation, which
+/// lint's graph view shares. Inside an SCC of at most
+/// [`EXACT_CYCLE_SCC_LIMIT`] nodes the exact shortest cycle through
+/// each node is computed by min-plus Floyd–Warshall; larger SCCs
+/// conservatively use the minimum intra-SCC edge delay (every cycle
+/// contains at least one edge). Conservatism only costs the fast path,
+/// never correctness.
 pub(crate) fn cycle_lookahead(circuit: &Circuit) -> Vec<Time> {
-    let n = circuit.num_components();
-    // Flat CSR adjacency with per-edge delays, in `Circuit::wires`
-    // order — this runs once per topology on first burst delivery and
-    // must not allocate per-component edge lists.
-    let wires: Vec<(usize, usize, u64)> = circuit
-        .wires()
-        .map(|(src, _, dst, _, delay)| (src.index(), dst.index(), delay.as_fs()))
-        .collect();
-    let mut succ_start = vec![0usize; n + 1];
-    for &(src, _, _) in &wires {
-        succ_start[src + 1] += 1;
-    }
-    for v in 0..n {
-        succ_start[v + 1] += succ_start[v];
-    }
-    let mut fill = succ_start.clone();
-    let mut succ = vec![0usize; wires.len()];
-    let mut delay = vec![0u64; wires.len()];
-    for &(src, dst, fs) in &wires {
-        succ[fill[src]] = dst;
-        delay[fill[src]] = fs;
-        fill[src] += 1;
-    }
-    let edges = |v: usize| {
-        let range = succ_start[v]..succ_start[v + 1];
-        succ[range.clone()]
-            .iter()
-            .copied()
-            .zip(delay[range].iter().copied())
-    };
-    let sccs = graph::sccs(n, |v| &succ[succ_start[v]..succ_start[v + 1]]);
+    let nets = &circuit.compiled().nets;
+    let edges = |v: usize| nets.comp_edges(v).map(|(w, d)| (w, d.as_fs()));
+    let sccs = circuit.sccs();
 
     // Bound each component's shortest cycle. Single-node SCCs cycle
     // only via self-loop edges.
-    let mut la = vec![Time::MAX; n];
+    let mut la = vec![Time::MAX; circuit.num_components()];
     for (s, group) in sccs.iter().enumerate() {
         if group.len() == 1 {
             let v = group[0];
@@ -3193,5 +3194,168 @@ mod tests {
         let coalesce = late.activity().coalesce;
         assert_eq!((coalesce.hits, coalesce.pulses), (0, 0), "{coalesce:?}");
         assert!(coalesce.bail_sanitizer > 0, "{coalesce:?}");
+    }
+
+    /// The lookahead as it was computed before the condensation was
+    /// shared: a private CSR table of the wires, in `Circuit::wires`
+    /// order, and a Tarjan pass of its own.
+    fn private_table_lookahead(circuit: &Circuit) -> Vec<Time> {
+        let n = circuit.num_components();
+        // Flat CSR adjacency with per-edge delays, in `Circuit::wires`
+        // order — this runs once per topology on first burst delivery and
+        // must not allocate per-component edge lists.
+        let wires: Vec<(usize, usize, u64)> = circuit
+            .wires()
+            .map(|(src, _, dst, _, delay)| (src.index(), dst.index(), delay.as_fs()))
+            .collect();
+        let mut succ_start = vec![0usize; n + 1];
+        for &(src, _, _) in &wires {
+            succ_start[src + 1] += 1;
+        }
+        for v in 0..n {
+            succ_start[v + 1] += succ_start[v];
+        }
+        let mut fill = succ_start.clone();
+        let mut succ = vec![0usize; wires.len()];
+        let mut delay = vec![0u64; wires.len()];
+        for &(src, dst, fs) in &wires {
+            succ[fill[src]] = dst;
+            delay[fill[src]] = fs;
+            fill[src] += 1;
+        }
+        let edges = |v: usize| {
+            let range = succ_start[v]..succ_start[v + 1];
+            succ[range.clone()]
+                .iter()
+                .copied()
+                .zip(delay[range].iter().copied())
+        };
+        let sccs = crate::graph::sccs(n, |v| {
+            succ[succ_start[v]..succ_start[v + 1]].iter().copied()
+        });
+
+        // Bound each component's shortest cycle. Single-node SCCs cycle
+        // only via self-loop edges.
+        let mut la = vec![Time::MAX; n];
+        for (s, group) in sccs.iter().enumerate() {
+            if group.len() == 1 {
+                let v = group[0];
+                let self_loop = edges(v).filter(|&(w, _)| w == v).map(|(_, d)| d).min();
+                if let Some(d) = self_loop {
+                    la[v] = Time::from_fs(d);
+                }
+                continue;
+            }
+            if group.len() <= EXACT_CYCLE_SCC_LIMIT {
+                // Exact per-node shortest cycle by min-plus Floyd–Warshall
+                // over the SCC's internal edges (self-loops included).
+                let k_n = group.len();
+                let mut pos = std::collections::HashMap::with_capacity(k_n);
+                for (i, &v) in group.iter().enumerate() {
+                    pos.insert(v, i);
+                }
+                const INF: u64 = u64::MAX;
+                let mut dist = vec![INF; k_n * k_n];
+                for (i, &v) in group.iter().enumerate() {
+                    for (w, d) in edges(v) {
+                        if let Some(&j) = pos.get(&w) {
+                            let cell = &mut dist[i * k_n + j];
+                            *cell = (*cell).min(d);
+                        }
+                    }
+                }
+                for mid in 0..k_n {
+                    for i in 0..k_n {
+                        let dim = dist[i * k_n + mid];
+                        if dim == INF {
+                            continue;
+                        }
+                        for j in 0..k_n {
+                            let dmj = dist[mid * k_n + j];
+                            if dmj == INF {
+                                continue;
+                            }
+                            let cand = dim.saturating_add(dmj);
+                            let cell = &mut dist[i * k_n + j];
+                            if cand < *cell {
+                                *cell = cand;
+                            }
+                        }
+                    }
+                }
+                for (i, &v) in group.iter().enumerate() {
+                    let d = dist[i * k_n + i];
+                    la[v] = if d == INF {
+                        Time::MAX
+                    } else {
+                        Time::from_fs(d)
+                    };
+                }
+            } else {
+                // Lower bound: the lightest edge inside the SCC.
+                let min_edge = group
+                    .iter()
+                    .flat_map(|&v| edges(v))
+                    .filter(|&(w, _)| sccs.scc_of[w] == s)
+                    .map(|(_, d)| d)
+                    .min()
+                    .unwrap_or(u64::MAX);
+                for &v in group {
+                    la[v] = Time::from_fs(min_edge);
+                }
+            }
+        }
+        la
+    }
+
+    /// The lookahead read from the fan-out table and the shared
+    /// condensation equals the private table's, on random graphs of
+    /// one SCC above [`EXACT_CYCLE_SCC_LIMIT`] nodes (the lower-bound
+    /// branch), one at or below it (the exact branch), an acyclic tail,
+    /// self-loops and zero-delay wires. Sometimes a back wire merges
+    /// the two rings into one SCC.
+    #[test]
+    fn lookahead_matches_the_private_table() {
+        crate::check::for_all(64, |rng| {
+            let big = rng.gen_range(EXACT_CYCLE_SCC_LIMIT + 1..EXACT_CYCLE_SCC_LIMIT + 40);
+            let small = rng.gen_range(2..=EXACT_CYCLE_SCC_LIMIT);
+            let n = big + small + rng.gen_range(0usize..10);
+            let mut c = Circuit::new();
+            let cells: Vec<_> = (0..n)
+                .map(|i| c.add(Buffer::new(format!("b{i}"), Time::from_ps(1.0))))
+                .collect();
+            let wire = |c: &mut Circuit, rng: &mut SplitMix64, from: usize, to: usize| {
+                let delay = match rng.gen_range(0u32..4) {
+                    0 => Time::ZERO,
+                    _ => Time::from_fs(rng.gen_range(1u64..50_000)),
+                };
+                c.connect(cells[from].output(0), cells[to].input(0), delay)
+                    .unwrap();
+            };
+            for (lo, len) in [(0, big), (big, small)] {
+                for i in 0..len {
+                    wire(&mut c, rng, lo + i, lo + (i + 1) % len);
+                }
+                for _ in 0..len / 2 {
+                    let (a, b) = (rng.gen_range(0..len), rng.gen_range(0..len));
+                    wire(&mut c, rng, lo + a, lo + b);
+                }
+            }
+            for _ in 0..n / 2 {
+                // Forward only: big ring → small ring → tail.
+                let a = rng.gen_range(0..n);
+                let b = rng.gen_range(a..n);
+                wire(&mut c, rng, a, b);
+            }
+            for _ in 0..rng.gen_range(0usize..6) {
+                let v = rng.gen_range(0..n);
+                wire(&mut c, rng, v, v);
+            }
+            if rng.gen_bool(0.25) {
+                let (from, to) = (rng.gen_range(big..big + small), rng.gen_range(0..big));
+                wire(&mut c, rng, from, to);
+            }
+            assert_eq!(cycle_lookahead(&c), private_table_lookahead(&c));
+        });
     }
 }

@@ -229,6 +229,17 @@ impl SanitizerFacts {
             arrival_slots,
         }
     }
+
+    /// Cell `c`'s declared hazards.
+    pub(crate) fn hazards(&self, c: usize) -> &[Hazard] {
+        let cell = self.cells[c];
+        &self.hazards[cell.hazards_start as usize..cell.hazards_end as usize]
+    }
+
+    /// Cell `c`'s declared counting capacity.
+    pub(crate) fn counting_capacity(&self, c: usize) -> Option<u64> {
+        self.cells[c].counting_capacity
+    }
 }
 
 /// The last arrival on `port` among a cell's arrival slots (`None` for
