@@ -10,12 +10,12 @@
 //! ./scripts/bench_pair.sh <base-rev> /tmp/pair   # base vs head, interleaved
 //! ```
 //!
-//! Snapshot schema (`schema_version` 4):
+//! Snapshot schema (`schema_version` 5):
 //!
 //! ```text
 //! {
 //!   "generated_by": "usfq-bench/benchkernel",
-//!   "schema_version": 4,
+//!   "schema_version": 5,
 //!   "commit": "<git hash or \"unknown\">",   // from $USFQ_COMMIT
 //!   "threads": <resolved USFQ_THREADS>,
 //!   "sched": "heap",                         // default scheduler in force
@@ -24,6 +24,7 @@
 //!   "coalesce": { "<group>/<name>": { "hits": .., "pulses": .., "lazy_splits": ..,
 //!                                     "chases": .., "bail_jitter": .., "bail_feedback": ..,
 //!                                     "bail_sanitizer": .., "bail_cell": .. }, .. },
+//!   "replays": { "kernel/accel/<name>": <rig runs answered by replay>, .. },
 //!   "benchmarks": { "<group>/<name>": { "min_ns": .., "median_ns": .., "mean_ns": .., "samples": .. }, .. }
 //! }
 //! ```
@@ -35,6 +36,13 @@
 //! timing shift in the gate can be attributed to a coalescing-behavior
 //! change without re-running anything. Every key in `coalesce` also
 //! appears in `benchmarks`.
+//!
+//! The `replays` block is provenance of the same kind, from the same
+//! instrumented runs of the `kernel/accel/*` kernels: how many of their
+//! rig runs repeated their rig's last operands and were answered
+//! without simulating ([`Rig::run`]). The structural FIR's PNM rigs
+//! replay every sample after the first; the PE and the dot product see
+//! new operands every op.
 //!
 //! The `kernel/shard/*` entries pin their shard count in the key
 //! itself (`/seq`, `/2shards`, …), so they are comparable across
@@ -323,6 +331,7 @@ fn main() {
     // Coalescing provenance: one untimed instrumented run per
     // coalescing kernel (see the module docs).
     let mut coalesce: Vec<(&'static str, CoalesceStats)> = Vec::new();
+    let mut replays: Vec<(&'static str, u64)> = Vec::new();
     {
         let (proto, input, div, tap) = burst_stream();
         let mut sim = Simulator::with_config(proto, &burst(true));
@@ -349,8 +358,9 @@ fn main() {
     // circuits built once and rerun per op under the environment's
     // configuration. Their clock and data trains interleave half a
     // slot apart, so most train pulses are due one at a time and the
-    // event loop delivers them as heads. Each `coalesce` entry sums one
-    // fresh instance's rigs over the first `ACCEL_OPS` ops.
+    // event loop delivers them as heads. Each `coalesce` and `replays`
+    // entry sums one fresh instance's rigs over the first `ACCEL_OPS`
+    // ops.
     {
         const ACCEL_OPS: usize = 64;
         let epoch = Epoch::with_slot(5, t_bff()).expect("5-bit balancer epoch");
@@ -402,18 +412,21 @@ fn main() {
             f.push(x).expect("FIR push");
         }
         coalesce.push(("kernel/accel/fir_push", f.coalesce()));
+        replays.push(("kernel/accel/fir_push", f.replays()));
         let pe = ProcessingElement::new(epoch);
         let mut rig = Rig::new(pe.circuit().expect("PE circuit"));
         for &[a, b, c] in &macs {
             pe.mac_on(&mut rig, a, b, c).expect("PE MAC");
         }
         coalesce.push(("kernel/accel/pe_mac", rig.coalesce()));
+        replays.push(("kernel/accel/pe_mac", rig.replays()));
         let dpu = DotProductUnit::new(epoch, 8).expect("8 lanes");
         let mut rig = Rig::new(dpu.circuit().expect("DPU circuit"));
         for (x, y) in &dots {
             dpu.dot_on(&mut rig, x, y).expect("dot product");
         }
         coalesce.push(("kernel/accel/dpu8_dot", rig.coalesce()));
+        replays.push(("kernel/accel/dpu8_dot", rig.replays()));
     }
     {
         let (proto, input, probe) = delay_chain(128);
@@ -618,7 +631,7 @@ fn main() {
     let mut json = String::new();
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"generated_by\": \"usfq-bench/benchkernel\",");
-    let _ = writeln!(json, "  \"schema_version\": 4,");
+    let _ = writeln!(json, "  \"schema_version\": 5,");
     let _ = writeln!(json, "  \"commit\": \"{commit}\",");
     let _ = writeln!(json, "  \"threads\": {threads},");
     let _ = writeln!(json, "  \"sched\": \"{}\",", env.sched);
@@ -642,6 +655,13 @@ fn main() {
             c.bail_sanitizer,
             c.bail_cell
         );
+    }
+    let _ = writeln!(json, "  }},");
+    let _ = writeln!(json, "  \"replays\": {{");
+    replays.sort_by(|a, b| a.0.cmp(b.0));
+    for (i, (key, n)) in replays.iter().enumerate() {
+        let comma = if i + 1 == replays.len() { "" } else { "," };
+        let _ = writeln!(json, "    \"{key}\": {n}{comma}");
     }
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"benchmarks\": {{");

@@ -154,16 +154,16 @@ impl DotProductUnit {
             .collect::<Result<Vec<_>, CoreError>>()?;
         let slot = self.epoch.slot_width();
         let clock = Burst::uniform(slot / 2, slot, self.epoch.n_max());
-        rig.run(|sim, io| {
-            sim.schedule_input(io.e, Time::ZERO)?;
+        rig.run(|stimulus, io| {
+            stimulus.schedule_input(io.e, Time::ZERO)?;
             // RL gates first, so exact ties favour the reset (see
             // `BipolarMultiplier::multiply_on`).
             for (&input, &at) in io.b.iter().zip(&gates) {
-                sim.schedule_input(input, at)?;
+                stimulus.schedule_input(input, at)?;
             }
-            sim.schedule_burst(io.clk, clock)?;
+            stimulus.schedule_burst(io.clk, clock)?;
             for (&input, &stream) in io.a.iter().zip(&streams) {
-                sim.schedule_burst(input, stream)?;
+                stimulus.schedule_burst(input, stream)?;
             }
             Ok(())
         })?;

@@ -17,9 +17,11 @@
 //! every epoch, the filter builds its circuits once, on the first
 //! sample, as [`Rig`]s: one PNM per tap (the tap's word is fixed at
 //! construction), one bipolar multiplier the taps share, and one `L:1`
-//! counting tree. Every later sample reruns them, so each sample still
-//! simulates every PNM, every multiplication and the tree, but pays no
-//! circuit build.
+//! counting tree. Every later sample reruns them and pays no circuit
+//! build. A PNM rig's clock train is the same every sample, so after
+//! the first sample its run is a replay of the last ([`Rig::run`]):
+//! each sample simulates every multiplication and the tree, and
+//! simulates no PNM.
 
 use usfq_encoding::{Epoch, PulseStream, RlValue};
 use usfq_sim::CoalesceStats;
@@ -161,6 +163,16 @@ impl StructuralFir {
             total.merge(&rigs.tree.coalesce());
         }
         total
+    }
+
+    /// How many rig runs so far were replays of their rig's last run
+    /// ([`Rig::replays`]), summed over the datapath's rigs.
+    pub fn replays(&self) -> u64 {
+        self.rigs.as_ref().map_or(0, |rigs| {
+            rigs.pnms.iter().map(Rig::replays).sum::<u64>()
+                + rigs.mult.replays()
+                + rigs.tree.replays()
+        })
     }
 
     /// Filters a whole signal, resetting the delay line first.

@@ -206,12 +206,12 @@ impl ProcessingElement {
         let half = self.epoch.slot_width() / 2;
         // Latch slightly after the epoch ends so in-flight pulses land.
         let latch = self.epoch.duration() + Time::from_ps(20.0);
-        rig.run(|sim, io| {
-            sim.schedule_input(io.e, Time::ZERO)?;
-            sim.schedule_input(io.in1, rl.pulse_time_from(Time::ZERO))?;
-            sim.schedule_burst(io.in2, s2.burst_from(Time::ZERO))?;
-            sim.schedule_burst(io.in3, s3.burst_from(Time::ZERO).delayed(half))?;
-            sim.schedule_input(io.epoch_end, latch)
+        rig.run(|stimulus, io| {
+            stimulus.schedule_input(io.e, Time::ZERO)?;
+            stimulus.schedule_input(io.in1, rl.pulse_time_from(Time::ZERO))?;
+            stimulus.schedule_burst(io.in2, s2.burst_from(Time::ZERO))?;
+            stimulus.schedule_burst(io.in3, s3.burst_from(Time::ZERO).delayed(half))?;
+            stimulus.schedule_input(io.epoch_end, latch)
         })?;
         let times = rig.sim().probe_times(rig.io().out);
         if times.len() != 1 {

@@ -83,12 +83,12 @@ impl CountingNetwork {
         streams: &[PulseStream],
     ) -> Result<PulseStream, CoreError> {
         self.check_inputs(streams)?;
-        rig.run(|sim, io| {
+        rig.run(|stimulus, io| {
             // Stagger the inputs so lanes interleave at the first rank.
             let stagger = Time::from_ps(1.0);
             for (i, (&input, stream)) in io.inputs.iter().zip(streams).enumerate() {
                 let offset = stagger.scale(i as u64);
-                sim.schedule_burst(input, stream.burst_from(Time::ZERO).delayed(offset))?;
+                stimulus.schedule_burst(input, stream.burst_from(Time::ZERO).delayed(offset))?;
             }
             Ok(())
         })?;

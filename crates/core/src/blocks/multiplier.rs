@@ -82,14 +82,14 @@ impl UnipolarMultiplier {
     /// Returns a simulation error if the circuit fails to settle.
     pub fn multiply_streams(&self, a: PulseStream, b: RlValue) -> Result<PulseStream, CoreError> {
         let mut rig = Rig::new(self.circuit()?);
-        rig.run(|sim, io| {
+        rig.run(|stimulus, io| {
             // The epoch marker arrives first; the RL gate is scheduled
             // before the stream so that at an exact tie the reset wins
             // ("pulses arriving before B pass through; pulses after B
             // do not").
-            sim.schedule_input(io.e, Time::ZERO)?;
-            sim.schedule_input(io.b, b.pulse_time_from(Time::ZERO))?;
-            sim.schedule_burst(io.a, a.burst_from(Time::ZERO))
+            stimulus.schedule_input(io.e, Time::ZERO)?;
+            stimulus.schedule_input(io.b, b.pulse_time_from(Time::ZERO))?;
+            stimulus.schedule_burst(io.a, a.burst_from(Time::ZERO))
         })?;
         Ok(PulseStream::from_count(
             (rig.sim().probe_count(rig.io().q) as u64).min(self.epoch.n_max()),
@@ -213,14 +213,14 @@ impl BipolarMultiplier {
         // keeps the complement stream clear of the slot boundaries).
         let slot = self.epoch.slot_width();
         let clock = usfq_sim::Burst::uniform(slot / 2, slot, self.epoch.n_max());
-        rig.run(|sim, io| {
-            sim.schedule_input(io.e, Time::ZERO)?;
-            sim.schedule_input(io.b, b.pulse_time_from(Time::ZERO))?;
-            sim.schedule_burst(io.clk, clock)?;
+        rig.run(|stimulus, io| {
+            stimulus.schedule_input(io.e, Time::ZERO)?;
+            stimulus.schedule_input(io.b, b.pulse_time_from(Time::ZERO))?;
+            stimulus.schedule_burst(io.clk, clock)?;
             // Stream pulses are placed on the slot grid so each slot
             // carries at most one pulse — the inverter's sampling
             // assumption.
-            sim.schedule_burst(io.a, a.burst_on_grid(Time::ZERO))
+            stimulus.schedule_burst(io.a, a.burst_on_grid(Time::ZERO))
         })?;
         Ok(PulseStream::from_count(
             (rig.sim().probe_count(rig.io().out) as u64).min(self.epoch.n_max()),

@@ -1,20 +1,24 @@
 //! Build-once rigs under every engine configuration.
 //!
-//! A rig resets its simulator before each run, so a rig reused across
-//! operand sets must reproduce a fresh simulator exactly: the stateful
-//! cells the accelerator rigs rely on (pre-set NDRO gates, TFF2s, the
-//! clocked inverter, balancers, the integrator's timer) must all return
-//! to power-on state. And since every closed-form burst step now
-//! absorbs at least two pulses, the accelerators' interleaved trains
-//! must reach the same answer with bursts on as pulse by pulse.
+//! A rig resets its simulator before each run with new operands, so a
+//! rig reused across operand sets must reproduce a fresh simulator
+//! exactly: the stateful cells the accelerator rigs rely on (pre-set
+//! NDRO gates, TFF2s, the clocked inverter, balancers, the integrator's
+//! timer) must all return to power-on state. A run with the last run's
+//! operands is a replay of that run, and must equal a fresh simulator
+//! too. And since every closed-form burst step now absorbs at least two
+//! pulses, the accelerators' interleaved trains must reach the same
+//! answer with bursts on as pulse by pulse.
 
 use usfq_core::accel::{DotProductUnit, ProcessingElement};
-use usfq_core::blocks::{BipolarMultiplier, CountingNetwork, PulseNumberMultiplier};
+use usfq_core::blocks::{
+    BipolarMultiplier, CountingNetwork, PulseNumberMultiplier, UnipolarMultiplier,
+};
 use usfq_core::Rig;
 use usfq_encoding::{Epoch, PulseStream, RlValue};
 use usfq_sim::check::{assert_agree, check_cube, cube, for_all, Workload};
 use usfq_sim::rng::SplitMix64;
-use usfq_sim::{Fingerprint, Jitter, ProbeId, SimConfig, Time};
+use usfq_sim::{Burst, Fingerprint, Jitter, ProbeId, SimConfig, Time};
 
 /// The accelerators' 5-bit balancer-slot epoch.
 fn epoch() -> Epoch {
@@ -55,16 +59,32 @@ impl<P, O: Sync> Block<P, O> {
     }
 
     /// A cube workload: `decoy`, then `measured` on one rig, checked
-    /// against a fresh rig's run of `measured` under the same cell.
+    /// against a fresh rig's run of `measured` under the same cell. The
+    /// operands differ, so the measured run resets and simulates.
     fn reuse_workload(&self, decoy: O, measured: O) -> Workload<'_> {
+        self.rerun_workload(Some(decoy), measured)
+    }
+
+    /// A cube workload: `operands` twice on one rig, the second run a
+    /// replay, checked against a fresh rig's run under the same cell.
+    fn replay_workload(&self, operands: O) -> Workload<'_> {
+        self.rerun_workload(None, operands)
+    }
+
+    /// `measured` on a rig that first ran `decoy`, or `measured` itself
+    /// when there is no decoy: the second run is a replay exactly when
+    /// it repeats the first run's operands.
+    fn rerun_workload(&self, decoy: Option<O>, measured: O) -> Workload<'_> {
         Workload::new(self.name.clone(), move |cfg| {
             let (fresh, want_out) = self.run_fresh(cfg, &measured);
             let want = self.fingerprint(&fresh);
             let mut rig = (self.rig)(cfg);
-            (self.drive)(&mut rig, &decoy);
+            (self.drive)(&mut rig, decoy.as_ref().unwrap_or(&measured));
             let out = (self.drive)(&mut rig, &measured);
             let what = format!("{} under {cfg:?}", self.name);
-            assert_eq!(self.fingerprint(&rig), want, "reused vs fresh rig: {what}");
+            let replays = u64::from(decoy.is_none());
+            assert_eq!(rig.replays(), replays, "replays: {what}");
+            assert_eq!(self.fingerprint(&rig), want, "rerun vs fresh rig: {what}");
             assert_eq!(out, want_out, "result: {what}");
             want
         })
@@ -100,6 +120,27 @@ fn pnm(word: u64) -> Block<usfq_core::blocks::PnmIo, ()> {
         name: format!("PNM word {word}"),
         rig: Box::new(move |cfg| Rig::with_config(pnm.circuit(word).unwrap(), cfg)),
         drive: Box::new(move |rig, ()| format!("{:?}", pnm.generate_on(rig))),
+        probe: |io| io.out,
+    }
+}
+
+/// The PNM driven by `ticks` clock pulses: a whole epoch through its
+/// runner, `generate_on`, and fewer through [`Rig::run`]. Its runner
+/// has no operand but the clock, so a shorter train is the decoy that
+/// makes a reused PNM rig reset its TFF2s and NDRO gates.
+fn pnm_clocked(word: u64) -> Block<usfq_core::blocks::PnmIo, u64> {
+    let pnm = PulseNumberMultiplier::new(pnm_epoch());
+    Block {
+        name: format!("PNM word {word}"),
+        rig: Box::new(move |cfg| Rig::with_config(pnm.circuit(word).unwrap(), cfg)),
+        drive: Box::new(move |rig, &ticks| {
+            if ticks == pnm.epoch().n_max() {
+                return format!("{:?}", pnm.generate_on(rig));
+            }
+            let clock = Burst::uniform(Time::ZERO, pnm.clock_period(), ticks);
+            let run = rig.run(|stimulus, io| stimulus.schedule_burst(io.clk, clock));
+            format!("{run:?}")
+        }),
         probe: |io| io.out,
     }
 }
@@ -154,6 +195,16 @@ fn dpu() -> Block<usfq_core::accel::DpuIo, ([f64; 4], [f64; 4])> {
     }
 }
 
+/// Every cell of sched × burst × sanitizer × shards {1, 2} × jitter
+/// {none, 2 ps}.
+fn every_cell() -> Vec<SimConfig> {
+    let jitter = Some(Jitter {
+        sigma: Time::from_fs(2000),
+        seed: 7,
+    });
+    cube(&[1, 2], &[None, jitter])
+}
+
 /// Counts that fit a 5-bit epoch (`0..=32`).
 fn count(rng: &mut SplitMix64) -> u64 {
     rng.gen_range(0u64..=32)
@@ -182,16 +233,12 @@ fn dpu_operands(rng: &mut SplitMix64) -> ([f64; 4], [f64; 4]) {
 /// reference.
 #[test]
 fn reused_rig_equals_fresh_simulator_in_every_cell() {
-    let jitter = Some(Jitter {
-        sigma: Time::from_fs(2000),
-        seed: 7,
-    });
-    let cells = cube(&[1, 2], &[None, jitter]);
+    let cells = every_cell();
     let (multiplier, tree, pe, dpu) = (multiplier(epoch()), tree(epoch()), pe(), dpu());
     for_all(6, |rng| {
-        let pnm = pnm(rng.gen_range(0u64..32));
+        let pnm = pnm_clocked(rng.gen_range(0u64..32));
         let workloads = vec![
-            pnm.reuse_workload((), ()),
+            pnm.reuse_workload(rng.gen_range(1u64..32), 32),
             multiplier.reuse_workload(multiplier_operands(rng), multiplier_operands(rng)),
             tree.reuse_workload(tree_operands(rng), tree_operands(rng)),
             pe.reuse_workload(pe_operands(rng), pe_operands(rng)),
@@ -199,6 +246,69 @@ fn reused_rig_equals_fresh_simulator_in_every_cell() {
         ];
         check_cube(&workloads, &cells);
     });
+}
+
+/// Each block run twice with the same operands on one rig: the second
+/// run is a replay, and equals a fresh simulator in every cell of
+/// sched × burst × sanitizer × shards × jitter.
+#[test]
+fn a_rerun_with_the_same_operands_replays_in_every_cell() {
+    let cells = every_cell();
+    let (multiplier, tree, pe, dpu) = (multiplier(epoch()), tree(epoch()), pe(), dpu());
+    for_all(3, |rng| {
+        let pnm = pnm(rng.gen_range(0u64..32));
+        let workloads = vec![
+            pnm.replay_workload(()),
+            multiplier.replay_workload(multiplier_operands(rng)),
+            tree.replay_workload(tree_operands(rng)),
+            pe.replay_workload(pe_operands(rng)),
+            dpu.replay_workload(dpu_operands(rng)),
+        ];
+        check_cube(&workloads, &cells);
+    });
+}
+
+/// The unipolar multiplier with its RL operand `B` and a stream pulse
+/// `A` at the same instant: scheduled `B` first the reset wins and
+/// nothing passes, `A` first the pulse passes. So the same two pulses
+/// in the other order are not a replay, and the rig's run equals a
+/// fresh simulator's in every cell.
+#[test]
+fn the_same_pulses_in_another_order_are_not_a_replay() {
+    let mult = UnipolarMultiplier::new(epoch());
+    let tie = Time::from_ps(40.0);
+    let run = |rig: &mut Rig<usfq_core::blocks::UnipolarIo>, reset_first: bool| {
+        rig.run(|stimulus, io| {
+            stimulus.schedule_input(io.e, Time::ZERO)?;
+            let (first, second) = if reset_first {
+                (io.b, io.a)
+            } else {
+                (io.a, io.b)
+            };
+            stimulus.schedule_input(first, tie)?;
+            stimulus.schedule_input(second, tie)
+        })
+        .unwrap();
+        rig.sim().probe_count(rig.io().q)
+    };
+    let mut rig = Rig::with_config(mult.circuit().unwrap(), &SimConfig::reference());
+    assert_eq!(run(&mut rig, true), 0, "the reset wins the tie");
+    assert_eq!(run(&mut rig, false), 1, "the read wins the tie");
+    assert_eq!(rig.replays(), 0);
+
+    let workload = Workload::new("unipolar multiplier tie", |cfg| {
+        let mut fresh = Rig::with_config(mult.circuit().unwrap(), cfg);
+        run(&mut fresh, false);
+        let probes = [fresh.io().q];
+        let mut rig = Rig::with_config(mult.circuit().unwrap(), cfg);
+        run(&mut rig, true);
+        run(&mut rig, false);
+        assert_eq!(rig.replays(), 0, "under {cfg:?}");
+        let want = fresh.fingerprint(&probes);
+        assert_eq!(rig.fingerprint(&probes), want, "under {cfg:?}");
+        want
+    });
+    check_cube(&[workload], &every_cell());
 }
 
 /// Burst delivery of every block never spends a closed-form step on a

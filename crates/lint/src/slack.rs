@@ -186,6 +186,18 @@ fn check_slack_deficits(
     budget_fs: i64,
     diags: &mut Vec<Diagnostic>,
 ) {
+    // An acknowledged (waived) hazard is not going to be repaired: its
+    // padding bill is not owed. With no bill owed there is nothing to
+    // check, so the backward pass is skipped.
+    let owes_padding = |d: &Diagnostic| match &d.fix {
+        Some(Fix::InsertJtls { component, .. }) => {
+            !crate::waiver_matches(&cfg.waivers, d.code, Some(component))
+        }
+        _ => false,
+    };
+    if !diags.iter().any(owes_padding) {
+        return;
+    }
     // required[c]: latest allowed emission (fs) keeping every
     // downstream probe inside the budget. Seed at probed components,
     // then walk the covered region in reverse topological order — every
@@ -216,7 +228,7 @@ fn check_slack_deficits(
     let t_stage = t_jtl().as_fs() as i64;
     let mut seen: HashSet<(String, usize)> = HashSet::new();
     let mut deficits = Vec::new();
-    for d in diags.iter() {
+    for d in diags.iter().filter(|d| owes_padding(d)) {
         let Some(Fix::InsertJtls {
             component,
             port,
@@ -225,11 +237,6 @@ fn check_slack_deficits(
         else {
             continue;
         };
-        // An acknowledged (waived) hazard is not going to be repaired:
-        // its padding bill is not owed, so no deficit to report.
-        if crate::waiver_matches(&cfg.waivers, d.code, Some(component)) {
-            continue;
-        }
         if !seen.insert((component.clone(), *port)) {
             continue;
         }

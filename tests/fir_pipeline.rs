@@ -3,8 +3,14 @@
 //! §5.4.1 experiment as an integration test.
 
 use usfq::baseline::datapath::BinaryFir;
-use usfq::core::accel::{fir_reference, FaultModel, UsfqFir};
+use usfq::core::accel::{fir_reference, FaultModel, StructuralFir, UsfqFir};
+use usfq::core::blocks::{
+    BipolarMultiplier, CountingNetwork, MemoryBank, PulseNumberMultiplier, RlShiftRegister,
+};
+use usfq::core::Rig;
 use usfq::dsp::{design, metrics, signal};
+use usfq::encoding::RlValue;
+use usfq::sim::CoalesceStats;
 
 const FS: f64 = 32_000.0;
 const N: usize = 1024;
@@ -129,4 +135,57 @@ fn unary_and_binary_agree_on_clean_signals() {
         / unary.len() as f64)
         .sqrt();
     assert!(rmse < 0.01, "rmse {rmse}");
+}
+
+/// The structural FIR at the workload benchmark's shape (4 taps, 5
+/// bits) reruns its rigs every sample, and after the first sample each
+/// of its PNM runs is a replay. Its output must be bit-identical to the
+/// same datapath assembled from fresh rigs, one per block call as the
+/// one-shot methods (`PulseNumberMultiplier::generate`,
+/// `BipolarMultiplier::multiply_streams`, `CountingNetwork::accumulate`)
+/// build them, so nothing replays there; and its burst counters must
+/// sum theirs. Rigs read the environment's engine configuration, so
+/// running this under `USFQ_WIRE_JITTER` and `USFQ_BURST` checks replay
+/// under jitter in either delivery mode.
+#[test]
+fn structural_fir_equals_fresh_block_runs() {
+    const SAMPLES: usize = 64;
+    let coeffs = design::lowpass(4, 2_000.0, FS);
+    let x = signal::paper_test_signal(FS, SAMPLES);
+    let mut fir = StructuralFir::new(&coeffs, 5).unwrap();
+    let got: Vec<f64> = x.iter().map(|&v| fir.push(v).unwrap()).collect();
+    // Every PNM run after the first sample replays; the shared
+    // multiplier replays too when the symmetric filter's two middle taps
+    // (equal coefficient words) hold the same quantized sample.
+    assert!(fir.replays() >= 4 * (SAMPLES as u64 - 1));
+
+    let epoch = fir.epoch();
+    let gain = coeffs.iter().fold(0.0f64, |m, &c| m.max(c.abs()));
+    let normalised: Vec<f64> = coeffs.iter().map(|&c| c / gain).collect();
+    let bank = MemoryBank::from_bipolar(&normalised, epoch).unwrap();
+    let mut delay = RlShiftRegister::new(epoch, coeffs.len());
+    let zero = RlValue::from_slot(epoch.n_max() / 2, epoch).unwrap();
+    let pnm = PulseNumberMultiplier::new(epoch);
+    let mult = BipolarMultiplier::new(epoch);
+    let net = CountingNetwork::new(epoch, 4).unwrap();
+    let mut coalesce = CoalesceStats::default();
+    for (i, &v) in x.iter().enumerate() {
+        delay.shift(Some(RlValue::from_bipolar(v, epoch).unwrap()));
+        let mut products = Vec::new();
+        for k in 0..coeffs.len() {
+            let mut rig = Rig::new(pnm.circuit(bank.word(k)).unwrap());
+            let stream = pnm.generate_on(&mut rig).unwrap();
+            coalesce.merge(&rig.coalesce());
+            let sample = delay.tap(k).unwrap_or(zero);
+            let mut rig = Rig::new(mult.circuit().unwrap());
+            products.push(mult.multiply_on(&mut rig, stream, sample).unwrap());
+            coalesce.merge(&rig.coalesce());
+        }
+        let mut rig = Rig::new(net.circuit().unwrap());
+        let top = net.accumulate_on(&mut rig, &products).unwrap();
+        coalesce.merge(&rig.coalesce());
+        let want = top.value_bipolar() * 4.0 * gain;
+        assert_eq!(got[i].to_bits(), want.to_bits(), "sample {i}");
+    }
+    assert_eq!(fir.coalesce(), coalesce);
 }
